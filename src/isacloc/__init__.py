@@ -47,7 +47,9 @@ from .prs_grid import (
 from .ranging import (
     RangeEstimate,
     RangeProfile,
+    comb_profiles,
     estimate_range,
+    estimate_ranges,
     extract_and_divide,
     profile_to_csv,
     range_profile,

@@ -99,6 +99,34 @@ class ExperimentConfig:
             raise ConfigurationError("base_seed must be >= 0")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        # A sweep is checked point by point when _sweep_points builds it.
+        if not self.is_sweep:
+            self._check_geometry()
+
+    def _check_geometry(self):
+        """Reject node counts and phy geometries that would fail in a trial."""
+        if self.num_gnbs < 2 or self.num_ues < 2:
+            raise ConfigurationError(
+                "num_gnbs and num_ues must be >= 2: pair differencing needs both"
+            )
+        if self.mode != "phy":
+            return
+        if self.num_gnbs > self.ofdm.comb_size:
+            raise ConfigurationError(
+                f"{self.num_gnbs} transmitters exceed the {self.ofdm.comb_size} comb offsets"
+            )
+        # Farthest target-to-node distance in co-centered squares, both
+        # legs, plus the largest excess on each of the two links.
+        worst = (
+            math.sqrt(2.0) * (self.gnb_region + self.target_region) / 2.0
+            + math.sqrt(2.0) * (self.ue_region + self.target_region) / 2.0
+            + 2.0 * self.outlier_max
+        )
+        if worst >= self.ofdm.unambiguous_range:
+            raise ConfigurationError(
+                f"worst-case bistatic range {worst:.1f} m reaches the unambiguous window "
+                f"({self.ofdm.unambiguous_range:.1f} m); shrink the regions or outlier_max"
+            )
 
     @property
     def is_sweep(self) -> bool:

@@ -114,7 +114,12 @@ def apply_channel(
                 f"path delay {path.delay:.3e} s exceeds the grid delay window {max_delay:.3e} s"
             )
 
-    m = np.arange(config.num_subcarriers)[:, None]
+    # A path contributes exactly zero off its transmit grid's support, so
+    # each path is multiplied and accumulated on those rows only.
+    support = {}
+    for tx, grid in by_tx.items():
+        rows = np.flatnonzero(grid.symbols.any(axis=1))
+        support[tx] = (rows, grid.symbols[rows])
     n = np.arange(config.num_symbols)[None, :]
     t0 = config.total_symbol_duration
     sigma = np.sqrt(noise.variance)
@@ -125,13 +130,16 @@ def apply_channel(
         for path in paths:
             if path.receiver_id != rx:
                 continue
+            rows, symbols = support[path.transmitter_id]
+            m = rows[:, None]
             ramp = np.exp(-2j * np.pi * m * config.subcarrier_spacing * path.delay)
             if path.doppler != 0.0:
                 ramp = ramp * np.exp(2j * np.pi * n * t0 * path.doppler)
-            acc += path.attenuation * ramp * by_tx[path.transmitter_id].symbols
+            acc[rows] += path.attenuation * ramp * symbols
         if noise.variance > 0:
             rng = np.random.default_rng([noise.rng_seed, rx])
-            acc = acc + rng.normal(0.0, sigma, acc.shape) + 1j * rng.normal(0.0, sigma, acc.shape)
+            acc.real += rng.normal(0.0, sigma, acc.shape)
+            acc.imag += rng.normal(0.0, sigma, acc.shape)
         received.append(ReceivedGrid(receiver_id=rx, symbols=acc))
     return received
 

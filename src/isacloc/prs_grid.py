@@ -18,6 +18,7 @@ from .errors import ConfigurationError
 
 _REGISTER_LENGTH = 31
 _FAST_FORWARD = 1600  # discarded warm-up outputs of the combined sequence
+_BLOCK = 28  # register bits advanced per step: 31 minus the highest tap, 3
 _SUPPORTED_COMBS = (2, 4, 6, 12)
 # Normal cyclic prefix as a fraction of the useful symbol duration.
 _CP_FRACTION = 144.0 / 2048.0
@@ -129,15 +130,24 @@ def gold_sequence(seed: int, length: int) -> np.ndarray:
     if not 0 < seed < 2**31:
         raise ValueError("seed must be a nonzero 31-bit integer")
 
-    total = length + _FAST_FORWARD
-    x1 = np.zeros(total + _REGISTER_LENGTH, dtype=np.uint8)
-    x2 = np.zeros(total + _REGISTER_LENGTH, dtype=np.uint8)
-    x1[0] = 1
-    x2[:_REGISTER_LENGTH] = [(seed >> i) & 1 for i in range(_REGISTER_LENGTH)]
-    for n in range(total):
-        x1[n + 31] = x1[n + 3] ^ x1[n]
-        x2[n + 31] = x2[n + 3] ^ x2[n + 2] ^ x2[n + 1] ^ x2[n]
-    return x1[_FAST_FORWARD:total] ^ x2[_FAST_FORWARD:total]
+    # Each register is a Python int holding bits n..n+30 of its stream, bit
+    # 0 first.  The highest feedback tap is 3, so bits n+31..n+58 depend
+    # only on bits already in the register and one step yields 28 of them.
+    steps = -(-(_FAST_FORWARD + length - _REGISTER_LENGTH) // _BLOCK)
+    mask = (1 << _BLOCK) - 1
+    reg1, reg2 = 1, seed
+    blocks = []
+    for _ in range(steps):
+        new1 = (reg1 ^ (reg1 >> 3)) & mask
+        new2 = (reg2 ^ (reg2 >> 1) ^ (reg2 >> 2) ^ (reg2 >> 3)) & mask
+        blocks.append(new1 ^ new2)
+        reg1 = (reg1 >> _BLOCK) | (new1 << 3)
+        reg2 = (reg2 >> _BLOCK) | (new2 << 3)
+    words = np.array(blocks, dtype="<u4").view(np.uint8)
+    bits = np.unpackbits(words, bitorder="little").reshape(steps, 32)[:, :_BLOCK].ravel()
+    # bits[i] is output bit 31 + i; the first 1600 are the warm-up.
+    start = _FAST_FORWARD - _REGISTER_LENGTH
+    return bits[start:start + length]
 
 
 def prs_symbols(seed: int, count: int) -> np.ndarray:

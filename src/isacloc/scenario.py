@@ -22,7 +22,9 @@ import numpy as np
 from .errors import ConfigurationError, ScenarioError
 from .phy_channel import ChannelPath, NoiseSpec, apply_channel, bistatic_delay
 from .prs_grid import OfdmConfig, PrsAllocation, build_grid
-from .ranging import estimate_range, extract_and_divide, range_profile
+# The per-pair names are unused here but stay importable: perfbench's
+# tracer wraps them in this module, and a layer that does not run reads 0.
+from .ranging import estimate_range, estimate_ranges, extract_and_divide, range_profile  # noqa: F401
 
 MIN_NODE_SEPARATION = 1.0  # meters between target and any node
 _MAX_TARGET_REDRAWS = 1000
@@ -212,7 +214,7 @@ def synthesize_measurements_phy(
 
     Builds one comb-offset grid per transmitter (offset = transmitter
     index, seed = base_sequence_seed + index), applies the echo channel
-    for every pair, and estimates each bistatic range with the
+    for every pair, and estimates all bistatic ranges with the comb-domain
     periodogram.  All true path lengths must stay below the unambiguous
     range of the configuration.
     """
@@ -238,15 +240,8 @@ def synthesize_measurements_phy(
         for k in range(num_ues)
     ]
     received = apply_channel(grids, paths, config, noise)
-
-    ranges = np.zeros((num_gnbs, num_ues))
-    for k, rx_grid in enumerate(received):
-        for s in range(num_gnbs):
-            divided = extract_and_divide(rx_grid, grids[s])
-            profile = range_profile(divided, config)
-            ranges[s, k] = estimate_range(profile, config, s, k).range
     return MeasurementSet(
-        ranges=ranges,
+        ranges=estimate_ranges(received, grids, config),
         mode="phy",
         true_target=scenario.target,
         config=config,

@@ -80,6 +80,18 @@ class TestRunCommand:
         config_path = _write_config(tmp_path / "config.json", trials=-5)
         assert main(["run", "--config", str(config_path)]) == 1
 
+    def test_phy_default_regions_exit_one(self, tmp_path, capsys):
+        # The default regions put bistatic paths beyond the phy window.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"mode": "phy", "trials": 2}))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "unambiguous window" in capsys.readouterr().err
+
+    def test_single_ue_exits_one(self, tmp_path, capsys):
+        config_path = _write_config(tmp_path / "config.json", num_ues=1)
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
     def test_sweep_config_in_run_exits_one(self, tmp_path, capsys):
         config_path = _write_config(tmp_path / "config.json", outlier_max=[4.0, 8.0])
         assert main(["run", "--config", str(config_path)]) == 1

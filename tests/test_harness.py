@@ -7,6 +7,7 @@ import pytest
 from isacloc import (
     ConfigurationError,
     ExperimentConfig,
+    OfdmConfig,
     SolverConfig,
     emit_report,
     emit_sweep,
@@ -15,7 +16,12 @@ from isacloc import (
     run_sweep,
     run_trial,
 )
+from isacloc import harness
 from isacloc.harness import METHODS, _sweep_points
+
+# The phy workload geometry: worst-case bistatic range 147.3 m, inside the
+# 208.2 m unambiguous window of the default numerology.
+PHY_6X6 = dict(mode="phy", gnb_region=60.0, ue_region=60.0, target_region=30.0, snr_db=10.0)
 
 
 def _quick_config(**overrides):
@@ -195,3 +201,50 @@ def test_config_validation():
         ExperimentConfig(base_seed=-1)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(workers=0)
+
+
+class TestGeometryValidation:
+    def test_phy_6x6_fields_construct(self):
+        config = ExperimentConfig(trials=2, **PHY_6X6)
+        assert config.num_gnbs == 6 and config.num_ues == 6
+
+    @pytest.mark.parametrize("nodes", [dict(num_gnbs=1), dict(num_ues=1)])
+    def test_single_node_side_rejected(self, nodes):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**nodes)
+
+    def test_phy_default_regions_rejected(self):
+        # Worst case 656.4 m against the 208.2 m window.
+        with pytest.raises(ConfigurationError, match="unambiguous"):
+            ExperimentConfig(mode="phy")
+
+    def test_phy_window_boundary(self):
+        # Regions scaled so the worst case lands just below, then at, the window.
+        window = ExperimentConfig().ofdm.unambiguous_range
+        fits = (window - 20.0) / (2.0 * np.sqrt(2.0)) - 1e-6
+        ExperimentConfig(mode="phy", gnb_region=fits, ue_region=fits, target_region=fits)
+        at = (window - 20.0) / (2.0 * np.sqrt(2.0))
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(mode="phy", gnb_region=at, ue_region=at, target_region=at)
+
+    def test_phy_outliers_count_against_window(self):
+        # 127.3 m of geometry leaves room for 40.4 m of excess per link.
+        ExperimentConfig(**PHY_6X6, outlier_max=40.0)
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**PHY_6X6, outlier_max=41.0)
+
+    def test_phy_transmitters_limited_by_comb(self):
+        ofdm = OfdmConfig(120e3, 792, comb_size=4)
+        ExperimentConfig(**PHY_6X6, num_gnbs=4, ofdm=ofdm)
+        with pytest.raises(ConfigurationError, match="comb"):
+            ExperimentConfig(**PHY_6X6, num_gnbs=5, ofdm=ofdm)
+        # Model mode synthesizes no grids, so the comb does not limit it.
+        ExperimentConfig(num_gnbs=5, ofdm=ofdm)
+
+    def test_invalid_sweep_point_fails_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+        config = _quick_config(trials=2, num_gnbs=(4, 1), num_ues=(4, 4))
+        with pytest.raises(ConfigurationError):
+            run_sweep(config)
+        assert calls == []

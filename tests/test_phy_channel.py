@@ -6,6 +6,7 @@ import pytest
 from isacloc import (
     ChannelPath,
     NoiseSpec,
+    OfdmConfig,
     PrsAllocation,
     Scenario,
     ScenarioError,
@@ -15,6 +16,27 @@ from isacloc import (
     noise_variance_from_snr,
 )
 from isacloc.constants import SPEED_OF_LIGHT
+
+
+def dense_channel(grids, paths, config, noise):
+    """Multiply-accumulate every path over the full M x N grid."""
+    by_tx = {grid.allocation.transmitter_id: grid.symbols for grid in grids}
+    m = np.arange(config.num_subcarriers)[:, None]
+    n = np.arange(config.num_symbols)[None, :]
+    out = {}
+    for rx in sorted({p.receiver_id for p in paths}):
+        acc = np.zeros((config.num_subcarriers, config.num_symbols), dtype=np.complex128)
+        for path in (p for p in paths if p.receiver_id == rx):
+            ramp = np.exp(-2j * np.pi * m * config.subcarrier_spacing * path.delay)
+            if path.doppler != 0.0:
+                ramp = ramp * np.exp(2j * np.pi * n * config.total_symbol_duration * path.doppler)
+            acc += path.attenuation * ramp * by_tx[path.transmitter_id]
+        if noise.variance > 0:
+            rng = np.random.default_rng([noise.rng_seed, rx])
+            sigma = np.sqrt(noise.variance)
+            acc = acc + rng.normal(0.0, sigma, acc.shape) + 1j * rng.normal(0.0, sigma, acc.shape)
+        out[rx] = acc
+    return out
 
 
 def _scenario(gnbs, ues, target, zg=None, zu=None):
@@ -125,6 +147,40 @@ class TestApplyChannel:
         assert np.array_equal(first[0].symbols, second[0].symbols)
         assert np.array_equal(first[1].symbols, second[1].symbols)
         assert not np.array_equal(first[0].symbols, first[1].symbols)
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_matches_dense_reference(self, trial):
+        # Random comb grids and paths with attenuation, Doppler, repeated
+        # transmitter-receiver pairs and noise; the support-restricted sum
+        # must reproduce the dense one bit for bit.
+        rng = np.random.default_rng(trial)
+        comb = int(rng.choice([2, 4, 6, 12]))
+        config = OfdmConfig(120e3, 12 * int(rng.integers(1, 12)), int(rng.integers(1, 15)), comb)
+        num_tx, num_rx = int(rng.integers(1, comb + 1)), int(rng.integers(1, 4))
+        offsets = rng.permutation(comb)[:num_tx]
+        grids = [
+            build_grid(config, PrsAllocation(s, int(offsets[s]), int(rng.integers(1, 2**31))))
+            for s in range(num_tx)
+        ]
+        paths = [
+            ChannelPath(
+                int(rng.integers(num_tx)),
+                int(rng.integers(num_rx)),
+                attenuation=complex(rng.normal(), rng.normal()),
+                delay=float(rng.uniform(0.0, 0.99 / config.subcarrier_spacing)),
+                doppler=float(rng.normal(0.0, 500.0)) if rng.random() < 0.5 else 0.0,
+            )
+            for _ in range(2 * num_tx * num_rx)
+        ]
+        # Two paths from one transmitter to one receiver, always.
+        paths.append(ChannelPath(0, 0, attenuation=0.5, delay=30e-9, doppler=120.0))
+        paths.append(ChannelPath(0, 0, attenuation=-0.25j, delay=70e-9))
+        noise = NoiseSpec(variance=[0.0, 0.05, 0.5][trial % 3], rng_seed=trial)
+        received = apply_channel(grids, paths, config, noise)
+        expected = dense_channel(grids, paths, config, noise)
+        assert [rx.receiver_id for rx in received] == sorted(expected)
+        for rx in received:
+            assert np.array_equal(rx.symbols, expected[rx.receiver_id])
 
     def test_unknown_transmitter_rejected(self, small_config):
         grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))

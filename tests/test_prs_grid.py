@@ -52,9 +52,12 @@ class TestGoldSequence:
 
     @pytest.mark.parametrize("seed", [1, 77, SEED_A, 2**31 - 1])
     def test_matches_stepped_oracle(self, seed):
-        x1, x2 = oracle_streams(seed, 200)
+        # The registers advance 28 bits per step: lengths around one and two
+        # steps, and the 1848 bits of one 792 x 14 comb-12 grid.
+        x1, x2 = oracle_streams(seed, 1848)
         expected = [a ^ b for a, b in zip(x1, x2)]
-        assert gold_sequence(seed, 200).tolist() == expected
+        for length in (1, 27, 28, 29, 56, 200, 1848):
+            assert gold_sequence(seed, length).tolist() == expected[:length], length
 
     def test_first_register_is_seed_independent(self):
         x1_a, x2_a = oracle_streams(SEED_A, 100)

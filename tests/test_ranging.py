@@ -8,13 +8,31 @@ from isacloc import (
     OfdmConfig,
     PrsAllocation,
     apply_channel,
+    bistatic_delay,
     build_grid,
+    comb_profiles,
     estimate_range,
+    estimate_ranges,
     extract_and_divide,
+    noise_variance_from_snr,
     profile_to_csv,
     range_profile,
+    sample_scenario,
 )
 from isacloc.constants import SPEED_OF_LIGHT
+
+
+def dense_pairs(received, grids, config):
+    """Per-pair dense profiles over the first M/comb bins, and ranges."""
+    window = config.num_subcarriers // config.comb_size
+    profiles = np.zeros((len(grids), len(received), window))
+    ranges = np.zeros((len(grids), len(received)))
+    for s, grid in enumerate(grids):
+        for k, rx in enumerate(received):
+            profile = range_profile(extract_and_divide(rx, grid), config)
+            profiles[s, k] = profile.values[:window]
+            ranges[s, k] = estimate_range(profile, config, s, k).range
+    return profiles, ranges
 
 
 class TestExtractAndDivide:
@@ -161,3 +179,53 @@ class TestEstimateRange:
         lines = path.read_text().splitlines()
         assert lines[0] == "bin,value"
         assert len(lines) == 1 + small_config.num_subcarriers
+
+
+class TestCombDomainRanging:
+    """The batched comb-domain path against the dense per-pair path."""
+
+    @pytest.mark.parametrize("snr_db", [10.0, None])
+    def test_random_6x6_geometries_match_per_pair_path(self, fr2_config, snr_db):
+        variance = 0.0 if snr_db is None else noise_variance_from_snr(snr_db)
+        grids = [build_grid(fr2_config, PrsAllocation(s, s, sequence_seed=1 + s))
+                 for s in range(6)]
+        for seed in range(8):
+            sc = sample_scenario(6, 6, gnb_region=60.0, ue_region=60.0, target_region=30.0,
+                                 outlier_max=10.0, rng_seed=seed)
+            paths = [ChannelPath(s, k, delay=bistatic_delay(sc, s, k))
+                     for s in range(6) for k in range(6)]
+            received = apply_channel(grids, paths, fr2_config, NoiseSpec(variance, seed))
+            profiles, ranges = dense_pairs(received, grids, fr2_config)
+            comb = comb_profiles(received, grids, fr2_config)
+            # Noise-free bins far from the peak are near zero, so their
+            # rounding is bounded relative to the peak, not to themselves.
+            atol = 0.0 if snr_db is not None else 1e-12 * profiles.max()
+            np.testing.assert_allclose(comb, profiles, rtol=1e-12, atol=atol)
+            assert np.array_equal(estimate_ranges(received, grids, fr2_config), ranges)
+
+    def test_comb_tone_at_every_offset(self, small_config):
+        m_count = small_config.num_subcarriers
+        window = m_count // small_config.comb_size
+        q = 5
+        tone = np.exp(-2j * np.pi * np.arange(m_count) * q / m_count)[:, None]
+        grids = [build_grid(small_config, PrsAllocation(c, c, sequence_seed=3 + c))
+                 for c in range(small_config.comb_size)]
+        received = [sum(tone * grid.symbols for grid in grids)]
+        profiles, ranges = dense_pairs(received, grids, small_config)
+        comb = comb_profiles(received, grids, small_config)
+        assert comb.shape == (small_config.comb_size, 1, window)
+        np.testing.assert_allclose(comb, profiles, rtol=1e-12, atol=1e-12 * profiles.max())
+        assert (np.argmax(comb, axis=-1) == q).all()
+        assert np.array_equal(estimate_ranges(received, grids, small_config), ranges)
+
+    def test_all_zero_received_grid_raises(self, small_config):
+        grids = [build_grid(small_config, PrsAllocation(0, 1, sequence_seed=1))]
+        received = [np.zeros((small_config.num_subcarriers, small_config.num_symbols), complex)]
+        assert (comb_profiles(received, grids, small_config) == 0).all()
+        with pytest.raises(NoDetectionError):
+            estimate_ranges(received, grids, small_config)
+
+    def test_received_shape_mismatch_rejected(self, small_config):
+        grids = [build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))]
+        with pytest.raises(ValueError):
+            comb_profiles([np.zeros((4, 4), complex)], grids, small_config)
