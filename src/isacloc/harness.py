@@ -17,7 +17,13 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import (
+    ConfigurationError,
+    InsufficientGeometryError,
+    NoDetectionError,
+    ScenarioError,
+    UnderdeterminedError,
+)
 from .phy_channel import NoiseSpec, noise_variance_from_snr
 from .prs_grid import OfdmConfig
 from .scenario import (
@@ -41,6 +47,10 @@ METHODS = ("ls", "irls", "proposed")
 
 _GAMMA_STREAM = 1  # substream tag for the model-mode range error draw
 _CDF_STEP = 0.05   # meters per CDF grid point
+
+# Run-time failures of one solve, recorded as an infinite error.  Any other
+# exception is a defect and propagates.
+_SOLVE_ERRORS = (UnderdeterminedError, InsufficientGeometryError, NoDetectionError, ScenarioError)
 
 
 def _default_ofdm() -> OfdmConfig:
@@ -163,8 +173,9 @@ class ExperimentReport:
 def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialResult:
     """Run one scenario through synthesis and all solvers.
 
-    Solver failures are recorded as infinite error for that method; the
-    trial itself is never aborted.
+    A solve that fails with one of the library's run-time errors is
+    recorded as an infinite error for that method and the trial goes on;
+    any other exception propagates.
     """
     scenario = sample_scenario(
         config.num_gnbs,
@@ -199,7 +210,7 @@ def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialResult:
     def record(method, solve):
         try:
             result = solve()
-        except Exception:
+        except _SOLVE_ERRORS:
             errors[method] = math.inf
             converged[method] = False
             return None
@@ -294,11 +305,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
+def _json_stats(stats: dict) -> dict:
+    """Per-method statistics for strict JSON: a non-finite value becomes null."""
+    return {m: value if math.isfinite(value) else None for m, value in stats.items()}
+
+
 def emit_report(report: ExperimentReport, out_dir) -> list:
     """Write summary JSON, per-trial CSV, and CDF CSV.
 
-    Output is byte-stable: identical reports produce identical files.
-    Returns the written paths.
+    Output is byte-stable: identical reports produce identical files.  The
+    JSON is strict: a mean or p90 that a failed solve made infinite is
+    written as null.  Returns the written paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, "summary.json")
@@ -308,13 +325,13 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
     summary = {
         "trials": report.trials,
         "base_seed": report.base_seed,
-        "mean_error_m": report.mean_error,
-        "p90_error_m": report.p90_error,
+        "mean_error_m": _json_stats(report.mean_error),
+        "p90_error_m": _json_stats(report.p90_error),
         "divergence_count": report.divergence_count,
         "config": report.config,
     }
     with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     with open(trials_path, "w") as fh:
@@ -394,11 +411,15 @@ def emit_sweep(results, out_dir) -> list:
 
     summary_json = os.path.join(out_dir, "sweep_summary.json")
     payload = [
-        {"point": label, "mean_error_m": report.mean_error, "p90_error_m": report.p90_error}
+        {
+            "point": label,
+            "mean_error_m": _json_stats(report.mean_error),
+            "p90_error_m": _json_stats(report.p90_error),
+        }
         for label, report in results
     ]
     with open(summary_json, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     paths.append(summary_json)
     return paths

@@ -15,6 +15,10 @@ transmitter and one receiver.  Three estimators are provided:
   every receiver-pair difference, so each residual sees at most one
   side's biases.
 
+All three run through one descent driver.  Each objective's evaluator
+computes the distances to the stacked (S+K, 2) nodes once per iterate and
+builds the residuals that value, gradient and the reweighting hook read.
+
 A fusion rule averages the reweighted and differencing estimates and
 falls back to the differencing estimate when the reweighted iteration
 fails to converge.
@@ -23,6 +27,7 @@ fails to converge.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,23 +107,24 @@ def _ranges_of(measurements) -> np.ndarray:
     return np.asarray(getattr(measurements, "ranges", measurements), dtype=float)
 
 
-def _distances_and_units(x, nodes):
+def _stack_nodes(gnbs, ues) -> np.ndarray:
+    """Transmitters then receivers as one (S+K, 2) array."""
+    return np.vstack([np.asarray(gnbs, float), np.asarray(ues, float)])
+
+
+def _node_geometry(x, nodes):
     """Distances from x to each node and guarded unit vectors toward x."""
     delta = x - nodes
     dist = np.hypot(delta[:, 0], delta[:, 1])
-    units = np.zeros_like(delta)
-    np.divide(delta, dist[:, None], out=units, where=(dist[:, None] > _SINGULARITY_GUARD))
-    return dist, units
-
-
-def _pair_indices(n):
-    return np.triu_indices(n, k=1)
+    if dist.min() > _SINGULARITY_GUARD:  # the plain divide gives the same floats
+        return dist, delta / dist[:, None]
+    return dist, np.divide(delta, dist[:, None], out=np.zeros_like(delta),
+                           where=(dist[:, None] > _SINGULARITY_GUARD))
 
 
 def centroid_init(gnbs, ues) -> np.ndarray:
     """Mean of all node positions, the default descent start."""
-    nodes = np.vstack([np.asarray(gnbs, float), np.asarray(ues, float)])
-    return nodes.mean(axis=0)
+    return _stack_nodes(gnbs, ues).mean(axis=0)
 
 
 def grid_search_init(objective, half_extent: float, points: int = 20) -> np.ndarray:
@@ -133,34 +139,26 @@ def grid_search_init(objective, half_extent: float, points: int = 20) -> np.ndar
     return best_xy
 
 
-def _grid_points(half_extent, points):
+def _grid_distances(nodes, half_extent, points):
+    """Grid points (P, 2) and their distances (P, S+K) to every node."""
     axis = np.linspace(-half_extent, half_extent, points)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    gx, gy = (g.reshape(-1, 1) for g in np.meshgrid(axis, axis, indexing="ij"))
+    dx, dy = gx - nodes[:, 0], gy - nodes[:, 1]
+    return np.hstack([gx, gy]), np.sqrt(dx * dx + dy * dy)
 
 
 def ls_grid_init(measurements, gnbs, ues, half_extent: float, points: int = 20) -> np.ndarray:
     """Grid minimum of the least-squares objective, evaluated in one batch."""
-    ranges = _ranges_of(measurements)
-    gnbs, ues = np.asarray(gnbs, float), np.asarray(ues, float)
-    pts = _grid_points(half_extent, points)
-    dist_g = np.linalg.norm(pts[:, None, :] - gnbs[None, :, :], axis=2)  # (P, S)
-    dist_u = np.linalg.norm(pts[:, None, :] - ues[None, :, :], axis=2)   # (P, K)
-    res = ranges[None, :, :] - (dist_g[:, :, None] + dist_u[:, None, :])
-    values = np.einsum("psk,psk->p", res, res)
-    return pts[int(np.argmin(values))]
+    pts, dist = _grid_distances(_stack_nodes(gnbs, ues), half_extent, points)
+    res = _ls_model_residuals(dist, _ranges_of(measurements))
+    return pts[int(np.argmin(np.einsum("psk,psk->p", res, res)))]
 
 
 def difference_grid_init(measurements, gnbs, ues, half_extent: float, points: int = 20) -> np.ndarray:
     """Grid minimum of the pair-differencing objective, evaluated in one batch."""
-    ranges = _ranges_of(measurements)
-    gnbs, ues = np.asarray(gnbs, float), np.asarray(ues, float)
-    (ig, jg), (iu, ju) = _difference_setup(ranges, gnbs, ues)
-    pts = _grid_points(half_extent, points)
-    dist_g = np.linalg.norm(pts[:, None, :] - gnbs[None, :, :], axis=2)
-    dist_u = np.linalg.norm(pts[:, None, :] - ues[None, :, :], axis=2)
-    res_g = (ranges[jg, :] - ranges[ig, :])[None, :, :] - (dist_g[:, jg] - dist_g[:, ig])[:, :, None]
-    res_u = (ranges[:, iu] - ranges[:, ju])[None, :, :] - (dist_u[:, iu] - dist_u[:, ju])[:, None, :]
+    setup = _difference_setup(_ranges_of(measurements))
+    pts, dist = _grid_distances(_stack_nodes(gnbs, ues), half_extent, points)
+    res_g, res_u = _difference_model_residuals(dist, setup)
     values = np.einsum("pik,pik->p", res_g, res_g) + np.einsum("psi,psi->p", res_u, res_u)
     return pts[int(np.argmin(values))]
 
@@ -169,51 +167,58 @@ def difference_grid_init(measurements, gnbs, ues, half_extent: float, points: in
 # Objectives and gradients
 # ---------------------------------------------------------------------------
 
-def _ls_value_grad(x, ranges, gnbs, ues, weights=None):
+def _ls_model_residuals(dist, ranges):
+    """Range residuals (..., S, K) from node distances (..., S+K)."""
+    num_gnbs = ranges.shape[0]
+    return ranges - (dist[..., :num_gnbs, None] + dist[..., None, num_gnbs:])
+
+
+def _ls_residuals(x, ranges, nodes):
+    dist, units = _node_geometry(x, nodes)
+    return _ls_model_residuals(dist, ranges), units
+
+
+def _ls_value_grad(evaluation, weights=None):
     """Weighted sum-of-squares value and gradient; uniform weights give LS."""
-    dist_g, units_g = _distances_and_units(x, gnbs)
-    dist_u, units_u = _distances_and_units(x, ues)
-    res = ranges - (dist_g[:, None] + dist_u[None, :])
+    res, units = evaluation
+    num_gnbs = res.shape[0]
     if weights is None:
-        value = float(np.sum(res * res))
-        grad = -2.0 * (res.sum(axis=1) @ units_g + res.sum(axis=0) @ units_u)
+        value = float((res * res).sum())
+        grad = -2.0 * (res.sum(axis=1) @ units[:num_gnbs] + res.sum(axis=0) @ units[num_gnbs:])
     else:
         value = float(weights @ (res * res).sum(axis=0))
-        grad = -2.0 * ((res @ weights) @ units_g + (weights * res.sum(axis=0)) @ units_u)
+        grad = -2.0 * ((res @ weights) @ units[:num_gnbs]
+                       + (weights * res.sum(axis=0)) @ units[num_gnbs:])
     return value, grad
+
+
+def _ls_at(x, measurements, gnbs, ues, weights=None):
+    ev = _ls_residuals(np.asarray(x, float), _ranges_of(measurements), _stack_nodes(gnbs, ues))
+    return _ls_value_grad(ev, None if weights is None else np.asarray(weights, float))
 
 
 def ls_objective(x, measurements, gnbs, ues) -> float:
     """Sum over pairs of squared range residuals at position x."""
-    return _ls_value_grad(np.asarray(x, float), _ranges_of(measurements),
-                          np.asarray(gnbs, float), np.asarray(ues, float))[0]
+    return _ls_at(x, measurements, gnbs, ues)[0]
 
 
 def ls_gradient(x, measurements, gnbs, ues) -> np.ndarray:
-    return _ls_value_grad(np.asarray(x, float), _ranges_of(measurements),
-                          np.asarray(gnbs, float), np.asarray(ues, float))[1]
+    return _ls_at(x, measurements, gnbs, ues)[1]
 
 
 def irls_objective(x, measurements, gnbs, ues, weights) -> float:
     """Receiver-weighted sum of squared range residuals at position x."""
-    return _ls_value_grad(np.asarray(x, float), _ranges_of(measurements),
-                          np.asarray(gnbs, float), np.asarray(ues, float),
-                          np.asarray(weights, float))[0]
+    return _ls_at(x, measurements, gnbs, ues, weights)[0]
 
 
 def irls_gradient(x, measurements, gnbs, ues, weights) -> np.ndarray:
-    return _ls_value_grad(np.asarray(x, float), _ranges_of(measurements),
-                          np.asarray(gnbs, float), np.asarray(ues, float),
-                          np.asarray(weights, float))[1]
+    return _ls_at(x, measurements, gnbs, ues, weights)[1]
 
 
 def residuals(measurements, gnbs, ues, x) -> np.ndarray:
     """Per-receiver mean absolute range residual at position x."""
-    ranges = _ranges_of(measurements)
-    dist_g, _ = _distances_and_units(np.asarray(x, float), np.asarray(gnbs, float))
-    dist_u, _ = _distances_and_units(np.asarray(x, float), np.asarray(ues, float))
-    res = ranges - (dist_g[:, None] + dist_u[None, :])
-    return np.abs(res).mean(axis=0)
+    dist, _ = _node_geometry(np.asarray(x, float), _stack_nodes(gnbs, ues))
+    return np.abs(_ls_model_residuals(dist, _ranges_of(measurements))).mean(axis=0)
 
 
 def andrews_weight(residual, e_max: float):
@@ -245,7 +250,7 @@ def difference_gnb_pairs(measurements):
     num_gnbs = ranges.shape[0]
     if num_gnbs < 2:
         raise InsufficientGeometryError("transmitter-pair differences need >= 2 transmitters")
-    i, j = _pair_indices(num_gnbs)
+    i, j = np.triu_indices(num_gnbs, k=1)
     diffs = ranges[j, :] - ranges[i, :]
     return list(zip(i.tolist(), j.tolist())), diffs
 
@@ -262,93 +267,108 @@ def difference_ue_pairs(measurements):
     num_ues = ranges.shape[1]
     if num_ues < 2:
         raise InsufficientGeometryError("receiver-pair differences need >= 2 receivers")
-    i, j = _pair_indices(num_ues)
+    i, j = np.triu_indices(num_ues, k=1)
     diffs = ranges[:, i] - ranges[:, j]
     return list(zip(i.tolist(), j.tolist())), diffs
 
 
-def _difference_value_grad(x, ranges, gnbs, ues, pairs_g, pairs_u):
-    ig, jg = pairs_g
-    iu, ju = pairs_u
-    dist_g, units_g = _distances_and_units(x, gnbs)
-    dist_u, units_u = _distances_and_units(x, ues)
-    # Transmitter pairs: data ranges[s'] - ranges[s] vs model |x-g_s'| - |x-g_s|.
-    res_g = (ranges[jg, :] - ranges[ig, :]) - (dist_g[jg] - dist_g[ig])[:, None]
-    # Receiver pairs: data ranges[:, k] - ranges[:, k'] vs model |x-u_k| - |x-u_k'|.
-    res_u = (ranges[:, iu] - ranges[:, ju]) - (dist_u[iu] - dist_u[ju])[None, :]
-    value = float(np.sum(res_g * res_g) + np.sum(res_u * res_u))
-    grad = -2.0 * (
-        res_g.sum(axis=1) @ (units_g[jg] - units_g[ig])
-        + res_u.sum(axis=0) @ (units_u[iu] - units_u[ju])
-    )
+def _difference_setup(ranges):
+    """Pair indices (ig, jg, iu, ju) into the stacked nodes and measured differences."""
+    num_gnbs, num_ues = ranges.shape
+    if num_gnbs < 2 or num_ues < 2:
+        raise InsufficientGeometryError(
+            f"pair differencing needs >= 2 transmitters and receivers, got {num_gnbs} x {num_ues}")
+    (ig, jg), (iu, ju) = np.triu_indices(num_gnbs, k=1), np.triu_indices(num_ues, k=1)
+    data_g, data_u = ranges[jg, :] - ranges[ig, :], ranges[:, iu] - ranges[:, ju]
+    return ig, jg, iu + num_gnbs, ju + num_gnbs, data_g, data_u
+
+
+def _difference_model_residuals(dist, setup):
+    """Transmitter-pair and receiver-pair residuals from node distances (..., S+K)."""
+    ig, jg, iu, ju, data_g, data_u = setup
+    # Transmitter pairs: data ranges[s'] - ranges[s] vs model |x-g_s'| - |x-g_s|;
+    # receiver pairs: data ranges[:, k] - ranges[:, k'] vs model |x-u_k| - |x-u_k'|.
+    return (data_g - (dist[..., jg] - dist[..., ig])[..., :, None],
+            data_u - (dist[..., iu] - dist[..., ju])[..., None, :])
+
+
+def _difference_residuals(x, nodes, setup):
+    ig, jg, iu, ju = setup[:4]
+    dist, units = _node_geometry(x, nodes)
+    res_g, res_u = _difference_model_residuals(dist, setup)
+    return res_g, res_u, units[jg] - units[ig], units[iu] - units[ju]
+
+
+def _difference_value_grad(evaluation, weights=None):
+    """Value and gradient of the differencing objective; it takes no weights."""
+    res_g, res_u, units_g, units_u = evaluation
+    value = float((res_g * res_g).sum() + (res_u * res_u).sum())
+    grad = -2.0 * (res_g.sum(axis=1) @ units_g + res_u.sum(axis=0) @ units_u)
     return value, grad
 
 
-def _difference_setup(ranges, gnbs, ues):
-    if ranges.shape[0] < 2:
-        raise InsufficientGeometryError("pair differencing needs >= 2 transmitters")
-    if ranges.shape[1] < 2:
-        raise InsufficientGeometryError("pair differencing needs >= 2 receivers")
-    return _pair_indices(ranges.shape[0]), _pair_indices(ranges.shape[1])
+def _difference_at(x, measurements, gnbs, ues):
+    setup = _difference_setup(_ranges_of(measurements))
+    evaluation = _difference_residuals(np.asarray(x, float), _stack_nodes(gnbs, ues), setup)
+    return _difference_value_grad(evaluation)
 
 
 def difference_objective(x, measurements, gnbs, ues) -> float:
     """Sum of squared transmitter-pair and receiver-pair difference residuals."""
-    ranges = _ranges_of(measurements)
-    gnbs, ues = np.asarray(gnbs, float), np.asarray(ues, float)
-    pairs_g, pairs_u = _difference_setup(ranges, gnbs, ues)
-    return _difference_value_grad(np.asarray(x, float), ranges, gnbs, ues, pairs_g, pairs_u)[0]
+    return _difference_at(x, measurements, gnbs, ues)[0]
 
 
 def difference_gradient(x, measurements, gnbs, ues) -> np.ndarray:
-    ranges = _ranges_of(measurements)
-    gnbs, ues = np.asarray(gnbs, float), np.asarray(ues, float)
-    pairs_g, pairs_u = _difference_setup(ranges, gnbs, ues)
-    return _difference_value_grad(np.asarray(x, float), ranges, gnbs, ues, pairs_g, pairs_u)[1]
+    return _difference_at(x, measurements, gnbs, ues)[1]
 
 
 # ---------------------------------------------------------------------------
-# Descent drivers
+# Descent driver
 # ---------------------------------------------------------------------------
 
-def _descend(value_grad, x0, step, threshold, max_iterations, trace):
-    """Fixed-step gradient descent with best-iterate fallback.
+def _descend(method, evaluate, value_grad, x0, step, threshold, max_iterations, trace,
+             weights=None, reweight=None) -> LocalizationResult:
+    """Fixed-step gradient descent with best-iterate fallback, for all solvers.
 
-    Returns (estimate, converged, iterations).  Convergence means the
-    last position update had norm <= threshold.  On NaN, runaway iterate
-    norm, or iteration exhaustion, the lowest-objective iterate visited
-    is returned with converged False.
+    `evaluate(x)` runs once per iterate; `value_grad(evaluation, weights)`
+    reads from it, and a `reweight` hook turns it into the next weights or
+    into None (all zero: stop).  Converged means an update norm <= threshold;
+    otherwise the lowest-objective iterate and its weights are returned.
     """
     x = np.array(x0, dtype=float)
-    best_x, best_val = x.copy(), np.inf
+    evaluation = evaluate(x)
+    best_x, best_w, best_val = x, weights, math.inf  # iterates are never modified in place
     for iteration in range(1, max_iterations + 1):
-        value, grad = value_grad(x)
+        value, grad = value_grad(evaluation, weights)
         if trace is not None:
             trace.append(value)
         if value < best_val:
-            best_val, best_x = value, x.copy()
+            best_val, best_x, best_w = value, x, weights
         x_new = x - step * grad
-        if not np.isfinite(x_new).all() or np.linalg.norm(x_new) > _DIVERGENCE_NORM:
-            return best_x, False, iteration
-        delta = np.linalg.norm(x_new - x)
+        # Also true for a NaN or infinite iterate; same floats as np.linalg.norm.
+        if not math.sqrt(x_new.dot(x_new)) <= _DIVERGENCE_NORM:
+            break
+        evaluation = evaluate(x_new)
+        if reweight is not None:
+            weights = reweight(evaluation)
+            if weights is None:
+                break
+        move = x_new - x
         x = x_new
-        if delta <= threshold:
-            return x, True, iteration
-    return best_x, False, max_iterations
+        if math.sqrt(move.dot(move)) <= threshold:
+            return LocalizationResult(x, True, iteration, method, weights)
+    return LocalizationResult(best_x, False, iteration, method, best_w)
 
 
 def _prepare(measurements, gnbs, ues, config, init):
     ranges = _ranges_of(measurements)
-    gnbs = np.asarray(gnbs, dtype=float)
-    ues = np.asarray(ues, dtype=float)
-    if ranges.shape != (gnbs.shape[0], ues.shape[0]):
-        raise ValueError(
-            f"ranges shape {ranges.shape} does not match "
-            f"{gnbs.shape[0]} transmitters x {ues.shape[0]} receivers"
-        )
+    nodes = _stack_nodes(gnbs, ues)
+    if ranges.shape != (len(gnbs), len(ues)):
+        raise ValueError(f"ranges shape {ranges.shape} does not match "
+                         f"{len(gnbs)} transmitters x {len(ues)} receivers")
     config = config if config is not None else SolverConfig()
     x0 = centroid_init(gnbs, ues) if init is None else np.asarray(init, dtype=float)
-    return ranges, gnbs, ues, config, x0
+    return ranges, nodes, config, x0
 
 
 def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
@@ -366,14 +386,13 @@ def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> Loc
         init: optional (2,) starting point.
         trace: optional list collecting the objective value per iteration.
     """
-    ranges, gnbs, ues, config, x0 = _prepare(measurements, gnbs, ues, config, init)
+    ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
     if ranges.size < 3:
         raise UnderdeterminedError("need at least 3 measurements for a 2-D fit")
-    estimate, converged, iterations = _descend(
-        lambda x: _ls_value_grad(x, ranges, gnbs, ues),
+    return _descend(
+        "ls", lambda x: _ls_residuals(x, ranges, nodes), _ls_value_grad,
         x0, config.ls_step, config.irls_threshold, config.max_iterations, trace,
     )
-    return LocalizationResult(estimate, converged, iterations, method="ls")
 
 
 def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
@@ -387,41 +406,23 @@ def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> L
     threshold.  All weights vanishing, a NaN, or iteration exhaustion is
     reported as non-convergence.
     """
-    ranges, gnbs, ues, config, x0 = _prepare(measurements, gnbs, ues, config, init)
+    ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
     if ranges.size < 3:
         raise UnderdeterminedError("need at least 3 measurements for a 2-D fit")
-    if ranges.shape[1] < 2:
+    num_ues = ranges.shape[1]
+    if num_ues < 2:
         raise InsufficientGeometryError("receiver reweighting needs >= 2 receivers")
 
-    num_ues = ranges.shape[1]
-    weights = np.full(num_ues, 1.0 / num_ues)
-    x = x0.copy()
-    best_val, best_x, best_w = np.inf, x.copy(), weights.copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        value, grad = _ls_value_grad(x, ranges, gnbs, ues, weights)
-        if trace is not None:
-            trace.append(value)
-        if value < best_val:
-            best_val, best_x, best_w = value, x.copy(), weights.copy()
-        x_new = x - config.irls_step * grad
-        if not np.isfinite(x_new).all() or np.linalg.norm(x_new) > _DIVERGENCE_NORM:
-            break
-        raw = andrews_weight(residuals(ranges, gnbs, ues, x_new), config.e_max)
+    def reweight(evaluation):
+        raw = andrews_weight(np.abs(evaluation[0]).mean(axis=0), config.e_max)
         total = raw.sum()
-        if total <= 0.0:
-            # Every receiver rejected: the weighted objective is undefined.
-            break
-        delta = np.linalg.norm(x_new - x)
-        x, weights = x_new, raw / total
-        if delta <= config.irls_threshold:
-            converged = True
-            break
+        return None if total <= 0.0 else raw / total  # None: all receivers rejected
 
-    if converged:
-        return LocalizationResult(x, True, iterations, method="irls", ue_weights=weights)
-    return LocalizationResult(best_x, False, iterations, method="irls", ue_weights=best_w)
+    return _descend(
+        "irls", lambda x: _ls_residuals(x, ranges, nodes), _ls_value_grad,
+        x0, config.irls_step, config.irls_threshold, config.max_iterations, trace,
+        np.full(num_ues, 1.0 / num_ues), reweight,
+    )
 
 
 def solve_proposed(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
@@ -432,13 +433,12 @@ def solve_proposed(measurements, gnbs, ues, config=None, init=None, trace=None) 
     differences is blind to the other side's per-link biases.  Converges
     to a local minimum only.
     """
-    ranges, gnbs, ues, config, x0 = _prepare(measurements, gnbs, ues, config, init)
-    pairs_g, pairs_u = _difference_setup(ranges, gnbs, ues)
-    estimate, converged, iterations = _descend(
-        lambda x: _difference_value_grad(x, ranges, gnbs, ues, pairs_g, pairs_u),
+    ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
+    setup = _difference_setup(ranges)
+    return _descend(
+        "proposed", lambda x: _difference_residuals(x, nodes, setup), _difference_value_grad,
         x0, config.proposed_step, config.proposed_threshold, config.max_iterations, trace,
     )
-    return LocalizationResult(estimate, converged, iterations, method="proposed")
 
 
 def fuse(irls_result: LocalizationResult, proposed_result: LocalizationResult,

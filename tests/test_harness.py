@@ -6,6 +6,7 @@ import pytest
 
 from isacloc import (
     ConfigurationError,
+    InsufficientGeometryError,
     ExperimentConfig,
     OfdmConfig,
     SolverConfig,
@@ -53,6 +54,26 @@ class TestRunTrial:
             for method in METHODS:
                 assert math.isfinite(result.errors[method])
                 assert 0 <= result.errors[method] < 120.0
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a solver")
+
+        monkeypatch.setattr(harness, "solve_irls", broken)
+        with pytest.raises(TypeError, match="bug in a solver"):
+            run_trial(_quick_config(trials=1), 0)
+
+    def test_library_error_recorded_as_inf(self, monkeypatch):
+        def rejected(*args, **kwargs):
+            raise InsufficientGeometryError("receiver reweighting needs >= 2 receivers")
+
+        monkeypatch.setattr(harness, "solve_irls", rejected)
+        result = run_trial(_quick_config(trials=1), 0)
+        assert result.errors["irls"] == math.inf
+        assert result.converged["irls"] is False
+        # Fusion needs both estimates, so the differencing one stands alone.
+        assert math.isfinite(result.errors["proposed"])
+        assert math.isfinite(result.errors["ls"])
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +149,27 @@ class TestEmitReport:
         second = emit_report(run_experiment(config), tmp_path / "b")
         for p1, p2 in zip(first, second):
             assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+    def test_failed_solve_written_as_strict_json(self, tmp_path, monkeypatch):
+        def rejected(*args, **kwargs):
+            raise InsufficientGeometryError("pair differencing needs >= 2 receivers")
+
+        def strict(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        monkeypatch.setattr(harness, "solve_proposed", rejected)
+        report = run_experiment(_quick_config(trials=2))
+        assert report.mean_error["proposed"] == math.inf
+        summary_path = emit_report(report, tmp_path / "out")[0]
+        payload = json.loads(open(summary_path).read(), parse_constant=strict)
+        assert payload["mean_error_m"]["proposed"] is None
+        assert payload["p90_error_m"]["proposed"] is None
+        assert payload["mean_error_m"]["ls"] == report.mean_error["ls"]
+        assert set(payload["mean_error_m"]) == set(METHODS)
+        paths = emit_sweep([("point", report)], tmp_path / "sweep")
+        sweep = json.loads(open(paths[-1]).read(), parse_constant=strict)
+        assert sweep[0]["p90_error_m"]["proposed"] is None
 
 
 class TestSweep:

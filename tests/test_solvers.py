@@ -28,7 +28,7 @@ from isacloc import (
     solve_proposed,
     true_bistatic_ranges,
 )
-from isacloc.solvers import difference_grid_init, grid_search_init, ls_grid_init
+from isacloc.solvers import _grid_distances, difference_grid_init, grid_search_init, ls_grid_init
 
 TIGHT = SolverConfig(irls_threshold=1e-6, proposed_threshold=1e-6)
 
@@ -402,3 +402,243 @@ def test_measurement_set_and_array_inputs_agree():
     a = solve_ls(ms, sc.gnb_positions, sc.ue_positions, TIGHT, init=sc.target)
     b = solve_ls(ranges, sc.gnb_positions, sc.ue_positions, TIGHT, init=sc.target)
     assert np.array_equal(a.estimate, b.estimate)
+
+
+# ---------------------------------------------------------------------------
+# Exactness oracle: the two hand-written descent loops and the per-objective
+# value/gradient functions that the single driver replaced.  The driver must
+# reproduce their estimates, flags, iteration counts, weights and traces
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+def _ref_distances_and_units(x, nodes):
+    delta = x - nodes
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    units = np.zeros_like(delta)
+    np.divide(delta, dist[:, None], out=units, where=(dist[:, None] > 1e-9))
+    return dist, units
+
+
+def _ref_ls_value_grad(x, ranges, gnbs, ues, weights=None):
+    dist_g, units_g = _ref_distances_and_units(x, gnbs)
+    dist_u, units_u = _ref_distances_and_units(x, ues)
+    res = ranges - (dist_g[:, None] + dist_u[None, :])
+    if weights is None:
+        value = float(np.sum(res * res))
+        grad = -2.0 * (res.sum(axis=1) @ units_g + res.sum(axis=0) @ units_u)
+    else:
+        value = float(weights @ (res * res).sum(axis=0))
+        grad = -2.0 * ((res @ weights) @ units_g + (weights * res.sum(axis=0)) @ units_u)
+    return value, grad
+
+
+def _ref_residuals(ranges, gnbs, ues, x):
+    dist_g, _ = _ref_distances_and_units(x, gnbs)
+    dist_u, _ = _ref_distances_and_units(x, ues)
+    return np.abs(ranges - (dist_g[:, None] + dist_u[None, :])).mean(axis=0)
+
+
+def _ref_difference_value_grad(x, ranges, gnbs, ues):
+    ig, jg = np.triu_indices(ranges.shape[0], k=1)
+    iu, ju = np.triu_indices(ranges.shape[1], k=1)
+    dist_g, units_g = _ref_distances_and_units(x, gnbs)
+    dist_u, units_u = _ref_distances_and_units(x, ues)
+    res_g = (ranges[jg, :] - ranges[ig, :]) - (dist_g[jg] - dist_g[ig])[:, None]
+    res_u = (ranges[:, iu] - ranges[:, ju]) - (dist_u[iu] - dist_u[ju])[None, :]
+    value = float(np.sum(res_g * res_g) + np.sum(res_u * res_u))
+    grad = -2.0 * (
+        res_g.sum(axis=1) @ (units_g[jg] - units_g[ig])
+        + res_u.sum(axis=0) @ (units_u[iu] - units_u[ju])
+    )
+    return value, grad
+
+
+def _ref_descend(value_grad, x0, step, threshold, max_iterations, trace):
+    x = np.array(x0, dtype=float)
+    best_x, best_val = x.copy(), np.inf
+    for iteration in range(1, max_iterations + 1):
+        value, grad = value_grad(x)
+        trace.append(value)
+        if value < best_val:
+            best_val, best_x = value, x.copy()
+        x_new = x - step * grad
+        if not np.isfinite(x_new).all() or np.linalg.norm(x_new) > 1e6:
+            return best_x, False, iteration
+        delta = np.linalg.norm(x_new - x)
+        x = x_new
+        if delta <= threshold:
+            return x, True, iteration
+    return best_x, False, max_iterations
+
+
+def _ref_irls(ranges, gnbs, ues, config, x0, trace):
+    num_ues = ranges.shape[1]
+    weights = np.full(num_ues, 1.0 / num_ues)
+    x = np.array(x0, dtype=float)
+    best_val, best_x, best_w = np.inf, x.copy(), weights.copy()
+    converged = False
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        value, grad = _ref_ls_value_grad(x, ranges, gnbs, ues, weights)
+        trace.append(value)
+        if value < best_val:
+            best_val, best_x, best_w = value, x.copy(), weights.copy()
+        x_new = x - config.irls_step * grad
+        if not np.isfinite(x_new).all() or np.linalg.norm(x_new) > 1e6:
+            break
+        raw = andrews_weight(_ref_residuals(ranges, gnbs, ues, x_new), config.e_max)
+        total = raw.sum()
+        if total <= 0.0:
+            break
+        delta = np.linalg.norm(x_new - x)
+        x, weights = x_new, raw / total
+        if delta <= config.irls_threshold:
+            converged = True
+            break
+    if converged:
+        return x, True, iterations, weights
+    return best_x, False, iterations, best_w
+
+
+def _ref_solve(method, ranges, gnbs, ues, config, x0, trace):
+    if method == "irls":
+        return _ref_irls(ranges, gnbs, ues, config, x0, trace)
+    if method == "ls":
+        out = _ref_descend(lambda x: _ref_ls_value_grad(x, ranges, gnbs, ues), x0,
+                           config.ls_step, config.irls_threshold, config.max_iterations, trace)
+    else:
+        out = _ref_descend(lambda x: _ref_difference_value_grad(x, ranges, gnbs, ues), x0,
+                           config.proposed_step, config.proposed_threshold,
+                           config.max_iterations, trace)
+    return (*out, None)
+
+
+_SOLVES = {"ls": solve_ls, "irls": solve_irls, "proposed": solve_proposed}
+
+
+def _random_problem(seed):
+    """Random S x K geometry, 2..8 per side, with model-mode range errors."""
+    from isacloc import OfdmConfig, synthesize_measurements_model
+
+    rng = np.random.default_rng(seed)
+    num_gnbs, num_ues = (int(n) for n in rng.integers(2, 9, size=2))
+    sc = sample_scenario(num_gnbs, num_ues, outlier_max=float(rng.uniform(0.0, 14.0)),
+                         rng_seed=seed)
+    ms = synthesize_measurements_model(sc, OfdmConfig(120e3, 792), rng)
+    return rng, ms.ranges, sc.gnb_positions, sc.ue_positions
+
+
+def _assert_matches_reference(method, ranges, g, u, config, x0):
+    trace, ref_trace = [], []
+    result = _SOLVES[method](ranges, g, u, config, init=x0, trace=trace)
+    ref_est, ref_conv, ref_iter, ref_w = _ref_solve(method, ranges, g, u, config, x0, ref_trace)
+    assert np.array_equal(result.estimate, ref_est)
+    assert result.converged == ref_conv
+    assert result.iterations == ref_iter
+    if ref_w is None:
+        assert result.ue_weights is None
+    else:
+        assert np.array_equal(result.ue_weights, ref_w)
+    assert np.array_equal(np.asarray(trace), np.asarray(ref_trace), equal_nan=True)
+    return result
+
+
+class TestDriverMatchesReferenceLoops:
+    # Shortened so a solve that oscillates to the cap stays cheap for the
+    # reference loops; the cap itself is exercised like any other stop.
+    CONFIG = SolverConfig(max_iterations=1500)
+
+    def test_random_geometries(self):
+        outcomes = set()
+        for seed in range(200):
+            rng, ranges, g, u = _random_problem(seed)
+            inits = {
+                "ls": ls_grid_init(ranges, g, u, 75.0),
+                "proposed": difference_grid_init(ranges, g, u, 75.0),
+            }
+            inits["irls"] = inits["ls"] if seed % 3 else centroid_init(g, u)
+            for method in _SOLVES:
+                result = _assert_matches_reference(method, ranges, g, u, self.CONFIG,
+                                                   inits[method])
+                outcomes.add((method, result.converged))
+            x = rng.uniform(-75.0, 75.0, 2)
+            w = rng.uniform(0.1, 1.0, len(u))
+            assert np.array_equal(ls_gradient(x, ranges, g, u),
+                                  _ref_ls_value_grad(x, ranges, g, u)[1])
+            assert irls_objective(x, ranges, g, u, w) == _ref_ls_value_grad(x, ranges, g, u, w)[0]
+            assert np.array_equal(irls_gradient(x, ranges, g, u, w),
+                                  _ref_ls_value_grad(x, ranges, g, u, w)[1])
+            assert np.array_equal(difference_gradient(x, ranges, g, u),
+                                  _ref_difference_value_grad(x, ranges, g, u)[1])
+            assert np.array_equal(residuals(ranges, g, u, x), _ref_residuals(ranges, g, u, x))
+        # Both stop paths of the grid-initialized solves occurred: converged
+        # and, for the least-squares pair, the best iterate at the cap.
+        assert {("ls", False), ("irls", False), ("proposed", True)} <= outcomes
+
+    @pytest.mark.parametrize("method", sorted(_SOLVES))
+    def test_iteration_cap_returns_best_iterate(self, method):
+        config = SolverConfig(max_iterations=5)
+        grid_init = difference_grid_init if method == "proposed" else ls_grid_init
+        capped = 0
+        for seed in range(20):
+            _, ranges, g, u = _random_problem(seed)
+            for x0 in (centroid_init(g, u), grid_init(ranges, g, u, 75.0)):
+                result = _assert_matches_reference(method, ranges, g, u, config, x0)
+                assert result.iterations <= 5
+                capped += result.iterations == 5 and not result.converged
+        assert capped >= 10
+
+    @pytest.mark.parametrize("method", sorted(_SOLVES))
+    def test_init_on_a_node(self, method):
+        for seed in range(20):
+            _, ranges, g, u = _random_problem(seed)
+            node = (g if seed % 2 else u)[seed % 2]
+            _assert_matches_reference(method, ranges, g, u, self.CONFIG, node.copy())
+
+    @pytest.mark.parametrize("method", sorted(_SOLVES))
+    def test_huge_step_diverges(self, method):
+        config = SolverConfig(ls_step=1e4, irls_step=1e4, proposed_step=1e4, max_iterations=200)
+        for seed in range(20):
+            _, ranges, g, u = _random_problem(seed)
+            result = _assert_matches_reference(method, ranges, g, u, config, centroid_init(g, u))
+            assert not result.converged
+
+    @pytest.mark.parametrize("method", sorted(_SOLVES))
+    def test_nan_measurement_stops_at_first_step(self, method):
+        for seed in range(5):
+            _, ranges, g, u = _random_problem(seed)
+            ranges = ranges.copy()
+            ranges[0, 1] = np.nan
+            result = _assert_matches_reference(method, ranges, g, u, self.CONFIG,
+                                               centroid_init(g, u))
+            assert not result.converged and result.iterations == 1
+
+    def test_all_weights_zero_stops_irls(self):
+        config = SolverConfig(e_max=1e-9)
+        for seed in range(20):
+            _, ranges, g, u = _random_problem(seed)
+            result = _assert_matches_reference("irls", ranges, g, u, config, centroid_init(g, u))
+            assert not result.converged and result.iterations == 1
+            assert np.array_equal(result.ue_weights, np.full(len(u), 1.0 / len(u)))
+
+
+def test_grid_inits_match_norm_reference():
+    for seed in range(200):
+        _, ranges, g, u = _random_problem(seed)
+        axis = np.linspace(-75.0, 75.0, 20)
+        gx, gy = np.meshgrid(axis, axis, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        dist_g = np.linalg.norm(pts[:, None, :] - g[None, :, :], axis=2)
+        dist_u = np.linalg.norm(pts[:, None, :] - u[None, :, :], axis=2)
+        res = ranges[None, :, :] - (dist_g[:, :, None] + dist_u[:, None, :])
+        ref_ls = pts[int(np.argmin(np.einsum("psk,psk->p", res, res)))]
+        ig, jg = np.triu_indices(len(g), k=1)
+        iu, ju = np.triu_indices(len(u), k=1)
+        res_g = (ranges[jg] - ranges[ig])[None] - (dist_g[:, jg] - dist_g[:, ig])[:, :, None]
+        res_u = (ranges[:, iu] - ranges[:, ju])[None] - (dist_u[:, iu] - dist_u[:, ju])[:, None, :]
+        values = np.einsum("pik,pik->p", res_g, res_g) + np.einsum("psi,psi->p", res_u, res_u)
+        ref_df = pts[int(np.argmin(values))]
+        _, dist = _grid_distances(np.vstack([g, u]), 75.0, 20)
+        assert np.array_equal(dist, np.hstack([dist_g, dist_u]))
+        assert np.array_equal(ls_grid_init(ranges, g, u, 75.0), ref_ls)
+        assert np.array_equal(difference_grid_init(ranges, g, u, 75.0), ref_df)
