@@ -41,7 +41,6 @@ from .prs_grid import (
     ResourceGrid,
     build_grid,
     gold_sequence,
-    grid_to_csv,
     prs_symbols,
 )
 from .ranging import (
@@ -51,13 +50,11 @@ from .ranging import (
     estimate_range,
     estimate_ranges,
     extract_and_divide,
-    profile_to_csv,
     range_profile,
 )
 from .scenario import (
     MeasurementSet,
     Scenario,
-    measurements_to_csv,
     sample_scenario,
     scenario_from_json,
     scenario_to_json,
@@ -70,20 +67,13 @@ from .solvers import (
     SolverConfig,
     andrews_weight,
     centroid_init,
-    difference_gnb_pairs,
-    difference_gradient,
     difference_grid_init,
-    difference_objective,
-    difference_ue_pairs,
+    difference_value_grad,
     fuse,
-    grid_search_init,
-    irls_gradient,
-    irls_objective,
-    ls_gradient,
     ls_grid_init,
-    ls_objective,
+    ls_value_grad,
+    pair_differences,
     residuals,
-    solve_fused,
     solve_irls,
     solve_ls,
     solve_proposed,

@@ -65,14 +65,18 @@ def _load_config(path: str, overrides: dict) -> ExperimentConfig:
     return experiment_config_from_dict(payload)
 
 
-def _cmd_run(args) -> int:
+def _experiment_config(args) -> ExperimentConfig:
     overrides = {
         "output_dir": args.output,
         "trials": args.trials,
         "base_seed": args.seed,
         "workers": args.workers,
     }
-    config = _load_config(args.config, overrides)
+    return _load_config(args.config, overrides)
+
+
+def _cmd_run(args) -> int:
+    config = _experiment_config(args)
     report = run_experiment(config)
     paths = emit_report(report, config.output_dir)
     for method, mean in sorted(report.mean_error.items()):
@@ -83,13 +87,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {
-        "output_dir": args.output,
-        "trials": args.trials,
-        "base_seed": args.seed,
-        "workers": args.workers,
-    }
-    config = _load_config(args.config, overrides)
+    config = _experiment_config(args)
     results = run_sweep(config)
     paths = emit_sweep(results, config.output_dir)
     for label, report in results:
@@ -124,21 +122,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a Monte Carlo experiment from a config file")
-    run_p.add_argument("--config", required=True, help="JSON experiment config")
-    run_p.add_argument("--output", help="output directory (overrides config)")
-    run_p.add_argument("--trials", type=int, help="trial count (overrides config)")
-    run_p.add_argument("--seed", type=int, help="base seed (overrides config)")
-    run_p.add_argument("--workers", type=int, help="parallel workers (overrides config)")
-    run_p.set_defaults(func=_cmd_run)
+    # Options shared by the two experiment commands; each overrides the config file.
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--config", required=True, help="JSON experiment config")
+    experiment.add_argument("--output", help="output directory (overrides config)")
+    experiment.add_argument("--trials", type=int, help="trial count, per sweep point (overrides config)")
+    experiment.add_argument("--seed", type=int, help="base seed (overrides config)")
+    experiment.add_argument("--workers", type=int, help="parallel workers (overrides config)")
 
-    sweep_p = sub.add_parser("sweep", help="sweep node counts or outlier magnitude")
-    sweep_p.add_argument("--config", required=True, help="JSON experiment config with sweep lists")
-    sweep_p.add_argument("--output", help="output directory (overrides config)")
-    sweep_p.add_argument("--trials", type=int, help="trial count per point (overrides config)")
-    sweep_p.add_argument("--seed", type=int, help="base seed (overrides config)")
-    sweep_p.add_argument("--workers", type=int, help="parallel workers (overrides config)")
-    sweep_p.set_defaults(func=_cmd_sweep)
+    sub.add_parser("run", parents=[experiment],
+                   help="run a Monte Carlo experiment from a config file").set_defaults(func=_cmd_run)
+    sub.add_parser("sweep", parents=[experiment],
+                   help="sweep node counts or outlier magnitude").set_defaults(func=_cmd_sweep)
 
     check_p = sub.add_parser("ranging-check", help="validate physical-layer ranging accuracy")
     check_p.add_argument("--trials", type=int, default=500)

@@ -205,33 +205,26 @@ def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialResult:
     else:
         init_ls = init_diff = centroid_init(gnbs, ues)
 
-    errors, converged = {}, {}
-
-    def record(method, solve):
+    def solve(solver, init):
         try:
-            result = solve()
+            return solver(measurements, gnbs, ues, config.solver, init)
         except _SOLVE_ERRORS:
-            errors[method] = math.inf
-            converged[method] = False
             return None
-        errors[method] = float(np.linalg.norm(result.estimate - scenario.target))
-        converged[method] = bool(result.converged)
-        return result
 
-    record("ls", lambda: solve_ls(measurements, gnbs, ues, config.solver, init_ls))
-    irls_result = record("irls", lambda: solve_irls(measurements, gnbs, ues, config.solver, init_ls))
-    proposed_result = record(
-        "proposed_raw", lambda: solve_proposed(measurements, gnbs, ues, config.solver, init_diff)
-    )
-    if irls_result is not None and proposed_result is not None:
-        fused = fuse(irls_result, proposed_result, config.solver)
-        errors["proposed"] = float(np.linalg.norm(fused.estimate - scenario.target))
-        converged["proposed"] = bool(fused.converged)
-    else:
-        errors["proposed"] = errors.pop("proposed_raw")
-        converged["proposed"] = converged.pop("proposed_raw")
-    errors.pop("proposed_raw", None)
-    converged.pop("proposed_raw", None)
+    results = {
+        "ls": solve(solve_ls, init_ls),
+        "irls": solve(solve_irls, init_ls),
+        "proposed": solve(solve_proposed, init_diff),
+    }
+    if results["irls"] is not None and results["proposed"] is not None:
+        results["proposed"] = fuse(results["irls"], results["proposed"], config.solver)
+    errors, converged = {}, {}
+    for method, result in results.items():
+        if result is None:
+            errors[method], converged[method] = math.inf, False
+        else:
+            errors[method] = float(np.linalg.norm(result.estimate - scenario.target))
+            converged[method] = bool(result.converged)
     return TrialResult(errors=errors, converged=converged)
 
 

@@ -182,14 +182,3 @@ def build_grid(config: OfdmConfig, alloc: PrsAllocation) -> ResourceGrid:
     grid[m_index, :] = stream.reshape(config.num_symbols, per_column).T
     grid.setflags(write=False)
     return ResourceGrid(symbols=grid, allocation=alloc)
-
-
-def grid_to_csv(grid: ResourceGrid, path) -> None:
-    """Dump a grid as `m,n,re,im` rows for debugging."""
-    symbols = grid.symbols
-    with open(path, "w") as fh:
-        fh.write("m,n,re,im\n")
-        for m in range(symbols.shape[0]):
-            for n in range(symbols.shape[1]):
-                v = symbols[m, n]
-                fh.write(f"{m},{n},{v.real!r},{v.imag!r}\n")

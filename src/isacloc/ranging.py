@@ -38,7 +38,6 @@ __all__ = [
     "estimate_range",
     "comb_profiles",
     "estimate_ranges",
-    "profile_to_csv",
 ]
 
 
@@ -159,11 +158,3 @@ def estimate_ranges(received, transmit, config: OfdmConfig) -> np.ndarray:
     if (profiles.max(axis=-1) <= 0.0).any():
         raise NoDetectionError("range profile has no nonzero peak")
     return np.argmax(profiles, axis=-1) * config.range_resolution
-
-
-def profile_to_csv(profile: RangeProfile, path) -> None:
-    """Dump a profile as `bin,value` rows for debugging."""
-    with open(path, "w") as fh:
-        fh.write("bin,value\n")
-        for i, v in enumerate(profile.values):
-            fh.write(f"{i},{float(v)!r}\n")

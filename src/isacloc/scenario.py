@@ -83,9 +83,6 @@ class MeasurementSet:
     """
 
     ranges: np.ndarray
-    mode: str = "model"  # "model" or "phy"
-    true_target: np.ndarray | None = None
-    config: OfdmConfig | None = None
     true_ranges: np.ndarray | None = None
 
     def __post_init__(self):
@@ -96,8 +93,6 @@ class MeasurementSet:
             raise ScenarioError("ranges must be finite and >= 0")
         ranges.setflags(write=False)
         object.__setattr__(self, "ranges", ranges)
-        if self.mode not in ("model", "phy"):
-            raise ScenarioError("mode must be 'model' or 'phy'")
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -166,13 +161,7 @@ def true_bistatic_ranges(scenario: Scenario) -> MeasurementSet:
     dist_u = np.linalg.norm(scenario.target - scenario.ue_positions, axis=1)
     geometric = dist_g[:, None] + dist_u[None, :]
     entries = geometric + scenario.link_excess_gnb[:, None] + scenario.link_excess_ue[None, :]
-    return MeasurementSet(
-        ranges=entries,
-        mode="model",
-        true_target=scenario.target,
-        config=None,
-        true_ranges=geometric,
-    )
+    return MeasurementSet(ranges=entries, true_ranges=geometric)
 
 
 def synthesize_measurements_model(
@@ -194,13 +183,7 @@ def synthesize_measurements_model(
         gen = _as_generator(rng)
         half = config.range_resolution / 2.0
         ranges = ranges + gen.uniform(-half, half, size=ranges.shape)
-    return MeasurementSet(
-        ranges=ranges,
-        mode="model",
-        true_target=scenario.target,
-        config=config,
-        true_ranges=base.true_ranges,
-    )
+    return MeasurementSet(ranges=ranges, true_ranges=base.true_ranges)
 
 
 def synthesize_measurements_phy(
@@ -240,13 +223,8 @@ def synthesize_measurements_phy(
         for k in range(num_ues)
     ]
     received = apply_channel(grids, paths, config, noise)
-    return MeasurementSet(
-        ranges=estimate_ranges(received, grids, config),
-        mode="phy",
-        true_target=scenario.target,
-        config=config,
-        true_ranges=base.true_ranges,
-    )
+    return MeasurementSet(ranges=estimate_ranges(received, grids, config),
+                          true_ranges=base.true_ranges)
 
 
 def scenario_to_json(scenario: Scenario, path) -> None:
@@ -275,15 +253,3 @@ def scenario_from_json(path) -> Scenario:
         link_excess_ue=np.asarray(payload["link_excess_ue"], dtype=float),
         rng_seed=int(payload["rng_seed"]),
     )
-
-
-def measurements_to_csv(measurements: MeasurementSet, path) -> None:
-    """Dump measurements as `s,k,r_hat,r_true` rows."""
-    ranges = measurements.ranges
-    true_ranges = measurements.true_ranges
-    with open(path, "w") as fh:
-        fh.write("s,k,r_hat,r_true\n")
-        for s in range(ranges.shape[0]):
-            for k in range(ranges.shape[1]):
-                truth = "" if true_ranges is None else repr(float(true_ranges[s, k]))
-                fh.write(f"{s},{k},{float(ranges[s, k])!r},{truth}\n")

@@ -26,7 +26,6 @@ fails to converge.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -90,18 +89,6 @@ class LocalizationResult:
     method: str
     ue_weights: np.ndarray | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "estimate": [float(self.estimate[0]), float(self.estimate[1])],
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-            "ue_weights": None if self.ue_weights is None else [float(w) for w in self.ue_weights],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _ranges_of(measurements) -> np.ndarray:
     return np.asarray(getattr(measurements, "ranges", measurements), dtype=float)
@@ -125,18 +112,6 @@ def _node_geometry(x, nodes):
 def centroid_init(gnbs, ues) -> np.ndarray:
     """Mean of all node positions, the default descent start."""
     return _stack_nodes(gnbs, ues).mean(axis=0)
-
-
-def grid_search_init(objective, half_extent: float, points: int = 20) -> np.ndarray:
-    """Coarse minimum of `objective` over a points x points square grid."""
-    axis = np.linspace(-half_extent, half_extent, points)
-    best_val, best_xy = np.inf, np.array([0.0, 0.0])
-    for gx in axis:
-        for gy in axis:
-            val = objective(np.array([gx, gy]))
-            if val < best_val:
-                best_val, best_xy = val, np.array([gx, gy])
-    return best_xy
 
 
 def _grid_distances(nodes, half_extent, points):
@@ -192,27 +167,14 @@ def _ls_value_grad(evaluation, weights=None):
     return value, grad
 
 
-def _ls_at(x, measurements, gnbs, ues, weights=None):
+def ls_value_grad(x, measurements, gnbs, ues, weights=None):
+    """Sum of squared range residuals at position x and its gradient.
+
+    With `weights` (one per receiver) the squares are receiver-weighted,
+    which is the objective each reweighted iteration descends.
+    """
     ev = _ls_residuals(np.asarray(x, float), _ranges_of(measurements), _stack_nodes(gnbs, ues))
     return _ls_value_grad(ev, None if weights is None else np.asarray(weights, float))
-
-
-def ls_objective(x, measurements, gnbs, ues) -> float:
-    """Sum over pairs of squared range residuals at position x."""
-    return _ls_at(x, measurements, gnbs, ues)[0]
-
-
-def ls_gradient(x, measurements, gnbs, ues) -> np.ndarray:
-    return _ls_at(x, measurements, gnbs, ues)[1]
-
-
-def irls_objective(x, measurements, gnbs, ues, weights) -> float:
-    """Receiver-weighted sum of squared range residuals at position x."""
-    return _ls_at(x, measurements, gnbs, ues, weights)[0]
-
-
-def irls_gradient(x, measurements, gnbs, ues, weights) -> np.ndarray:
-    return _ls_at(x, measurements, gnbs, ues, weights)[1]
 
 
 def residuals(measurements, gnbs, ues, x) -> np.ndarray:
@@ -238,40 +200,6 @@ def andrews_weight(residual, e_max: float):
     return w
 
 
-def difference_gnb_pairs(measurements):
-    """Transmitter-pair differences of the measurements.
-
-    For every receiver k and every transmitter pair s < s', emits
-    ranges[s', k] - ranges[s, k].  A constant added to all measurements
-    of one receiver cancels exactly.  Returns (pairs, diffs) with pairs a
-    list of (s, s') tuples and diffs of shape (num_pairs, num_ues).
-    """
-    ranges = _ranges_of(measurements)
-    num_gnbs = ranges.shape[0]
-    if num_gnbs < 2:
-        raise InsufficientGeometryError("transmitter-pair differences need >= 2 transmitters")
-    i, j = np.triu_indices(num_gnbs, k=1)
-    diffs = ranges[j, :] - ranges[i, :]
-    return list(zip(i.tolist(), j.tolist())), diffs
-
-
-def difference_ue_pairs(measurements):
-    """Receiver-pair differences of the measurements.
-
-    For every transmitter s and every receiver pair k < k', emits
-    ranges[s, k] - ranges[s, k'].  A constant added to all measurements
-    of one transmitter cancels exactly.  Returns (pairs, diffs) with
-    diffs of shape (num_gnbs, num_pairs).
-    """
-    ranges = _ranges_of(measurements)
-    num_ues = ranges.shape[1]
-    if num_ues < 2:
-        raise InsufficientGeometryError("receiver-pair differences need >= 2 receivers")
-    i, j = np.triu_indices(num_ues, k=1)
-    diffs = ranges[:, i] - ranges[:, j]
-    return list(zip(i.tolist(), j.tolist())), diffs
-
-
 def _difference_setup(ranges):
     """Pair indices (ig, jg, iu, ju) into the stacked nodes and measured differences."""
     num_gnbs, num_ues = ranges.shape
@@ -281,6 +209,18 @@ def _difference_setup(ranges):
     (ig, jg), (iu, ju) = np.triu_indices(num_gnbs, k=1), np.triu_indices(num_ues, k=1)
     data_g, data_u = ranges[jg, :] - ranges[ig, :], ranges[:, iu] - ranges[:, ju]
     return ig, jg, iu + num_gnbs, ju + num_gnbs, data_g, data_u
+
+
+def pair_differences(measurements):
+    """The measured differences the pair-differencing solver fits.
+
+    Returns (data_g, data_u).  data_g[p, k] = ranges[s', k] - ranges[s, k]
+    for the p-th transmitter pair s < s' in `np.triu_indices` order, so a
+    constant added to all measurements of one receiver cancels exactly;
+    data_u[s, p] = ranges[s, k] - ranges[s, k'] for the p-th receiver pair
+    k < k', so a constant on one transmitter cancels exactly.
+    """
+    return _difference_setup(_ranges_of(measurements))[4:]
 
 
 def _difference_model_residuals(dist, setup):
@@ -307,19 +247,11 @@ def _difference_value_grad(evaluation, weights=None):
     return value, grad
 
 
-def _difference_at(x, measurements, gnbs, ues):
+def difference_value_grad(x, measurements, gnbs, ues):
+    """Sum of squared pair-difference residuals at position x and its gradient."""
     setup = _difference_setup(_ranges_of(measurements))
     evaluation = _difference_residuals(np.asarray(x, float), _stack_nodes(gnbs, ues), setup)
     return _difference_value_grad(evaluation)
-
-
-def difference_objective(x, measurements, gnbs, ues) -> float:
-    """Sum of squared transmitter-pair and receiver-pair difference residuals."""
-    return _difference_at(x, measurements, gnbs, ues)[0]
-
-
-def difference_gradient(x, measurements, gnbs, ues) -> np.ndarray:
-    return _difference_at(x, measurements, gnbs, ues)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +397,3 @@ def fuse(irls_result: LocalizationResult, proposed_result: LocalizationResult,
         ue_weights=irls_result.ue_weights,
     )
 
-
-def solve_fused(measurements, gnbs, ues, config=None, init=None) -> LocalizationResult:
-    """Run the reweighted and differencing solvers and fuse their estimates."""
-    config = config if config is not None else SolverConfig()
-    irls_result = solve_irls(measurements, gnbs, ues, config, init)
-    proposed_result = solve_proposed(measurements, gnbs, ues, config, init)
-    return fuse(irls_result, proposed_result, config)

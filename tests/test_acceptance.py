@@ -17,15 +17,10 @@ from isacloc import (
     OfdmConfig,
     SolverConfig,
     andrews_weight,
-    difference_gnb_pairs,
-    difference_gradient,
-    difference_objective,
-    difference_ue_pairs,
+    difference_value_grad,
     emit_report,
-    irls_gradient,
-    irls_objective,
-    ls_gradient,
-    ls_objective,
+    ls_value_grad,
+    pair_differences,
     ranging_check,
     run_experiment,
     run_sweep,
@@ -178,23 +173,14 @@ def test_criterion_6_gradient_oracles(rng):
     weights = rng.uniform(0.1, 1.0, 6)
     weights /= weights.sum()
     cases = {
-        "ls": (
-            lambda x: ls_objective(x, ranges, gnbs, ues),
-            lambda x: ls_gradient(x, ranges, gnbs, ues),
-        ),
-        "irls": (
-            lambda x: irls_objective(x, ranges, gnbs, ues, weights),
-            lambda x: irls_gradient(x, ranges, gnbs, ues, weights),
-        ),
-        "proposed": (
-            lambda x: difference_objective(x, ranges, gnbs, ues),
-            lambda x: difference_gradient(x, ranges, gnbs, ues),
-        ),
+        "ls": lambda x: ls_value_grad(x, ranges, gnbs, ues),
+        "irls": lambda x: ls_value_grad(x, ranges, gnbs, ues, weights),
+        "proposed": lambda x: difference_value_grad(x, ranges, gnbs, ues),
     }
     h = 1e-6
     nodes = np.vstack([gnbs, ues])
     worst = 0.0
-    for objective, gradient in cases.values():
+    for value_grad in cases.values():
         checked = 0
         while checked < 100:
             x = rng.uniform(-150, 150, 2)
@@ -203,11 +189,11 @@ def test_criterion_6_gradient_oracles(rng):
             checked += 1
             numeric = np.array(
                 [
-                    (objective(x + np.array([h, 0])) - objective(x - np.array([h, 0]))) / (2 * h),
-                    (objective(x + np.array([0, h])) - objective(x - np.array([0, h]))) / (2 * h),
+                    (value_grad(x + step)[0] - value_grad(x - step)[0]) / (2 * h)
+                    for step in (np.array([h, 0]), np.array([0, h]))
                 ]
             )
-            analytic = gradient(x)
+            analytic = value_grad(x)[1]
             rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(analytic)
             worst = max(worst, rel)
     ok = worst < 1e-5
@@ -227,10 +213,8 @@ def test_criterion_7_cancellation_algebra(rng):
     base = np.round(base * 2**20) / 2**20
     biased = (base + bias_gnb) + bias_ue
 
-    _, dg_clean = difference_gnb_pairs(base)
-    _, dg_biased = difference_gnb_pairs(biased)
-    _, du_clean = difference_ue_pairs(base)
-    _, du_biased = difference_ue_pairs(biased)
+    dg_clean, du_clean = pair_differences(base)
+    dg_biased, du_biased = pair_differences(biased)
     bit_identical = np.array_equal(dg_clean, dg_biased) and np.array_equal(du_clean, du_biased)
 
     tight = SolverConfig(proposed_threshold=1e-6)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from isacloc import (
     run_experiment,
     run_sweep,
     run_trial,
+    sample_scenario,
 )
 from isacloc import harness
 from isacloc.harness import METHODS, _sweep_points
@@ -74,6 +76,30 @@ class TestRunTrial:
         # Fusion needs both estimates, so the differencing one stands alone.
         assert math.isfinite(result.errors["proposed"])
         assert math.isfinite(result.errors["ls"])
+
+    @pytest.mark.parametrize("irls_outcome", ["raises", "not_converged"])
+    def test_irls_failure_falls_back_to_differencing_estimate(self, monkeypatch, irls_outcome):
+        real_irls, real_proposed = harness.solve_irls, harness.solve_proposed
+        proposed = []
+
+        def irls(*args):
+            if irls_outcome == "raises":
+                raise InsufficientGeometryError("receiver reweighting needs >= 2 receivers")
+            return dataclasses.replace(real_irls(*args), converged=False)
+
+        def recording_proposed(*args):
+            proposed.append(real_proposed(*args))
+            return proposed[-1]
+
+        monkeypatch.setattr(harness, "solve_irls", irls)
+        monkeypatch.setattr(harness, "solve_proposed", recording_proposed)
+        config = _quick_config()
+        for seed in range(5):
+            result = run_trial(config, seed)
+            target = sample_scenario(6, 6, outlier_max=config.outlier_max, rng_seed=seed).target
+            own = proposed[-1]
+            assert result.errors["proposed"] == float(np.linalg.norm(own.estimate - target))
+            assert result.converged["proposed"] == own.converged
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ from isacloc import (
     ResourceGrid,
     build_grid,
     gold_sequence,
-    grid_to_csv,
     prs_symbols,
 )
 
@@ -174,11 +173,3 @@ class TestBuildGrid:
         bad = np.full((small_config.num_subcarriers, small_config.num_symbols), 2.0 + 0j)
         with pytest.raises(ConfigurationError):
             ResourceGrid(symbols=bad, allocation=PrsAllocation(0, 0, 1))
-
-    def test_csv_dump(self, small_config, tmp_path):
-        grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
-        path = tmp_path / "grid.csv"
-        grid_to_csv(grid, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "m,n,re,im"
-        assert len(lines) == 1 + small_config.num_subcarriers * small_config.num_symbols

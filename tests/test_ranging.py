@@ -15,7 +15,6 @@ from isacloc import (
     estimate_ranges,
     extract_and_divide,
     noise_variance_from_snr,
-    profile_to_csv,
     range_profile,
     sample_scenario,
 )
@@ -170,15 +169,6 @@ class TestEstimateRange:
         profile = range_profile(extract_and_divide(rx, grid), fr2_config)
         estimate = estimate_range(profile, fr2_config)
         assert abs(estimate.range - true_range) <= fr2_config.range_resolution / 2
-
-    def test_csv_dump(self, small_config, tmp_path, rng):
-        g = rng.normal(size=(small_config.num_subcarriers, small_config.num_symbols)) * (1 + 0j)
-        profile = range_profile(g, small_config)
-        path = tmp_path / "profile.csv"
-        profile_to_csv(profile, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "bin,value"
-        assert len(lines) == 1 + small_config.num_subcarriers
 
 
 class TestCombDomainRanging:

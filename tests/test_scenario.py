@@ -10,7 +10,6 @@ from isacloc import (
     NoiseSpec,
     Scenario,
     ScenarioError,
-    measurements_to_csv,
     sample_scenario,
     scenario_from_json,
     scenario_to_json,
@@ -220,15 +219,6 @@ class TestSerialization:
         assert np.array_equal(back.link_excess_gnb, sc.link_excess_gnb)
         assert np.array_equal(back.link_excess_ue, sc.link_excess_ue)
         assert back.rng_seed == sc.rng_seed
-
-    def test_measurements_csv(self, tmp_path, fr2_config):
-        sc = sample_scenario(3, 2, rng_seed=5)
-        ms = synthesize_measurements_model(sc, fr2_config, np.random.default_rng(0))
-        path = tmp_path / "measurements.csv"
-        measurements_to_csv(ms, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "s,k,r_hat,r_true"
-        assert len(lines) == 1 + 6
 
 
 class TestMeasurementSetValidation:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,24 +10,20 @@ from isacloc import (
     UnderdeterminedError,
     andrews_weight,
     centroid_init,
-    difference_gnb_pairs,
-    difference_gradient,
-    difference_objective,
-    difference_ue_pairs,
+    difference_grid_init,
+    difference_value_grad,
     fuse,
-    irls_gradient,
-    irls_objective,
-    ls_gradient,
-    ls_objective,
+    ls_grid_init,
+    ls_value_grad,
+    pair_differences,
     residuals,
     sample_scenario,
-    solve_fused,
     solve_irls,
     solve_ls,
     solve_proposed,
     true_bistatic_ranges,
 )
-from isacloc.solvers import _grid_distances, difference_grid_init, grid_search_init, ls_grid_init
+from isacloc.solvers import _grid_distances
 
 TIGHT = SolverConfig(irls_threshold=1e-6, proposed_threshold=1e-6)
 
@@ -46,6 +41,18 @@ def _fd_gradient(objective, x, h=1e-6):
         step[i] = h
         grad[i] = (objective(x + step) - objective(x - step)) / (2 * h)
     return grad
+
+
+def grid_search_init(objective, half_extent, points=20):
+    """Point-by-point grid minimum: the reference for the batched grid inits."""
+    axis = np.linspace(-half_extent, half_extent, points)
+    best_val, best_xy = np.inf, np.array([0.0, 0.0])
+    for gx in axis:
+        for gy in axis:
+            val = objective(np.array([gx, gy]))
+            if val < best_val:
+                best_val, best_xy = val, np.array([gx, gy])
+    return best_xy
 
 
 class TestResiduals:
@@ -102,16 +109,15 @@ class TestAndrewsWeight:
 class TestDifferencing:
     def test_counts(self):
         _, ranges = _problem(seed=4, num_gnbs=5, num_ues=4)
-        pairs_g, diffs_g = difference_gnb_pairs(ranges)
-        pairs_u, diffs_u = difference_ue_pairs(ranges)
-        assert len(pairs_g) == 10 and diffs_g.shape == (10, 4)
-        assert len(pairs_u) == 6 and diffs_u.shape == (5, 6)
+        diffs_g, diffs_u = pair_differences(ranges)
+        assert diffs_g.shape == (10, 4)
+        assert diffs_u.shape == (5, 6)
 
     def test_two_transmitter_arithmetic(self):
-        ranges = np.array([[10.0], [14.0]])
-        pairs, diffs = difference_gnb_pairs(ranges)
-        assert pairs == [(0, 1)]
-        assert diffs[0, 0] == 4.0
+        ranges = np.array([[10.0, 3.0], [14.0, 4.5]])
+        diffs_g, diffs_u = pair_differences(ranges)
+        assert np.array_equal(diffs_g, [[4.0, 1.5]])  # ranges[1] - ranges[0]
+        assert np.array_equal(diffs_u, [[7.0], [9.5]])  # ranges[:, 0] - ranges[:, 1]
 
     @staticmethod
     def _dyadic(rng, size, scale=32.0):
@@ -121,47 +127,45 @@ class TestDifferencing:
 
     def test_per_ue_constant_cancels_bit_identically(self, rng):
         ranges = self._dyadic(rng, (6, 6), scale=400.0)
-        _, base = difference_gnb_pairs(ranges)
+        base, _ = pair_differences(ranges)
         shifted = ranges + self._dyadic(rng, 6)[None, :]  # per-UE-link constants
-        _, after = difference_gnb_pairs(shifted)
+        after, _ = pair_differences(shifted)
         assert np.array_equal(base, after)
 
     def test_per_gnb_constant_cancels_bit_identically(self, rng):
         ranges = self._dyadic(rng, (6, 6), scale=400.0)
-        _, base = difference_ue_pairs(ranges)
+        _, base = pair_differences(ranges)
         shifted = ranges + self._dyadic(rng, 6)[:, None]  # per-gNB-link constants
-        _, after = difference_ue_pairs(shifted)
+        _, after = pair_differences(shifted)
         assert np.array_equal(base, after)
 
     def test_scenario_link_excess_cancels_to_machine_precision(self, rng):
         # Real-valued excesses as produced by scenario synthesis: exact in
         # real arithmetic, rounding-limited in floats.
         _, ranges = _problem(seed=5)
-        _, dg_base = difference_gnb_pairs(ranges)
-        _, dg_after = difference_gnb_pairs(ranges + rng.uniform(0, 30, 6)[None, :])
+        dg_base, du_base = pair_differences(ranges)
+        dg_after, _ = pair_differences(ranges + rng.uniform(0, 30, 6)[None, :])
         assert np.allclose(dg_base, dg_after, rtol=0, atol=1e-9)
-        _, du_base = difference_ue_pairs(ranges)
-        _, du_after = difference_ue_pairs(ranges + rng.uniform(0, 30, 6)[:, None])
+        _, du_after = pair_differences(ranges + rng.uniform(0, 30, 6)[:, None])
         assert np.allclose(du_base, du_after, rtol=0, atol=1e-9)
 
     def test_noise_free_differences_match_geometry(self):
         sc, ranges = _problem(seed=7)
-        pairs_g, diffs_g = difference_gnb_pairs(ranges)
+        diffs_g, diffs_u = pair_differences(ranges)
         dist_g = np.linalg.norm(sc.target - sc.gnb_positions, axis=1)
-        for row, (s, s2) in enumerate(pairs_g):
+        for row, (s, s2) in enumerate(zip(*np.triu_indices(6, k=1))):
             expected = dist_g[s2] - dist_g[s]
             assert np.allclose(diffs_g[row, :], expected, atol=1e-9)
-        pairs_u, diffs_u = difference_ue_pairs(ranges)
         dist_u = np.linalg.norm(sc.target - sc.ue_positions, axis=1)
-        for col, (k, k2) in enumerate(pairs_u):
+        for col, (k, k2) in enumerate(zip(*np.triu_indices(6, k=1))):
             expected = dist_u[k] - dist_u[k2]
             assert np.allclose(diffs_u[:, col], expected, atol=1e-9)
 
     def test_insufficient_geometry(self):
         with pytest.raises(InsufficientGeometryError):
-            difference_gnb_pairs(np.ones((1, 4)))
+            pair_differences(np.ones((1, 4)))
         with pytest.raises(InsufficientGeometryError):
-            difference_ue_pairs(np.ones((4, 1)))
+            pair_differences(np.ones((4, 1)))
 
 
 class TestGradients:
@@ -178,8 +182,8 @@ class TestGradients:
         sc, ranges = _problem(seed=8, outlier_max=10.0)
         g, u = sc.gnb_positions, sc.ue_positions
         for x in self._random_points(sc, rng, 25):
-            analytic = ls_gradient(x, ranges, g, u)
-            numeric = _fd_gradient(lambda p: ls_objective(p, ranges, g, u), x)
+            analytic = ls_value_grad(x, ranges, g, u)[1]
+            numeric = _fd_gradient(lambda p: ls_value_grad(p, ranges, g, u)[0], x)
             assert np.linalg.norm(analytic - numeric) <= 1e-5 * np.linalg.norm(analytic)
 
     def test_irls_gradient_matches_finite_differences(self, rng):
@@ -188,16 +192,16 @@ class TestGradients:
         weights = rng.uniform(0.1, 1.0, 6)
         weights /= weights.sum()
         for x in self._random_points(sc, rng, 25):
-            analytic = irls_gradient(x, ranges, g, u, weights)
-            numeric = _fd_gradient(lambda p: irls_objective(p, ranges, g, u, weights), x)
+            analytic = ls_value_grad(x, ranges, g, u, weights)[1]
+            numeric = _fd_gradient(lambda p: ls_value_grad(p, ranges, g, u, weights)[0], x)
             assert np.linalg.norm(analytic - numeric) <= 1e-5 * np.linalg.norm(analytic)
 
     def test_difference_gradient_matches_finite_differences(self, rng):
         sc, ranges = _problem(seed=10, outlier_max=10.0)
         g, u = sc.gnb_positions, sc.ue_positions
         for x in self._random_points(sc, rng, 25):
-            analytic = difference_gradient(x, ranges, g, u)
-            numeric = _fd_gradient(lambda p: difference_objective(p, ranges, g, u), x)
+            analytic = difference_value_grad(x, ranges, g, u)[1]
+            numeric = _fd_gradient(lambda p: difference_value_grad(p, ranges, g, u)[0], x)
             assert np.linalg.norm(analytic - numeric) <= 1e-5 * np.linalg.norm(analytic)
 
 
@@ -284,11 +288,10 @@ class TestSolveProposed:
         zg = dyadic(rng, 6, scale=25.0)
         zu = dyadic(rng, 6, scale=25.0)
         biased = (ranges + zg[:, None]) + zu[None, :]
-        _, dg_base = difference_gnb_pairs(ranges + zg[:, None])
-        _, dg_biased = difference_gnb_pairs(biased)
+        dg_biased, du_biased = pair_differences(biased)
+        dg_base, _ = pair_differences(ranges + zg[:, None])
         assert np.array_equal(dg_base, dg_biased)  # UE-side constants invisible
-        _, du_base = difference_ue_pairs(ranges + zu[None, :])
-        _, du_biased = difference_ue_pairs(biased)
+        _, du_base = pair_differences(ranges + zu[None, :])
         assert np.array_equal(du_base, du_biased)  # gNB-side constants invisible
 
     def test_requires_pairs_on_both_sides(self):
@@ -326,8 +329,9 @@ class TestFusion:
 
     def test_solve_fused_end_to_end(self):
         sc, ranges = _problem(seed=18)
-        result = solve_fused(ranges, sc.gnb_positions, sc.ue_positions, TIGHT,
-                             init=sc.target + np.array([1.0, 1.0]))
+        g, u, init = sc.gnb_positions, sc.ue_positions, sc.target + np.array([1.0, 1.0])
+        irls = solve_irls(ranges, g, u, TIGHT, init)
+        result = fuse(irls, solve_proposed(ranges, g, u, TIGHT, init), TIGHT)
         assert result.method == "fused"
         assert np.linalg.norm(result.estimate - sc.target) < 1e-2
 
@@ -370,19 +374,11 @@ class TestSolverProperties:
         sc, ranges = _problem(seed=20, outlier_max=10.0)
         g, u = sc.gnb_positions, sc.ue_positions
         fast_ls = ls_grid_init(ranges, g, u, 75.0)
-        slow_ls = grid_search_init(lambda x: ls_objective(x, ranges, g, u), 75.0)
+        slow_ls = grid_search_init(lambda x: ls_value_grad(x, ranges, g, u)[0], 75.0)
         assert np.array_equal(fast_ls, slow_ls)
         fast_df = difference_grid_init(ranges, g, u, 75.0)
-        slow_df = grid_search_init(lambda x: difference_objective(x, ranges, g, u), 75.0)
+        slow_df = grid_search_init(lambda x: difference_value_grad(x, ranges, g, u)[0], 75.0)
         assert np.array_equal(fast_df, slow_df)
-
-    def test_result_serializes_to_json(self):
-        sc, ranges = _problem(seed=21)
-        result = solve_ls(ranges, sc.gnb_positions, sc.ue_positions, init=sc.target)
-        payload = json.loads(result.to_json())
-        assert set(payload) == {"method", "estimate", "converged", "iterations", "ue_weights"}
-        assert payload["method"] == "ls"
-        assert len(payload["estimate"]) == 2
 
 
 def test_solver_config_validation():
@@ -563,13 +559,13 @@ class TestDriverMatchesReferenceLoops:
                 outcomes.add((method, result.converged))
             x = rng.uniform(-75.0, 75.0, 2)
             w = rng.uniform(0.1, 1.0, len(u))
-            assert np.array_equal(ls_gradient(x, ranges, g, u),
-                                  _ref_ls_value_grad(x, ranges, g, u)[1])
-            assert irls_objective(x, ranges, g, u, w) == _ref_ls_value_grad(x, ranges, g, u, w)[0]
-            assert np.array_equal(irls_gradient(x, ranges, g, u, w),
-                                  _ref_ls_value_grad(x, ranges, g, u, w)[1])
-            assert np.array_equal(difference_gradient(x, ranges, g, u),
-                                  _ref_difference_value_grad(x, ranges, g, u)[1])
+            for value_grad, ref in (
+                (ls_value_grad(x, ranges, g, u), _ref_ls_value_grad(x, ranges, g, u)),
+                (ls_value_grad(x, ranges, g, u, w), _ref_ls_value_grad(x, ranges, g, u, w)),
+                (difference_value_grad(x, ranges, g, u), _ref_difference_value_grad(x, ranges, g, u)),
+            ):
+                assert value_grad[0] == ref[0]
+                assert np.array_equal(value_grad[1], ref[1])
             assert np.array_equal(residuals(ranges, g, u, x), _ref_residuals(ranges, g, u, x))
         # Both stop paths of the grid-initialized solves occurred: converged
         # and, for the least-squares pair, the best iterate at the cap.
