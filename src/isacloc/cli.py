@@ -61,6 +61,8 @@ def _load_config(path: str, overrides: dict) -> ExperimentConfig:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigurationError("config file must contain a JSON object")
     payload.update({k: v for k, v in overrides.items() if v is not None})
     return experiment_config_from_dict(payload)
 

@@ -109,16 +109,20 @@ class ExperimentConfig:
             raise ConfigurationError("base_seed must be >= 0")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        if min(self.gnb_region, self.ue_region, self.target_region) <= 0:
+            raise ConfigurationError("region sizes must be positive")
         # A sweep is checked point by point when _sweep_points builds it.
         if not self.is_sweep:
             self._check_geometry()
 
     def _check_geometry(self):
-        """Reject node counts and phy geometries that would fail in a trial."""
+        """Reject node counts, outliers and phy geometries that would fail in a trial."""
         if self.num_gnbs < 2 or self.num_ues < 2:
             raise ConfigurationError(
                 "num_gnbs and num_ues must be >= 2: pair differencing needs both"
             )
+        if self.outlier_max < 0:
+            raise ConfigurationError("outlier_max must be >= 0")
         if self.mode != "phy":
             return
         if self.num_gnbs > self.ofdm.comb_size:
@@ -435,6 +439,8 @@ def ranging_check(
     with the geometric truth.  Noise-free estimates must stay within half
     a range bin of the truth.
     """
+    if trials < 1:
+        raise ConfigurationError("trials must be >= 1")
     config = config if config is not None else _default_ofdm()
     variance = 0.0 if snr_db is None else noise_variance_from_snr(snr_db)
     half_bin = config.range_resolution / 2.0

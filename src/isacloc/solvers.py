@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -266,10 +267,21 @@ def _descend(method, evaluate, value_grad, x0, step, threshold, max_iterations, 
     reads from it, and a `reweight` hook turns it into the next weights or
     into None (all zero: stop).  Converged means an update norm <= threshold;
     otherwise the lowest-objective iterate and its weights are returned.
+
+    A fixed step can trap the iterate in an exact floating-point cycle, so
+    the state (x and weights, as bytes) is compared with one checkpoint that
+    moves ahead at power-of-two distances (Brent's cycle test).  Equal bytes
+    are equal floats, so a match is never false.  On a match the rest of the
+    run would replay the cycle: every transition in it has passed the
+    divergence check and failed the convergence check, and its values are
+    already in `best_val`, which only a strict decrease updates.  So the
+    result at the cap is returned at once, and the trace is padded with the
+    cycle's values as if all `max_iterations` had run.
     """
     x = np.array(x0, dtype=float)
     evaluation = evaluate(x)
     best_x, best_w, best_val = x, weights, math.inf  # iterates are never modified in place
+    checkpoint, mark_at, power = None, 0, 1
     for iteration in range(1, max_iterations + 1):
         value, grad = value_grad(evaluation, weights)
         if trace is not None:
@@ -289,6 +301,14 @@ def _descend(method, evaluate, value_grad, x0, step, threshold, max_iterations, 
         x = x_new
         if math.sqrt(move.dot(move)) <= threshold:
             return LocalizationResult(x, True, iteration, method, weights)
+        key = x.tobytes() if weights is None else x.tobytes() + weights.tobytes()
+        if key == checkpoint:
+            if trace is not None:
+                period = trace[mark_at - iteration:]  # values since the checkpoint
+                trace.extend(islice(cycle(period), max_iterations - iteration))
+            return LocalizationResult(best_x, False, max_iterations, method, best_w)
+        if iteration - mark_at == power:
+            checkpoint, mark_at, power = key, iteration, 2 * power
     return LocalizationResult(best_x, False, iteration, method, best_w)
 
 

@@ -72,6 +72,12 @@ class TestRunCommand:
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 1
 
+    def test_non_object_config_exits_one(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text("[1, 2]")
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "config file must contain a JSON object" in capsys.readouterr().err
+
     def test_bad_key_exits_one(self, tmp_path):
         config_path = _write_config(tmp_path / "config.json", bogus=1)
         assert main(["run", "--config", str(config_path)]) == 1
@@ -122,3 +128,9 @@ class TestRangingCheckCommand:
         assert "PASS" in capsys.readouterr().out
         payload = json.load(open(out))
         assert payload["all_within_half_bin"] is True
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials_exit_one(self, capsys, trials):
+        assert main(["ranging-check", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "trials must be >= 1" in captured.err and "PASS" not in captured.out

@@ -309,6 +309,23 @@ class TestGeometryValidation:
         # Model mode synthesizes no grids, so the comb does not limit it.
         ExperimentConfig(num_gnbs=5, ofdm=ofdm)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("outlier_max", -1.0, "outlier_max must be >= 0"),
+        ("outlier_max", (4.0, -1.0), "outlier_max must be >= 0"),
+        ("gnb_region", 0.0, "region sizes must be positive"),
+        ("ue_region", -5.0, "region sizes must be positive"),
+        ("target_region", 0.0, "region sizes must be positive"),
+    ])
+    def test_bad_scenario_field_fails_before_any_trial(self, monkeypatch, field, value,
+                                                        message):
+        def run_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        with pytest.raises(ConfigurationError, match=message):
+            config = _quick_config(trials=2, **{field: value})
+            (run_sweep if config.is_sweep else run_experiment)(config)
+
     def test_invalid_sweep_point_fails_before_any_trial(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))

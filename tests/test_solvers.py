@@ -23,6 +23,7 @@ from isacloc import (
     solve_proposed,
     true_bistatic_ranges,
 )
+from isacloc import solvers
 from isacloc.solvers import _grid_distances
 
 TIGHT = SolverConfig(irls_threshold=1e-6, proposed_threshold=1e-6)
@@ -616,6 +617,52 @@ class TestDriverMatchesReferenceLoops:
             result = _assert_matches_reference("irls", ranges, g, u, config, centroid_init(g, u))
             assert not result.converged and result.iterations == 1
             assert np.array_equal(result.ue_weights, np.full(len(u), 1.0 / len(u)))
+
+
+class TestCycleExit:
+    """Fixed-step solves that fall into an exact floating-point cycle stop early.
+
+    Each case is a real solve on an 8 x 8 geometry with up to 14 m of link
+    excess that revisits an earlier iterate bit for bit, and without the
+    cycle exit runs all 10,000 iterations.  The IRLS case uses a step at which
+    its receiver weights change along the cycle.
+    """
+
+    CASES = {  # method: (seed, config)
+        "ls": (2, SolverConfig()),
+        "proposed": (24, SolverConfig(proposed_step=0.004)),
+        "irls": (24, SolverConfig(irls_step=0.08)),
+    }
+
+    @staticmethod
+    def _problem(method, seed):
+        from isacloc import OfdmConfig, synthesize_measurements_model
+
+        rng = np.random.default_rng(seed)
+        sc = sample_scenario(8, 8, outlier_max=14.0, rng_seed=seed)
+        ms = synthesize_measurements_model(sc, OfdmConfig(120e3, 792), rng)
+        g, u = sc.gnb_positions, sc.ue_positions
+        grid_init = difference_grid_init if method == "proposed" else ls_grid_init
+        return ms.ranges, g, u, grid_init(ms.ranges, g, u, 75.0)
+
+    @pytest.mark.parametrize("method", sorted(CASES))
+    def test_matches_reference_at_the_cap_in_few_evaluations(self, monkeypatch, method):
+        seed, config = self.CASES[method]
+        ranges, g, u, x0 = self._problem(method, seed)
+        name = "_difference_residuals" if method == "proposed" else "_ls_residuals"
+        evaluate, calls = getattr(solvers, name), []
+        monkeypatch.setattr(solvers, name, lambda *args: calls.append(1) or evaluate(*args))
+        result = _assert_matches_reference(method, ranges, g, u, config, x0)
+        assert not result.converged and result.iterations == config.max_iterations == 10_000
+        assert len(calls) < 1_000
+
+    def test_trace_padding_counts_only_this_solve(self):
+        ranges, g, u, x0 = self._problem("ls", 2)
+        trace = [-1.0]
+        solve_ls(ranges, g, u, init=x0, trace=trace)
+        fresh = []
+        solve_ls(ranges, g, u, init=x0, trace=fresh)
+        assert trace == [-1.0] + fresh and len(fresh) == 10_000
 
 
 def test_grid_inits_match_norm_reference():
