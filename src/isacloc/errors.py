@@ -1,4 +1,7 @@
-"""Exception types raised by the simulation and solver layers."""
+"""Exception types raised by the simulation and solver layers, and the config value checks."""
+
+import math
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -19,3 +22,15 @@ class UnderdeterminedError(ValueError):
 
 class InsufficientGeometryError(ValueError):
     """Not enough transmitters or receivers for the requested operation."""
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a config value that is not an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_finite(name: str, value) -> None:
+    """Reject a config value that is not a finite real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")

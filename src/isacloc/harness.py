@@ -23,6 +23,8 @@ from .errors import (
     NoDetectionError,
     ScenarioError,
     UnderdeterminedError,
+    check_finite,
+    check_integer,
 )
 from .phy_channel import NoiseSpec, noise_variance_from_snr
 from .prs_grid import OfdmConfig
@@ -99,6 +101,18 @@ class ExperimentConfig:
                 if len(value) == 0:
                     raise ConfigurationError(f"{name} sweep list must be nonempty")
                 object.__setattr__(self, name, tuple(value))
+        # Value types are checked here for every sweep point, before any trial runs.
+        for name in ("trials", "base_seed", "workers"):
+            check_integer(name, getattr(self, name))
+        for name in ("gnb_region", "ue_region", "target_region"):
+            check_finite(name, getattr(self, name))
+        if self.snr_db is not None:
+            check_finite("snr_db", self.snr_db)
+        for name, check in (("num_gnbs", check_integer), ("num_ues", check_integer),
+                            ("outlier_max", check_finite)):
+            value = getattr(self, name)
+            for point in value if isinstance(value, tuple) else (value,):
+                check(name, point)
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.mode not in ("model", "phy"):
@@ -111,7 +125,7 @@ class ExperimentConfig:
             raise ConfigurationError("workers must be >= 1")
         if min(self.gnb_region, self.ue_region, self.target_region) <= 0:
             raise ConfigurationError("region sizes must be positive")
-        # A sweep is checked point by point when _sweep_points builds it.
+        # A sweep's geometry is checked point by point when _sweep_points builds it.
         if not self.is_sweep:
             self._check_geometry()
 

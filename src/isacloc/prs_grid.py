@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite, check_integer
 
 _REGISTER_LENGTH = 31
 _FAST_FORWARD = 1600  # discarded warm-up outputs of the combined sequence
@@ -43,6 +43,10 @@ class OfdmConfig:
     carrier_frequency: float = 28e9
 
     def __post_init__(self):
+        for name in ("num_subcarriers", "num_symbols", "comb_size"):
+            check_integer(name, getattr(self, name))
+        check_finite("subcarrier_spacing", self.subcarrier_spacing)
+        check_finite("carrier_frequency", self.carrier_frequency)
         if self.subcarrier_spacing <= 0:
             raise ConfigurationError("subcarrier_spacing must be positive")
         if self.num_subcarriers < 12 or self.num_subcarriers % 12 != 0:

@@ -15,9 +15,11 @@ transmitter and one receiver.  Three estimators are provided:
   every receiver-pair difference, so each residual sees at most one
   side's biases.
 
-All three run through one descent driver.  Each objective's evaluator
-computes the distances to the stacked (S+K, 2) nodes once per iterate and
-builds the residuals that value, gradient and the reweighting hook read.
+All three run through one descent driver.  Each solve builds one evaluator
+for its objective, which computes the distances to the stacked (S+K, 2)
+nodes once per iterate and builds the residuals that value, gradient and
+the reweighting hook read.  The pair differences of distances and unit
+vectors come from one constant ±1 matrix per (S, K), exactly.
 
 A fusion rule averages the reweighted and differencing estimates and
 falls back to the differencing estimate when the reweighted iteration
@@ -26,13 +28,20 @@ fails to converge.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import cycle, islice
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientGeometryError, UnderdeterminedError
+from .errors import (
+    ConfigurationError,
+    InsufficientGeometryError,
+    UnderdeterminedError,
+    check_finite,
+    check_integer,
+)
 
 _SINGULARITY_GUARD = 1e-9  # below this node distance the unit vector is zeroed
 _DIVERGENCE_NORM = 1e6     # iterate norm beyond which descent is abandoned
@@ -57,6 +66,10 @@ class SolverConfig:
     fusion_weight_proposed: float = 0.5
 
     def __post_init__(self):
+        check_integer("max_iterations", self.max_iterations)
+        for f in fields(self):
+            if f.name != "max_iterations":
+                check_finite(f.name, getattr(self, f.name))
         positive = (
             ("ls_step", self.ls_step),
             ("irls_step", self.irls_step),
@@ -104,7 +117,7 @@ def _node_geometry(x, nodes):
     """Distances from x to each node and guarded unit vectors toward x."""
     delta = x - nodes
     dist = np.hypot(delta[:, 0], delta[:, 1])
-    if dist.min() > _SINGULARITY_GUARD:  # the plain divide gives the same floats
+    if np.minimum.reduce(dist) > _SINGULARITY_GUARD:  # the plain divide gives the same floats
         return dist, delta / dist[:, None]
     return dist, np.divide(delta, dist[:, None], out=np.zeros_like(delta),
                            where=(dist[:, None] > _SINGULARITY_GUARD))
@@ -115,43 +128,142 @@ def centroid_init(gnbs, ues) -> np.ndarray:
     return _stack_nodes(gnbs, ues).mean(axis=0)
 
 
+# ---------------------------------------------------------------------------
+# Pair differences
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _pair_matrix(num_gnbs, num_ues):
+    """Pair indices (ig, jg, iu, ju) and the ±1 pair-difference matrix, read-only.
+
+    The matrix has one row per transmitter pair s < s' and then per
+    receiver pair k < k', in `np.triu_indices` order, and one column per
+    stacked node: +1 at s' and -1 at s, +1 at k and -1 at k'.  Each entry
+    of `pairs @ v` has two exact products, +v[i] and -v[j], and exact zeros
+    for the rest, so any summation order or fused multiply-add rounds once,
+    to the float of the plain difference v[s'] - v[s] (or v[k] - v[k']).
+    """
+    (ig, jg), (iu, ju) = np.triu_indices(num_gnbs, k=1), np.triu_indices(num_ues, k=1)
+    rows = np.arange(len(ig) + len(iu))
+    pairs = np.zeros((rows.size, num_gnbs + num_ues))
+    pairs[rows, np.concatenate([jg, iu + num_gnbs])] = 1.0
+    pairs[rows, np.concatenate([ig, ju + num_gnbs])] = -1.0
+    for a in (ig, jg, iu, ju, pairs):
+        a.flags.writeable = False
+    return ig, jg, iu, ju, pairs
+
+
+def _difference_setup(ranges):
+    """The ±1 pair matrix and the measured transmitter-pair and receiver-pair differences."""
+    num_gnbs, num_ues = ranges.shape
+    if num_gnbs < 2 or num_ues < 2:
+        raise InsufficientGeometryError(
+            f"pair differencing needs >= 2 transmitters and receivers, got {num_gnbs} x {num_ues}")
+    ig, jg, iu, ju, pairs = _pair_matrix(num_gnbs, num_ues)
+    return pairs, ranges[jg, :] - ranges[ig, :], ranges[:, iu] - ranges[:, ju]
+
+
+def pair_differences(measurements):
+    """The measured differences the pair-differencing solver fits.
+
+    Returns (data_g, data_u).  data_g[p, k] = ranges[s', k] - ranges[s, k]
+    for the p-th transmitter pair s < s' in `np.triu_indices` order, so a
+    constant added to all measurements of one receiver cancels exactly;
+    data_u[s, p] = ranges[s, k] - ranges[s, k'] for the p-th receiver pair
+    k < k', so a constant on one transmitter cancels exactly.
+    """
+    return _difference_setup(_ranges_of(measurements))[1:]
+
+
+# ---------------------------------------------------------------------------
+# Grid-search starts
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=16)
+def _grid_points(half_extent, points):
+    """The (points**2, 2) grid over [-half_extent, half_extent]^2, read-only."""
+    axis = np.linspace(-half_extent, half_extent, points)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    pts.flags.writeable = False
+    return pts
+
+
 def _grid_distances(nodes, half_extent, points):
     """Grid points (P, 2) and their distances (P, S+K) to every node."""
-    axis = np.linspace(-half_extent, half_extent, points)
-    gx, gy = (g.reshape(-1, 1) for g in np.meshgrid(axis, axis, indexing="ij"))
-    dx, dy = gx - nodes[:, 0], gy - nodes[:, 1]
-    return np.hstack([gx, gy]), np.sqrt(dx * dx + dy * dy)
+    pts = _grid_points(half_extent, points)
+    dx, dy = pts[:, :1] - nodes[:, 0], pts[:, 1:] - nodes[:, 1]
+    return pts, np.sqrt(dx * dx + dy * dy)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_design(objective, num_gnbs, num_ues):
+    """One objective's residuals as data - design @ d over the S+K node distances d.
+
+    Least squares ("ls"): one row per (s, k), +1 at s and at k.  Differencing:
+    the pair-matrix rows, each transmitter pair repeated for the K receivers
+    and the receiver pairs tiled over the S transmitters, in the order of the
+    flattened residuals.  Returns the design and its Gram matrix, read-only.
+    """
+    if objective == "ls":
+        s, k = np.divmod(np.arange(num_gnbs * num_ues), num_ues)
+        design = np.zeros((s.size, num_gnbs + num_ues))
+        design[np.arange(s.size), s] = design[np.arange(s.size), k + num_gnbs] = 1.0
+    else:
+        pairs, num_pg = _pair_matrix(num_gnbs, num_ues)[4], num_gnbs * (num_gnbs - 1) // 2
+        design = np.vstack([np.repeat(pairs[:num_pg], num_ues, axis=0),
+                            np.tile(pairs[num_pg:], (num_gnbs, 1))])
+    gram = design.T @ design
+    design.flags.writeable = gram.flags.writeable = False
+    return design, gram
+
+
+def _grid_argmin(objective, data, ranges, gnbs, ues, half_extent, points):
+    """Grid point minimizing the sum of squares of data - design @ d.
+
+    Every residual of both objectives is a datum minus a +-1 combination of
+    the node distances d, one design row each.  Expanded, the sum of squares
+    is |data|^2 - 2 (data @ design) . d + d . gram d with the constant
+    gram = design.T @ design.  The constant |data|^2 cannot move the argmin
+    and is dropped, so the grid needs its (P, S+K) distances and two small
+    matrix products, not a (P, S, K) residual tensor.  The values round
+    differently from the residual form, by at most about 1e-14 of the sum
+    of squares, far below the gap between the best and second-best grid
+    point (at least 1.4e-9 of it on the benchmark geometries).
+    """
+    design, gram = _grid_design(objective, *ranges.shape)
+    pts, dist = _grid_distances(_stack_nodes(gnbs, ues), half_extent, points)
+    values = np.einsum("pn,pn->p", dist @ gram, dist) - 2.0 * (dist @ (data @ design))
+    return pts[int(np.argmin(values))].copy()
 
 
 def ls_grid_init(measurements, gnbs, ues, half_extent: float, points: int = 20) -> np.ndarray:
     """Grid minimum of the least-squares objective, evaluated in one batch."""
-    pts, dist = _grid_distances(_stack_nodes(gnbs, ues), half_extent, points)
-    res = _ls_model_residuals(dist, _ranges_of(measurements))
-    return pts[int(np.argmin(np.einsum("psk,psk->p", res, res)))]
+    ranges = _ranges_of(measurements)
+    return _grid_argmin("ls", ranges.ravel(), ranges, gnbs, ues, half_extent, points)
 
 
 def difference_grid_init(measurements, gnbs, ues, half_extent: float, points: int = 20) -> np.ndarray:
     """Grid minimum of the pair-differencing objective, evaluated in one batch."""
-    setup = _difference_setup(_ranges_of(measurements))
-    pts, dist = _grid_distances(_stack_nodes(gnbs, ues), half_extent, points)
-    res_g, res_u = _difference_model_residuals(dist, setup)
-    values = np.einsum("pik,pik->p", res_g, res_g) + np.einsum("psi,psi->p", res_u, res_u)
-    return pts[int(np.argmin(values))]
+    ranges = _ranges_of(measurements)
+    _, data_g, data_u = _difference_setup(ranges)
+    data = np.concatenate([data_g.ravel(), data_u.ravel()])
+    return _grid_argmin("proposed", data, ranges, gnbs, ues, half_extent, points)
 
 
 # ---------------------------------------------------------------------------
 # Objectives and gradients
 # ---------------------------------------------------------------------------
 
-def _ls_model_residuals(dist, ranges):
-    """Range residuals (..., S, K) from node distances (..., S+K)."""
+def _ls_evaluator(ranges, nodes):
+    """Per-solve evaluator: x -> range residuals (S, K) and node unit vectors."""
     num_gnbs = ranges.shape[0]
-    return ranges - (dist[..., :num_gnbs, None] + dist[..., None, num_gnbs:])
 
+    def evaluate(x):
+        dist, units = _node_geometry(x, nodes)
+        return ranges - (dist[:num_gnbs, None] + dist[num_gnbs:]), units
 
-def _ls_residuals(x, ranges, nodes):
-    dist, units = _node_geometry(x, nodes)
-    return _ls_model_residuals(dist, ranges), units
+    return evaluate
 
 
 def _ls_value_grad(evaluation, weights=None):
@@ -159,13 +271,19 @@ def _ls_value_grad(evaluation, weights=None):
     res, units = evaluation
     num_gnbs = res.shape[0]
     if weights is None:
-        value = float((res * res).sum())
-        grad = -2.0 * (res.sum(axis=1) @ units[:num_gnbs] + res.sum(axis=0) @ units[num_gnbs:])
+        value = float(np.add.reduce(res * res, None))
+        grad = -2.0 * (np.add.reduce(res, 1) @ units[:num_gnbs]
+                       + np.add.reduce(res, 0) @ units[num_gnbs:])
     else:
-        value = float(weights @ (res * res).sum(axis=0))
+        value = float(weights @ np.add.reduce(res * res, 0))
         grad = -2.0 * ((res @ weights) @ units[:num_gnbs]
-                       + (weights * res.sum(axis=0)) @ units[num_gnbs:])
+                       + (weights * np.add.reduce(res, 0)) @ units[num_gnbs:])
     return value, grad
+
+
+def _mean_abs_residual(res):
+    """Per-receiver mean over the S transmitters; the same floats as mean(axis=0)."""
+    return np.add.reduce(np.abs(res), 0) / res.shape[0]
 
 
 def ls_value_grad(x, measurements, gnbs, ues, weights=None):
@@ -174,14 +292,15 @@ def ls_value_grad(x, measurements, gnbs, ues, weights=None):
     With `weights` (one per receiver) the squares are receiver-weighted,
     which is the objective each reweighted iteration descends.
     """
-    ev = _ls_residuals(np.asarray(x, float), _ranges_of(measurements), _stack_nodes(gnbs, ues))
-    return _ls_value_grad(ev, None if weights is None else np.asarray(weights, float))
+    evaluate = _ls_evaluator(_ranges_of(measurements), _stack_nodes(gnbs, ues))
+    return _ls_value_grad(evaluate(np.asarray(x, float)),
+                          None if weights is None else np.asarray(weights, float))
 
 
 def residuals(measurements, gnbs, ues, x) -> np.ndarray:
     """Per-receiver mean absolute range residual at position x."""
-    dist, _ = _node_geometry(np.asarray(x, float), _stack_nodes(gnbs, ues))
-    return np.abs(_ls_model_residuals(dist, _ranges_of(measurements))).mean(axis=0)
+    evaluate = _ls_evaluator(_ranges_of(measurements), _stack_nodes(gnbs, ues))
+    return _mean_abs_residual(evaluate(np.asarray(x, float))[0])
 
 
 def andrews_weight(residual, e_max: float):
@@ -201,58 +320,36 @@ def andrews_weight(residual, e_max: float):
     return w
 
 
-def _difference_setup(ranges):
-    """Pair indices (ig, jg, iu, ju) into the stacked nodes and measured differences."""
-    num_gnbs, num_ues = ranges.shape
-    if num_gnbs < 2 or num_ues < 2:
-        raise InsufficientGeometryError(
-            f"pair differencing needs >= 2 transmitters and receivers, got {num_gnbs} x {num_ues}")
-    (ig, jg), (iu, ju) = np.triu_indices(num_gnbs, k=1), np.triu_indices(num_ues, k=1)
-    data_g, data_u = ranges[jg, :] - ranges[ig, :], ranges[:, iu] - ranges[:, ju]
-    return ig, jg, iu + num_gnbs, ju + num_gnbs, data_g, data_u
+def _difference_evaluator(ranges, nodes):
+    """Per-solve evaluator: x -> pair residuals and pair unit-vector differences.
 
-
-def pair_differences(measurements):
-    """The measured differences the pair-differencing solver fits.
-
-    Returns (data_g, data_u).  data_g[p, k] = ranges[s', k] - ranges[s, k]
-    for the p-th transmitter pair s < s' in `np.triu_indices` order, so a
-    constant added to all measurements of one receiver cancels exactly;
-    data_u[s, p] = ranges[s, k] - ranges[s, k'] for the p-th receiver pair
-    k < k', so a constant on one transmitter cancels exactly.
+    The residuals are (Pg, K) for the transmitter pairs and (S, Pu) for the
+    receiver pairs; the unit-vector differences are (Pg, 2) and (Pu, 2).
     """
-    return _difference_setup(_ranges_of(measurements))[4:]
+    pairs, data_g, data_u = _difference_setup(ranges)
+    num_pg = data_g.shape[0]
 
+    def evaluate(x):
+        dist, units = _node_geometry(x, nodes)
+        model, model_units = pairs @ dist, pairs @ units
+        return (data_g - model[:num_pg, None], data_u - model[num_pg:],
+                model_units[:num_pg], model_units[num_pg:])
 
-def _difference_model_residuals(dist, setup):
-    """Transmitter-pair and receiver-pair residuals from node distances (..., S+K)."""
-    ig, jg, iu, ju, data_g, data_u = setup
-    # Transmitter pairs: data ranges[s'] - ranges[s] vs model |x-g_s'| - |x-g_s|;
-    # receiver pairs: data ranges[:, k] - ranges[:, k'] vs model |x-u_k| - |x-u_k'|.
-    return (data_g - (dist[..., jg] - dist[..., ig])[..., :, None],
-            data_u - (dist[..., iu] - dist[..., ju])[..., None, :])
-
-
-def _difference_residuals(x, nodes, setup):
-    ig, jg, iu, ju = setup[:4]
-    dist, units = _node_geometry(x, nodes)
-    res_g, res_u = _difference_model_residuals(dist, setup)
-    return res_g, res_u, units[jg] - units[ig], units[iu] - units[ju]
+    return evaluate
 
 
 def _difference_value_grad(evaluation, weights=None):
     """Value and gradient of the differencing objective; it takes no weights."""
     res_g, res_u, units_g, units_u = evaluation
-    value = float((res_g * res_g).sum() + (res_u * res_u).sum())
-    grad = -2.0 * (res_g.sum(axis=1) @ units_g + res_u.sum(axis=0) @ units_u)
+    value = float(np.add.reduce(res_g * res_g, None) + np.add.reduce(res_u * res_u, None))
+    grad = -2.0 * (np.add.reduce(res_g, 1) @ units_g + np.add.reduce(res_u, 0) @ units_u)
     return value, grad
 
 
 def difference_value_grad(x, measurements, gnbs, ues):
     """Sum of squared pair-difference residuals at position x and its gradient."""
-    setup = _difference_setup(_ranges_of(measurements))
-    evaluation = _difference_residuals(np.asarray(x, float), _stack_nodes(gnbs, ues), setup)
-    return _difference_value_grad(evaluation)
+    evaluate = _difference_evaluator(_ranges_of(measurements), _stack_nodes(gnbs, ues))
+    return _difference_value_grad(evaluate(np.asarray(x, float)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +439,7 @@ def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> Loc
     if ranges.size < 3:
         raise UnderdeterminedError("need at least 3 measurements for a 2-D fit")
     return _descend(
-        "ls", lambda x: _ls_residuals(x, ranges, nodes), _ls_value_grad,
+        "ls", _ls_evaluator(ranges, nodes), _ls_value_grad,
         x0, config.ls_step, config.irls_threshold, config.max_iterations, trace,
     )
 
@@ -366,12 +463,12 @@ def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> L
         raise InsufficientGeometryError("receiver reweighting needs >= 2 receivers")
 
     def reweight(evaluation):
-        raw = andrews_weight(np.abs(evaluation[0]).mean(axis=0), config.e_max)
-        total = raw.sum()
+        raw = andrews_weight(_mean_abs_residual(evaluation[0]), config.e_max)
+        total = np.add.reduce(raw)
         return None if total <= 0.0 else raw / total  # None: all receivers rejected
 
     return _descend(
-        "irls", lambda x: _ls_residuals(x, ranges, nodes), _ls_value_grad,
+        "irls", _ls_evaluator(ranges, nodes), _ls_value_grad,
         x0, config.irls_step, config.irls_threshold, config.max_iterations, trace,
         np.full(num_ues, 1.0 / num_ues), reweight,
     )
@@ -386,9 +483,8 @@ def solve_proposed(measurements, gnbs, ues, config=None, init=None, trace=None) 
     to a local minimum only.
     """
     ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
-    setup = _difference_setup(ranges)
     return _descend(
-        "proposed", lambda x: _difference_residuals(x, nodes, setup), _difference_value_grad,
+        "proposed", _difference_evaluator(ranges, nodes), _difference_value_grad,
         x0, config.proposed_step, config.proposed_threshold, config.max_iterations, trace,
     )
 

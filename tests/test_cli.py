@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from isacloc import harness
 from isacloc.cli import experiment_config_from_dict, main
 from isacloc.errors import ConfigurationError
 
@@ -101,6 +102,60 @@ class TestRunCommand:
     def test_sweep_config_in_run_exits_one(self, tmp_path, capsys):
         config_path = _write_config(tmp_path / "config.json", outlier_max=[4.0, 8.0])
         assert main(["run", "--config", str(config_path)]) == 1
+
+
+class TestValueTypesFailValidation:
+    """Bad value types exit 1 at validation, before a single trial runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_trials(self, monkeypatch):
+        def run_trial(config, trial_seed):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+
+    @pytest.mark.parametrize("overrides", [
+        {"trials": 2.5},
+        {"trials": True},
+        {"num_gnbs": 4.5},
+        {"num_ues": 4.0},
+        {"base_seed": 1.5},
+        {"workers": 1.0},
+        {"solver": {"max_iterations": 100.5}},
+        {"ofdm": {"subcarrier_spacing": 120e3, "num_subcarriers": 792.0}},
+    ], ids=str)
+    def test_non_integer_run_exits_one(self, tmp_path, capsys, overrides):
+        config_path = _write_config(tmp_path / "config.json", **overrides)
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"num_gnbs": [4.5, 5]},
+        {"num_ues": [4, True]},
+    ], ids=str)
+    def test_non_integer_sweep_point_exits_one(self, tmp_path, capsys, overrides):
+        config_path = _write_config(tmp_path / "config.json", **overrides)
+        assert main(["sweep", "--config", str(config_path)]) == 1
+        assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"snr_db": float("nan")},
+        {"outlier_max": float("nan")},
+        {"target_region": float("inf")},
+        {"gnb_region": float("-inf")},
+        {"solver": {"ls_step": float("nan")}},
+        {"solver": {"e_max": float("inf")}},
+        {"ofdm": {"subcarrier_spacing": float("nan"), "num_subcarriers": 792}},
+    ], ids=str)
+    def test_non_finite_run_exits_one(self, tmp_path, capsys, overrides):
+        config_path = _write_config(tmp_path / "config.json", **overrides)
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "must be a finite number" in capsys.readouterr().err
+
+    def test_non_finite_sweep_point_exits_one(self, tmp_path, capsys):
+        config_path = _write_config(tmp_path / "config.json", outlier_max=[4.0, float("nan")])
+        assert main(["sweep", "--config", str(config_path)]) == 1
+        assert "must be a finite number" in capsys.readouterr().err
 
 
 class TestSweepCommand:

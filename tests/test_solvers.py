@@ -649,12 +649,18 @@ class TestCycleExit:
     def test_matches_reference_at_the_cap_in_few_evaluations(self, monkeypatch, method):
         seed, config = self.CASES[method]
         ranges, g, u, x0 = self._problem(method, seed)
-        name = "_difference_residuals" if method == "proposed" else "_ls_residuals"
-        evaluate, calls = getattr(solvers, name), []
-        monkeypatch.setattr(solvers, name, lambda *args: calls.append(1) or evaluate(*args))
+        # Count the calls of the per-solve evaluator that the descent runs.
+        name = "_difference_evaluator" if method == "proposed" else "_ls_evaluator"
+        build, calls = getattr(solvers, name), []
+
+        def counting_build(*args):
+            evaluate = build(*args)
+            return lambda x: calls.append(1) or evaluate(x)
+
+        monkeypatch.setattr(solvers, name, counting_build)
         result = _assert_matches_reference(method, ranges, g, u, config, x0)
         assert not result.converged and result.iterations == config.max_iterations == 10_000
-        assert len(calls) < 1_000
+        assert 0 < len(calls) < 1_000
 
     def test_trace_padding_counts_only_this_solve(self):
         ranges, g, u, x0 = self._problem("ls", 2)
@@ -665,23 +671,60 @@ class TestCycleExit:
         assert trace == [-1.0] + fresh and len(fresh) == 10_000
 
 
+def _assert_grid_inits_match_norm_reference(ranges, g, u, half_extent):
+    """The grid inits pick the grid point of the residual-form objectives."""
+    axis = np.linspace(-half_extent, half_extent, 20)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    dist_g = np.linalg.norm(pts[:, None, :] - g[None, :, :], axis=2)
+    dist_u = np.linalg.norm(pts[:, None, :] - u[None, :, :], axis=2)
+    res = ranges[None, :, :] - (dist_g[:, :, None] + dist_u[:, None, :])
+    ref_ls = pts[int(np.argmin(np.einsum("psk,psk->p", res, res)))]
+    ig, jg = np.triu_indices(len(g), k=1)
+    iu, ju = np.triu_indices(len(u), k=1)
+    res_g = (ranges[jg] - ranges[ig])[None] - (dist_g[:, jg] - dist_g[:, ig])[:, :, None]
+    res_u = (ranges[:, iu] - ranges[:, ju])[None] - (dist_u[:, iu] - dist_u[:, ju])[:, None, :]
+    values = np.einsum("pik,pik->p", res_g, res_g) + np.einsum("psi,psi->p", res_u, res_u)
+    ref_df = pts[int(np.argmin(values))]
+    _, dist = _grid_distances(np.vstack([g, u]), half_extent, 20)
+    assert np.array_equal(dist, np.hstack([dist_g, dist_u]))
+    assert np.array_equal(ls_grid_init(ranges, g, u, half_extent), ref_ls)
+    assert np.array_equal(difference_grid_init(ranges, g, u, half_extent), ref_df)
+
+
 def test_grid_inits_match_norm_reference():
     for seed in range(200):
         _, ranges, g, u = _random_problem(seed)
-        axis = np.linspace(-75.0, 75.0, 20)
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        dist_g = np.linalg.norm(pts[:, None, :] - g[None, :, :], axis=2)
-        dist_u = np.linalg.norm(pts[:, None, :] - u[None, :, :], axis=2)
-        res = ranges[None, :, :] - (dist_g[:, :, None] + dist_u[:, None, :])
-        ref_ls = pts[int(np.argmin(np.einsum("psk,psk->p", res, res)))]
-        ig, jg = np.triu_indices(len(g), k=1)
-        iu, ju = np.triu_indices(len(u), k=1)
-        res_g = (ranges[jg] - ranges[ig])[None] - (dist_g[:, jg] - dist_g[:, ig])[:, :, None]
-        res_u = (ranges[:, iu] - ranges[:, ju])[None] - (dist_u[:, iu] - dist_u[:, ju])[:, None, :]
-        values = np.einsum("pik,pik->p", res_g, res_g) + np.einsum("psi,psi->p", res_u, res_u)
-        ref_df = pts[int(np.argmin(values))]
-        _, dist = _grid_distances(np.vstack([g, u]), 75.0, 20)
-        assert np.array_equal(dist, np.hstack([dist_g, dist_u]))
-        assert np.array_equal(ls_grid_init(ranges, g, u, 75.0), ref_ls)
-        assert np.array_equal(difference_grid_init(ranges, g, u, 75.0), ref_df)
+        _assert_grid_inits_match_norm_reference(ranges, g, u, 75.0)
+
+
+# The benchmark workload geometries, the phy one also in model mode (same
+# regions and window, more trials), plus unequal node counts on either side.
+_PHY_REGIONS = dict(gnb_region=60.0, ue_region=60.0, target_region=30.0)
+_GRID_SETTINGS = {  # setting: (mode, trials, sample_scenario fields)
+    "8x8-o14": ("model", 150, dict(num_gnbs=8, num_ues=8, outlier_max=14.0)),
+    "phy-6x6": ("phy", 30, dict(num_gnbs=6, num_ues=6, outlier_max=10.0, **_PHY_REGIONS)),
+    "phy-6x6-regions": ("model", 150, dict(num_gnbs=6, num_ues=6, outlier_max=10.0,
+                                           **_PHY_REGIONS)),
+    "3x7": ("model", 150, dict(num_gnbs=3, num_ues=7, outlier_max=10.0)),
+    "7x3-phy-regions": ("model", 150, dict(num_gnbs=7, num_ues=3, outlier_max=10.0,
+                                           **_PHY_REGIONS)),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(_GRID_SETTINGS))
+def test_grid_inits_match_norm_reference_on_workload_geometries(setting):
+    from isacloc import (NoiseSpec, OfdmConfig, noise_variance_from_snr,
+                         synthesize_measurements_model, synthesize_measurements_phy)
+
+    mode, trials, fields = _GRID_SETTINGS[setting]
+    ofdm = OfdmConfig(120e3, 792)
+    half_extent = fields.get("target_region", 150.0) / 2.0  # as the harness sets it
+    for seed in range(trials):
+        sc = sample_scenario(rng_seed=seed, **fields)
+        if mode == "phy":
+            ms = synthesize_measurements_phy(sc, ofdm, NoiseSpec(noise_variance_from_snr(10.0), seed))
+        else:
+            ms = synthesize_measurements_model(sc, ofdm, np.random.default_rng([seed, 1]))
+        _assert_grid_inits_match_norm_reference(ms.ranges, sc.gnb_positions, sc.ue_positions,
+                                                half_extent)
