@@ -116,23 +116,25 @@ def apply_channel(
 
     # A path contributes exactly zero off its transmit grid's support, so
     # each path is multiplied and accumulated on those rows only.
-    support = {}
-    for tx, grid in by_tx.items():
-        rows = np.flatnonzero(grid.symbols.any(axis=1))
-        support[tx] = (rows, grid.symbols[rows])
     n = np.arange(config.num_symbols)[None, :]
     t0 = config.total_symbol_duration
     sigma = np.sqrt(noise.variance)
 
     received = []
     for rx in sorted({p.receiver_id for p in paths}):
+        rx_paths = [p for p in paths if p.receiver_id == rx]
+        supports = [by_tx[p.transmitter_id].support for p in rx_paths]
+        sizes = [rows.size for rows, _ in supports]
+        # One exponential for all paths: each path's support rows stacked,
+        # each row paired with its path's delay, in the per-path operation order.
+        m = np.concatenate([rows for rows, _ in supports])[:, None]
+        delay = np.repeat([p.delay for p in rx_paths], sizes)[:, None]
+        ramps = np.exp(-2j * np.pi * m * config.subcarrier_spacing * delay)
         acc = np.zeros((config.num_subcarriers, config.num_symbols), dtype=np.complex128)
-        for path in paths:
-            if path.receiver_id != rx:
-                continue
-            rows, symbols = support[path.transmitter_id]
-            m = rows[:, None]
-            ramp = np.exp(-2j * np.pi * m * config.subcarrier_spacing * path.delay)
+        start = 0
+        for path, (rows, symbols), size in zip(rx_paths, supports, sizes):
+            ramp = ramps[start:start + size]
+            start += size
             if path.doppler != 0.0:
                 ramp = ramp * np.exp(2j * np.pi * n * t0 * path.doppler)
             acc[rows] += path.attenuation * ramp * symbols

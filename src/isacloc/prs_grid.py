@@ -9,7 +9,9 @@ receiver by support alone.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +24,10 @@ _BLOCK = 28  # register bits advanced per step: 31 minus the highest tap, 3
 _SUPPORTED_COMBS = (2, 4, 6, 12)
 # Normal cyclic prefix as a fraction of the useful symbol duration.
 _CP_FRACTION = 144.0 / 2048.0
+_GRIDS_PER_CONFIG = 64
+# OfdmConfig -> {PrsAllocation: ResourceGrid}.  Weak keys, so that a
+# config's grids are freed with the config and not kept by the module.
+_grids = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,10 @@ class PrsAllocation:
 
 @dataclass(frozen=True)
 class ResourceGrid:
-    """M x N symbol matrix of one transmitter plus its allocation."""
+    """M x N symbol matrix of one transmitter plus its allocation.
+
+    The symbols must not change once `support` has been read.
+    """
 
     symbols: np.ndarray
     allocation: PrsAllocation
@@ -110,6 +119,15 @@ class ResourceGrid:
         nonzero = mags > 0
         if nonzero.any() and not np.allclose(mags[nonzero], 1.0, atol=1e-12):
             raise ConfigurationError("nonzero grid entries must have unit modulus")
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending indices of the nonzero rows, and those rows (read-only)."""
+        rows = np.flatnonzero(self.symbols.any(axis=1))
+        values = self.symbols[rows]
+        rows.setflags(write=False)
+        values.setflags(write=False)
+        return rows, values
 
 
 def gold_sequence(seed: int, length: int) -> np.ndarray:
@@ -173,8 +191,14 @@ def build_grid(config: OfdmConfig, alloc: PrsAllocation) -> ResourceGrid:
 
     Symbols are generated as one stream from the allocation seed and laid
     down column by column, M/comb_size per symbol column.  All other grid
-    entries are zero.
+    entries are zero.  The grid depends on nothing else, so it is built
+    once: while an equal config is alive, an equal allocation returns the
+    same read-only grid.  At most 64 grids are kept per config, the oldest
+    dropped first.
     """
+    grids = _grids.setdefault(config, {})
+    if alloc in grids:
+        return grids[alloc]
     if alloc.comb_offset >= config.comb_size:
         raise ConfigurationError(
             f"comb_offset {alloc.comb_offset} out of range for comb size {config.comb_size}"
@@ -185,4 +209,7 @@ def build_grid(config: OfdmConfig, alloc: PrsAllocation) -> ResourceGrid:
     grid = np.zeros((config.num_subcarriers, config.num_symbols), dtype=np.complex128)
     grid[m_index, :] = stream.reshape(config.num_symbols, per_column).T
     grid.setflags(write=False)
-    return ResourceGrid(symbols=grid, allocation=alloc)
+    if len(grids) >= _GRIDS_PER_CONFIG:
+        del grids[next(iter(grids))]
+    grids[alloc] = ResourceGrid(symbols=grid, allocation=alloc)
+    return grids[alloc]

@@ -10,9 +10,9 @@ window.
 
 `extract_and_divide`, `range_profile` and `estimate_range` do this for
 one pair on dense M x N grids.  `comb_profiles` and `estimate_ranges` do
-it for every transmitter-receiver pair at once in the comb domain: they
-divide only the W comb rows of each transmitter and take one W-point
-IFFT.  For a divided grid g that is zero off the rows c + comb*i,
+it for every transmitter-receiver pair in the comb domain, one receiver
+at a time: they divide only the W comb rows of each transmitter and take
+W-point IFFTs.  For a divided grid g that is zero off the rows c + comb*i,
 
     |sum_m g[m] e^{2 pi j m q / M}| = |sum_i g[c + comb*i] e^{2 pi j i q / W}|
 
@@ -119,7 +119,8 @@ def comb_profiles(received, transmit, config: OfdmConfig) -> np.ndarray:
 
     `received` holds K receiver grids (grid objects or bare M x N
     matrices) and `transmit` S ResourceGrids, each zero off the rows
-    `allocation.comb_offset::comb_size` as `build_grid` makes them.  Entry
+    `allocation.comb_offset::comb_size` as `build_grid` makes them; a
+    transmit grid with a nonzero row elsewhere raises ValueError.  Entry
     [s, k] equals `range_profile(extract_and_divide(received[k],
     transmit[s]), config).values[:W]` up to rounding, with W = M/comb_size.
 
@@ -129,22 +130,31 @@ def comb_profiles(received, transmit, config: OfdmConfig) -> np.ndarray:
     comb = config.comb_size
     window = config.num_subcarriers // comb
     offsets = [grid.allocation.comb_offset for grid in transmit]
+    for grid, c in zip(transmit, offsets):
+        rows, _ = grid.support
+        if (rows % comb != c).any():
+            raise ValueError(f"transmit grid {grid.allocation.transmitter_id} has nonzero "
+                             f"rows off its comb rows {c}::{comb}")
     # Row c + comb*i of an M x N grid is entry [i, c] of its (W, comb, N)
     # view, so one index gathers a grid's comb rows for every offset.
     v_tx = np.stack([
         grid.symbols.reshape(window, comb, -1)[:, c] for grid, c in zip(transmit, offsets)
     ])
     nonzero = v_tx != 0
-    divided = np.zeros((len(transmit), len(received), window, config.num_symbols), np.complex128)
+    # One receiver at a time keeps the (S, W, N) temporaries small; entries
+    # off the transmit support are never written and stay zero.
+    divided = np.zeros(v_tx.shape, np.complex128)
+    profiles = np.empty((len(transmit), len(received), window))
     for k, grid in enumerate(received):
         symbols = np.asarray(getattr(grid, "symbols", grid))
         if symbols.shape != shape:
             raise ValueError(f"received grid shape {symbols.shape} does not match {shape}")
         v_rx = symbols.reshape(window, comb, -1)[:, offsets].transpose(1, 0, 2)
-        np.divide(v_rx, v_tx, out=divided[:, k], where=nonzero)
-    # Unnormalized inverse DFT along subcarriers, as range_profile takes it.
-    spectra = np.fft.ifft(divided, axis=2, norm="forward")
-    return np.abs(spectra).mean(axis=3)
+        np.divide(v_rx, v_tx, out=divided, where=nonzero)
+        # Unnormalized inverse DFT along subcarriers, as range_profile takes it.
+        spectra = np.fft.ifft(divided, axis=1, norm="forward")
+        profiles[:, k] = np.abs(spectra).mean(axis=2)
+    return profiles
 
 
 def estimate_ranges(received, transmit, config: OfdmConfig) -> np.ndarray:

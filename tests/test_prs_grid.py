@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -159,11 +161,13 @@ class TestBuildGrid:
         mags = np.abs(grid.symbols)
         assert np.max(np.abs(mags[mags > 0] - 1.0)) < 1e-15
 
-    def test_deterministic(self, small_config):
+    def test_deterministic(self):
+        # Each config is freed after its call, so the second grid is rebuilt.
         alloc = PrsAllocation(2, 3, sequence_seed=77)
-        a = build_grid(small_config, alloc)
-        b = build_grid(small_config, alloc)
-        assert np.array_equal(a.symbols, b.symbols)
+        a = build_grid(OfdmConfig(120e3, 60, 3, 4), alloc).symbols
+        b = build_grid(OfdmConfig(120e3, 60, 3, 4), alloc).symbols
+        assert a is not b
+        assert np.array_equal(a, b)
 
     def test_offset_out_of_range(self, fr2_config):
         with pytest.raises(ConfigurationError):
@@ -173,3 +177,40 @@ class TestBuildGrid:
         bad = np.full((small_config.num_subcarriers, small_config.num_symbols), 2.0 + 0j)
         with pytest.raises(ConfigurationError):
             ResourceGrid(symbols=bad, allocation=PrsAllocation(0, 0, 1))
+
+
+class TestGridCache:
+    """Grids are built once per (config, allocation) and shared, read-only."""
+
+    def test_repeated_calls_return_the_same_grid(self, fr2_config):
+        alloc = PrsAllocation(3, 3, sequence_seed=4)
+        grid = build_grid(fr2_config, alloc)
+        assert build_grid(fr2_config, alloc) is grid
+        equal_config = OfdmConfig(120e3, 792, 14, 12, 28e9)
+        assert build_grid(equal_config, PrsAllocation(3, 3, sequence_seed=4)) is grid
+
+    def test_symbols_and_support_are_read_only(self, fr2_config):
+        grid = build_grid(fr2_config, PrsAllocation(0, 5, sequence_seed=11))
+        rows, values = grid.support
+        assert grid.support is grid.support
+        assert np.array_equal(rows, np.arange(5, 792, 12))
+        assert np.array_equal(values, grid.symbols[rows])
+        for array in (grid.symbols, rows, values):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_cache_is_bounded(self):
+        config = OfdmConfig(120e3, 24, num_symbols=2, comb_size=2)
+        allocs = [PrsAllocation(0, 0, sequence_seed=10_000 + i) for i in range(65)]
+        grids = [build_grid(config, alloc) for alloc in allocs]
+        assert build_grid(config, allocs[-1]) is grids[-1]
+        rebuilt = build_grid(config, allocs[0])
+        assert rebuilt is not grids[0]
+        assert np.array_equal(rebuilt.symbols, grids[0].symbols)
+
+    def test_grids_are_freed_with_their_config(self):
+        config = OfdmConfig(120e3, 36, num_symbols=3, comb_size=6)
+        grid = weakref.ref(build_grid(config, PrsAllocation(0, 1, sequence_seed=8)))
+        assert grid() is not None
+        del config
+        assert grid() is None

@@ -7,6 +7,7 @@ from isacloc import (
     NoiseSpec,
     OfdmConfig,
     PrsAllocation,
+    ResourceGrid,
     apply_channel,
     bistatic_delay,
     build_grid,
@@ -32,6 +33,24 @@ def dense_pairs(received, grids, config):
             profiles[s, k] = profile.values[:window]
             ranges[s, k] = estimate_range(profile, config, s, k).range
     return profiles, ranges
+
+
+def batched_comb_profiles(received, transmit, config):
+    """comb_profiles as one (S, K, W, N) divide, IFFT, magnitude and mean."""
+    comb = config.comb_size
+    window = config.num_subcarriers // comb
+    offsets = [grid.allocation.comb_offset for grid in transmit]
+    v_tx = np.stack([
+        grid.symbols.reshape(window, comb, -1)[:, c] for grid, c in zip(transmit, offsets)
+    ])
+    nonzero = v_tx != 0
+    divided = np.zeros((len(transmit), len(received), window, config.num_symbols), np.complex128)
+    for k, grid in enumerate(received):
+        symbols = np.asarray(getattr(grid, "symbols", grid))
+        v_rx = symbols.reshape(window, comb, -1)[:, offsets].transpose(1, 0, 2)
+        np.divide(v_rx, v_tx, out=divided[:, k], where=nonzero)
+    spectra = np.fft.ifft(divided, axis=2, norm="forward")
+    return np.abs(spectra).mean(axis=3)
 
 
 class TestExtractAndDivide:
@@ -219,3 +238,30 @@ class TestCombDomainRanging:
         grids = [build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))]
         with pytest.raises(ValueError):
             comb_profiles([np.zeros((4, 4), complex)], grids, small_config)
+
+    @pytest.mark.parametrize("trial", range(24))
+    def test_matches_batched_reference_bit_for_bit(self, trial):
+        rng = np.random.default_rng(trial)
+        comb = [2, 4, 6, 12][trial % 4]
+        config = OfdmConfig(120e3, 12 * int(rng.integers(1, 70)), int(rng.integers(1, 15)), comb)
+        num_tx, num_rx = int(rng.integers(1, comb + 1)), int(rng.integers(1, 7))
+        offsets = rng.permutation(comb)[:num_tx]
+        grids = [build_grid(config, PrsAllocation(s, int(offsets[s]), int(rng.integers(1, 2**31))))
+                 for s in range(num_tx)]
+        paths = [ChannelPath(s, k, attenuation=complex(rng.normal(), rng.normal()),
+                             delay=float(rng.uniform(0.0, 0.99 / config.subcarrier_spacing)))
+                 for s in range(num_tx) for k in range(num_rx)]
+        noise = NoiseSpec(variance=0.0 if trial % 8 < 4 else 0.1, rng_seed=trial)
+        received = apply_channel(grids, paths, config, noise)
+        assert np.array_equal(comb_profiles(received, grids, config),
+                              batched_comb_profiles(received, grids, config))
+
+    def test_energy_off_the_comb_rejected(self, small_config):
+        grid = build_grid(small_config, PrsAllocation(0, 1, sequence_seed=1))
+        symbols = grid.symbols.copy()
+        symbols[2] = 1.0  # row 2 is on comb offset 2, not 1
+        stray = ResourceGrid(symbols=symbols, allocation=grid.allocation)
+        received = [symbols]
+        for ranging in (comb_profiles, estimate_ranges):
+            with pytest.raises(ValueError, match="off its comb"):
+                ranging(received, [stray], small_config)

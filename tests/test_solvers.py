@@ -468,6 +468,15 @@ def _ref_descend(value_grad, x0, step, threshold, max_iterations, trace):
     return best_x, False, max_iterations
 
 
+def _ref_andrews_weight(e, e_max):
+    w = np.zeros(e.shape)
+    inside = (e > 0) & (e <= e_max)
+    t = e[inside] / e_max
+    w[inside] = np.sin(t) / t
+    w[e == 0] = 1.0
+    return w
+
+
 def _ref_irls(ranges, gnbs, ues, config, x0, trace):
     num_ues = ranges.shape[1]
     weights = np.full(num_ues, 1.0 / num_ues)
@@ -483,7 +492,7 @@ def _ref_irls(ranges, gnbs, ues, config, x0, trace):
         x_new = x - config.irls_step * grad
         if not np.isfinite(x_new).all() or np.linalg.norm(x_new) > 1e6:
             break
-        raw = andrews_weight(_ref_residuals(ranges, gnbs, ues, x_new), config.e_max)
+        raw = _ref_andrews_weight(_ref_residuals(ranges, gnbs, ues, x_new), config.e_max)
         total = raw.sum()
         if total <= 0.0:
             break
