@@ -10,15 +10,12 @@ barely moves it thanks to the column averaging.
 import numpy as np
 
 from isacloc import (
-    ChannelPath,
     NoiseSpec,
     OfdmConfig,
     PrsAllocation,
     apply_channel,
     build_grid,
-    estimate_range,
-    extract_and_divide,
-    range_profile,
+    estimate_ranges,
 )
 from isacloc.constants import SPEED_OF_LIGHT
 
@@ -30,13 +27,10 @@ print(f"range bin {config.range_resolution:.4f} m, half bin {half_bin:.4f} m\n")
 print("noise-free sweep of true path lengths:")
 print(f"{'true (m)':>10} {'estimate (m)':>13} {'error (m)':>10}")
 for true_range in (20.0, 57.3, 100.0, 149.9, 201.4):
-    [rx] = apply_channel(
-        [grid], [ChannelPath(0, 0, delay=true_range / SPEED_OF_LIGHT)], config
-    )
-    profile = range_profile(extract_and_divide(rx, grid), config)
-    estimate = estimate_range(profile, config)
-    err = estimate.range - true_range
-    print(f"{true_range:>10.2f} {estimate.range:>13.3f} {err:>+10.3f}")
+    received = apply_channel([grid], [[true_range / SPEED_OF_LIGHT]], config)
+    [[estimate]] = estimate_ranges(received, [grid], config)
+    err = estimate - true_range
+    print(f"{true_range:>10.2f} {estimate:>13.3f} {err:>+10.3f}")
 
 print("\nsame 100 m echo at a few noise levels (20 noise seeds each):")
 print(f"{'SNR (dB)':>9} {'mean |error| (m)':>17} {'worst |error| (m)':>18}")
@@ -46,12 +40,11 @@ for snr_db in (20.0, 10.0, 0.0):
     variance = 0.5 * 10 ** (-snr_db / 10)
     errors = []
     for seed in range(20):
-        [rx] = apply_channel(
-            [grid], [ChannelPath(0, 0, delay=delay)], config,
-            NoiseSpec(variance=variance, rng_seed=seed),
+        received = apply_channel(
+            [grid], [[delay]], config, NoiseSpec(variance=variance, rng_seed=seed)
         )
-        profile = range_profile(extract_and_divide(rx, grid), config)
-        errors.append(abs(estimate_range(profile, config).range - true_range))
+        [[estimate]] = estimate_ranges(received, [grid], config)
+        errors.append(abs(estimate - true_range))
     print(f"{snr_db:>9.0f} {np.mean(errors):>17.3f} {np.max(errors):>18.3f}")
 
 print(f"\nall noise-free errors stay within the half-bin bound {half_bin:.3f} m;")

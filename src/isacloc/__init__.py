@@ -28,9 +28,7 @@ from .harness import (
     run_trial,
 )
 from .phy_channel import (
-    ChannelPath,
     NoiseSpec,
-    ReceivedGrid,
     apply_channel,
     bistatic_delay,
     noise_variance_from_snr,

@@ -188,6 +188,11 @@ class ExperimentReport:
     config: dict          # config echo
 
 
+def _trial_seed(base_seed: int, trial: int) -> int:
+    """Seed of trial `trial` of a run_experiment or ranging_check run."""
+    return base_seed ^ trial
+
+
 def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialResult:
     """Run one scenario through synthesis and all solvers.
 
@@ -278,7 +283,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     if config.is_sweep:
         raise ConfigurationError("config contains sweep lists; use run_sweep")
-    seeds = [config.base_seed ^ t for t in range(config.trials)]
+    seeds = [_trial_seed(config.base_seed, t) for t in range(config.trials)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunk = max(1, config.trials // (config.workers * 8))
@@ -461,7 +466,7 @@ def ranging_check(
     max_abs_error = 0.0
     within = 0
     for trial in range(trials):
-        seed = base_seed ^ trial
+        seed = _trial_seed(base_seed, trial)
         scenario = sample_scenario(
             1,
             1,

@@ -22,8 +22,6 @@ _REGISTER_LENGTH = 31
 _FAST_FORWARD = 1600  # discarded warm-up outputs of the combined sequence
 _BLOCK = 28  # register bits advanced per step: 31 minus the highest tap, 3
 _SUPPORTED_COMBS = (2, 4, 6, 12)
-# Normal cyclic prefix as a fraction of the useful symbol duration.
-_CP_FRACTION = 144.0 / 2048.0
 _GRIDS_PER_CONFIG = 64
 # OfdmConfig -> {PrsAllocation: ResourceGrid}.  Weak keys, so that a
 # config's grids are freed with the config and not kept by the module.
@@ -71,20 +69,6 @@ class OfdmConfig:
     def unambiguous_range(self) -> float:
         """Largest bistatic range resolvable without comb aliasing, in meters."""
         return SPEED_OF_LIGHT / (self.subcarrier_spacing * self.comb_size)
-
-    @property
-    def symbol_duration(self) -> float:
-        """Useful symbol duration 1/subcarrier_spacing in seconds."""
-        return 1.0 / self.subcarrier_spacing
-
-    @property
-    def cyclic_prefix_duration(self) -> float:
-        return _CP_FRACTION * self.symbol_duration
-
-    @property
-    def total_symbol_duration(self) -> float:
-        """Cyclic prefix plus useful symbol duration in seconds."""
-        return self.cyclic_prefix_duration + self.symbol_duration
 
 
 @dataclass(frozen=True)

@@ -117,8 +117,8 @@ def estimate_range(
 def comb_profiles(received, transmit, config: OfdmConfig) -> np.ndarray:
     """Range profiles of every transmitter-receiver pair over bins [0, W).
 
-    `received` holds K receiver grids (grid objects or bare M x N
-    matrices) and `transmit` S ResourceGrids, each zero off the rows
+    `received` holds K received M x N arrays, as `apply_channel` returns
+    them, and `transmit` S ResourceGrids, each zero off the rows
     `allocation.comb_offset::comb_size` as `build_grid` makes them; a
     transmit grid with a nonzero row elsewhere raises ValueError.  Entry
     [s, k] equals `range_profile(extract_and_divide(received[k],
@@ -145,11 +145,10 @@ def comb_profiles(received, transmit, config: OfdmConfig) -> np.ndarray:
     # off the transmit support are never written and stay zero.
     divided = np.zeros(v_tx.shape, np.complex128)
     profiles = np.empty((len(transmit), len(received), window))
-    for k, grid in enumerate(received):
-        symbols = np.asarray(getattr(grid, "symbols", grid))
-        if symbols.shape != shape:
-            raise ValueError(f"received grid shape {symbols.shape} does not match {shape}")
-        v_rx = symbols.reshape(window, comb, -1)[:, offsets].transpose(1, 0, 2)
+    for k, rx in enumerate(received):
+        if rx.shape != shape:
+            raise ValueError(f"received grid shape {rx.shape} does not match {shape}")
+        v_rx = rx.reshape(window, comb, -1)[:, offsets].transpose(1, 0, 2)
         np.divide(v_rx, v_tx, out=divided, where=nonzero)
         # Unnormalized inverse DFT along subcarriers, as range_profile takes it.
         spectra = np.fft.ifft(divided, axis=1, norm="forward")

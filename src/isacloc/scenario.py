@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ScenarioError
-from .phy_channel import ChannelPath, NoiseSpec, apply_channel, bistatic_delay
+from .phy_channel import NoiseSpec, apply_channel, bistatic_delay
 from .prs_grid import OfdmConfig, PrsAllocation, build_grid
 # The per-pair names are unused here but stay importable: perfbench's
 # tracer wraps them in this module, and a layer that does not run reads 0.
@@ -201,7 +201,7 @@ def synthesize_measurements_phy(
     periodogram.  All true path lengths must stay below the unambiguous
     range of the configuration.
     """
-    num_gnbs, num_ues = scenario.num_gnbs, scenario.num_ues
+    num_gnbs = scenario.num_gnbs
     if num_gnbs > config.comb_size:
         raise ScenarioError(
             f"{num_gnbs} transmitters exceed the {config.comb_size} distinct comb offsets"
@@ -217,12 +217,7 @@ def synthesize_measurements_phy(
         build_grid(config, PrsAllocation(s, comb_offset=s, sequence_seed=base_sequence_seed + s))
         for s in range(num_gnbs)
     ]
-    paths = [
-        ChannelPath(s, k, delay=bistatic_delay(scenario, s, k))
-        for s in range(num_gnbs)
-        for k in range(num_ues)
-    ]
-    received = apply_channel(grids, paths, config, noise)
+    received = apply_channel(grids, bistatic_delay(scenario), config, noise)
     return MeasurementSet(ranges=estimate_ranges(received, grids, config),
                           true_ranges=base.true_ranges)
 

@@ -112,10 +112,6 @@ class TestOfdmConfig:
             fr2_config.range_resolution * 792 / 12
         )
 
-    def test_cp_duration_scale(self, fr2_config):
-        # 120 kHz numerology: normal CP is about 0.59 microseconds.
-        assert fr2_config.cyclic_prefix_duration == pytest.approx(0.586e-6, rel=1e-2)
-
     @pytest.mark.parametrize(
         "kwargs",
         [

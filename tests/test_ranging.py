@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from isacloc import (
-    ChannelPath,
     NoDetectionError,
     NoiseSpec,
     OfdmConfig,
@@ -45,9 +44,8 @@ def batched_comb_profiles(received, transmit, config):
     ])
     nonzero = v_tx != 0
     divided = np.zeros((len(transmit), len(received), window, config.num_symbols), np.complex128)
-    for k, grid in enumerate(received):
-        symbols = np.asarray(getattr(grid, "symbols", grid))
-        v_rx = symbols.reshape(window, comb, -1)[:, offsets].transpose(1, 0, 2)
+    for k, rx in enumerate(received):
+        v_rx = rx.reshape(window, comb, -1)[:, offsets].transpose(1, 0, 2)
         np.divide(v_rx, v_tx, out=divided[:, k], where=nonzero)
     spectra = np.fft.ifft(divided, axis=2, norm="forward")
     return np.abs(spectra).mean(axis=3)
@@ -70,7 +68,7 @@ class TestExtractAndDivide:
     def test_single_path_gives_channel_ramp(self, small_config):
         delay = 200e-9
         grid = build_grid(small_config, PrsAllocation(0, 1, sequence_seed=2))
-        [rx] = apply_channel([grid], [ChannelPath(0, 0, delay=delay)], small_config)
+        [rx] = apply_channel([grid], [[delay]], small_config)
         g = extract_and_divide(rx, grid)
         m = np.arange(small_config.num_subcarriers)[:, None]
         ramp = np.exp(-2j * np.pi * m * small_config.subcarrier_spacing * delay)
@@ -132,7 +130,7 @@ class TestRangeProfile:
             samples = []
             for seed in range(64):
                 [rx] = apply_channel(
-                    [grid], [ChannelPath(0, 0)], config, NoiseSpec(variance=0.5, rng_seed=seed)
+                    [grid], [[0.0]], config, NoiseSpec(variance=0.5, rng_seed=seed)
                 )
                 profile = range_profile(extract_and_divide(rx, grid), config)
                 samples.append(profile.values[5])  # off-peak bin (peak is at 0)
@@ -184,7 +182,7 @@ class TestEstimateRange:
         true_range = 100.0
         delay = true_range / SPEED_OF_LIGHT
         grid = build_grid(fr2_config, PrsAllocation(0, 0, sequence_seed=1))
-        [rx] = apply_channel([grid], [ChannelPath(0, 0, delay=delay)], fr2_config)
+        [rx] = apply_channel([grid], [[delay]], fr2_config)
         profile = range_profile(extract_and_divide(rx, grid), fr2_config)
         estimate = estimate_range(profile, fr2_config)
         assert abs(estimate.range - true_range) <= fr2_config.range_resolution / 2
@@ -201,9 +199,8 @@ class TestCombDomainRanging:
         for seed in range(8):
             sc = sample_scenario(6, 6, gnb_region=60.0, ue_region=60.0, target_region=30.0,
                                  outlier_max=10.0, rng_seed=seed)
-            paths = [ChannelPath(s, k, delay=bistatic_delay(sc, s, k))
-                     for s in range(6) for k in range(6)]
-            received = apply_channel(grids, paths, fr2_config, NoiseSpec(variance, seed))
+            received = apply_channel(grids, bistatic_delay(sc), fr2_config,
+                                     NoiseSpec(variance, seed))
             profiles, ranges = dense_pairs(received, grids, fr2_config)
             comb = comb_profiles(received, grids, fr2_config)
             # Noise-free bins far from the peak are near zero, so their
@@ -248,11 +245,9 @@ class TestCombDomainRanging:
         offsets = rng.permutation(comb)[:num_tx]
         grids = [build_grid(config, PrsAllocation(s, int(offsets[s]), int(rng.integers(1, 2**31))))
                  for s in range(num_tx)]
-        paths = [ChannelPath(s, k, attenuation=complex(rng.normal(), rng.normal()),
-                             delay=float(rng.uniform(0.0, 0.99 / config.subcarrier_spacing)))
-                 for s in range(num_tx) for k in range(num_rx)]
+        delays = rng.uniform(0.0, 0.99 / config.subcarrier_spacing, (num_tx, num_rx))
         noise = NoiseSpec(variance=0.0 if trial % 8 < 4 else 0.1, rng_seed=trial)
-        received = apply_channel(grids, paths, config, noise)
+        received = apply_channel(grids, delays, config, noise)
         assert np.array_equal(comb_profiles(received, grids, config),
                               batched_comb_profiles(received, grids, config))
 
