@@ -5,9 +5,11 @@ a symbol-domain multistatic echo channel, periodogram bistatic ranging,
 random scenario synthesis with blocked-link range biases, least-squares /
 reweighted / pair-differencing position solvers with fusion, and a Monte
 Carlo harness that aggregates error statistics.
+
+The root exports what the README, the demos and the command line use; the
+rest of each module's public names are imported from the module itself.
 """
 
-from .constants import SPEED_OF_LIGHT
 from .errors import (
     ConfigurationError,
     InsufficientGeometryError,
@@ -16,62 +18,30 @@ from .errors import (
     UnderdeterminedError,
 )
 from .harness import (
-    METHODS,
     ExperimentConfig,
-    ExperimentReport,
-    TrialResult,
     emit_report,
     emit_sweep,
     ranging_check,
     run_experiment,
     run_sweep,
-    run_trial,
 )
-from .phy_channel import (
-    NoiseSpec,
-    apply_channel,
-    bistatic_delay,
-    noise_variance_from_snr,
-)
-from .prs_grid import (
-    OfdmConfig,
-    PrsAllocation,
-    ResourceGrid,
-    build_grid,
-    gold_sequence,
-    prs_symbols,
-)
-from .ranging import (
-    RangeEstimate,
-    RangeProfile,
-    comb_profiles,
-    estimate_range,
-    estimate_ranges,
-    extract_and_divide,
-    range_profile,
-)
+from .phy_channel import NoiseSpec, apply_channel, bistatic_delay
+from .prs_grid import OfdmConfig, PrsAllocation, build_grid
+from .ranging import comb_profiles, estimate_ranges
 from .scenario import (
-    MeasurementSet,
     Scenario,
     sample_scenario,
-    scenario_from_json,
-    scenario_to_json,
     synthesize_measurements_model,
     synthesize_measurements_phy,
-    true_bistatic_ranges,
 )
 from .solvers import (
-    LocalizationResult,
     SolverConfig,
-    andrews_weight,
-    centroid_init,
     difference_grid_init,
     difference_value_grad,
     fuse,
     ls_grid_init,
     ls_value_grad,
     pair_differences,
-    residuals,
     solve_irls,
     solve_ls,
     solve_proposed,

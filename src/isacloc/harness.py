@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -261,19 +261,6 @@ def _nearest_rank_p90(samples) -> float:
     return float(ordered[rank - 1])
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    echo = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.name in ("ofdm", "solver"):
-            echo[f.name] = {g.name: getattr(value, g.name) for g in fields(value)}
-        elif isinstance(value, tuple):
-            echo[f.name] = list(value)
-        else:
-            echo[f.name] = value
-    return echo
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute all trials and aggregate error statistics.
 
@@ -317,7 +304,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         divergence_count=divergence_count,
         trials=config.trials,
         base_seed=config.base_seed,
-        config=_config_echo(config),
+        config=asdict(config),
     )
 
 
@@ -458,8 +445,14 @@ def ranging_check(
     with the geometric truth.  Noise-free estimates must stay within half
     a range bin of the truth.
     """
+    check_integer("trials", trials)
+    check_integer("base_seed", base_seed)
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
+    if base_seed < 0:
+        raise ConfigurationError("base_seed must be >= 0")
+    if snr_db is not None:
+        check_finite("snr_db", snr_db)
     config = config if config is not None else _default_ofdm()
     variance = 0.0 if snr_db is None else noise_variance_from_snr(snr_db)
     half_bin = config.range_resolution / 2.0

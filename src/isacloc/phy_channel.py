@@ -10,6 +10,7 @@ post-FFT view of the received signal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -31,8 +32,8 @@ class NoiseSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ScenarioError("noise variance must be >= 0")
+        if not math.isfinite(self.variance) or self.variance < 0:
+            raise ScenarioError(f"noise variance must be finite and >= 0, got {self.variance!r}")
         if self.rng_seed < 0:
             raise ScenarioError("rng_seed must be >= 0")
 

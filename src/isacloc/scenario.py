@@ -14,7 +14,6 @@ echo channel and the periodogram estimator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,13 +76,10 @@ class MeasurementSet:
     """Estimated bistatic ranges for every (transmitter, receiver) pair.
 
     `ranges[s, k]` is the measured transmitter-s -> target -> receiver-k
-    path length.  `true_ranges` holds the unobstructed geometric path
-    lengths when known, so `ranges - true_ranges` is the total measurement
-    perturbation (link excesses plus estimation error).
+    path length.
     """
 
     ranges: np.ndarray
-    true_ranges: np.ndarray | None = None
 
     def __post_init__(self):
         ranges = np.asarray(self.ranges, dtype=float)
@@ -161,7 +157,7 @@ def true_bistatic_ranges(scenario: Scenario) -> MeasurementSet:
     dist_u = np.linalg.norm(scenario.target - scenario.ue_positions, axis=1)
     geometric = dist_g[:, None] + dist_u[None, :]
     entries = geometric + scenario.link_excess_gnb[:, None] + scenario.link_excess_ue[None, :]
-    return MeasurementSet(ranges=entries, true_ranges=geometric)
+    return MeasurementSet(ranges=entries)
 
 
 def synthesize_measurements_model(
@@ -177,13 +173,12 @@ def synthesize_measurements_model(
     true path lengths, mimicking the half-bin quantization of the
     periodogram estimator without running the physical layer.
     """
-    base = true_bistatic_ranges(scenario)
-    ranges = base.ranges
+    ranges = true_bistatic_ranges(scenario).ranges
     if quantization_error:
         gen = _as_generator(rng)
         half = config.range_resolution / 2.0
         ranges = ranges + gen.uniform(-half, half, size=ranges.shape)
-    return MeasurementSet(ranges=ranges, true_ranges=base.true_ranges)
+    return MeasurementSet(ranges=ranges)
 
 
 def synthesize_measurements_phy(
@@ -206,8 +201,7 @@ def synthesize_measurements_phy(
         raise ScenarioError(
             f"{num_gnbs} transmitters exceed the {config.comb_size} distinct comb offsets"
         )
-    base = true_bistatic_ranges(scenario)
-    if (base.ranges >= config.unambiguous_range).any():
+    if (true_bistatic_ranges(scenario).ranges >= config.unambiguous_range).any():
         raise ScenarioError(
             "bistatic ranges exceed the unambiguous window "
             f"({config.unambiguous_range:.1f} m); shrink the geometry"
@@ -218,33 +212,4 @@ def synthesize_measurements_phy(
         for s in range(num_gnbs)
     ]
     received = apply_channel(grids, bistatic_delay(scenario), config, noise)
-    return MeasurementSet(ranges=estimate_ranges(received, grids, config),
-                          true_ranges=base.true_ranges)
-
-
-def scenario_to_json(scenario: Scenario, path) -> None:
-    """Write a scenario to a JSON file for replay."""
-    payload = {
-        "gnb_positions": scenario.gnb_positions.tolist(),
-        "ue_positions": scenario.ue_positions.tolist(),
-        "target": scenario.target.tolist(),
-        "link_excess_gnb": scenario.link_excess_gnb.tolist(),
-        "link_excess_ue": scenario.link_excess_ue.tolist(),
-        "rng_seed": scenario.rng_seed,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def scenario_from_json(path) -> Scenario:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return Scenario(
-        gnb_positions=np.asarray(payload["gnb_positions"], dtype=float),
-        ue_positions=np.asarray(payload["ue_positions"], dtype=float),
-        target=np.asarray(payload["target"], dtype=float),
-        link_excess_gnb=np.asarray(payload["link_excess_gnb"], dtype=float),
-        link_excess_ue=np.asarray(payload["link_excess_ue"], dtype=float),
-        rng_seed=int(payload["rng_seed"]),
-    )
+    return MeasurementSet(ranges=estimate_ranges(received, grids, config))

@@ -297,12 +297,6 @@ def ls_value_grad(x, measurements, gnbs, ues, weights=None):
                           None if weights is None else np.asarray(weights, float))
 
 
-def residuals(measurements, gnbs, ues, x) -> np.ndarray:
-    """Per-receiver mean absolute range residual at position x."""
-    evaluate = _ls_evaluator(_ranges_of(measurements), _stack_nodes(gnbs, ues))
-    return _mean_abs_residual(evaluate(np.asarray(x, float))[0])
-
-
 def andrews_weight(residual, e_max: float):
     """Redescending Andrews sine weight, before normalization.
 

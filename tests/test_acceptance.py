@@ -16,7 +16,6 @@ from isacloc import (
     ExperimentConfig,
     OfdmConfig,
     SolverConfig,
-    andrews_weight,
     difference_value_grad,
     emit_report,
     ls_value_grad,
@@ -26,8 +25,9 @@ from isacloc import (
     run_sweep,
     sample_scenario,
     solve_proposed,
-    true_bistatic_ranges,
 )
+from isacloc.scenario import true_bistatic_ranges
+from isacloc.solvers import andrews_weight
 
 WORKERS = 2
 

@@ -189,3 +189,13 @@ class TestRangingCheckCommand:
         assert main(["ranging-check", "--trials", trials]) == 1
         captured = capsys.readouterr()
         assert "trials must be >= 1" in captured.err and "PASS" not in captured.out
+
+    @pytest.mark.parametrize("snr_db", ["nan", "-inf", "inf"])
+    def test_non_finite_snr_exits_one(self, capsys, snr_db):
+        assert main(["ranging-check", "--trials", "5", f"--snr-db={snr_db}"]) == 1
+        captured = capsys.readouterr()
+        assert "snr_db must be a finite number" in captured.err and "PASS" not in captured.out
+
+    def test_negative_seed_exits_one(self, capsys):
+        assert main(["ranging-check", "--trials", "5", "--seed", "-1"]) == 1
+        assert "base_seed must be >= 0" in capsys.readouterr().err

@@ -16,11 +16,10 @@ from isacloc import (
     ranging_check,
     run_experiment,
     run_sweep,
-    run_trial,
     sample_scenario,
 )
 from isacloc import harness
-from isacloc.harness import METHODS, _sweep_points
+from isacloc.harness import METHODS, _sweep_points, run_trial
 
 # The phy workload geometry: worst-case bistatic range 147.3 m, inside the
 # 208.2 m unambiguous window of the default numerology.
@@ -245,6 +244,12 @@ class TestRangingCheck:
         assert result["all_within_half_bin"]
         assert result["within_half_bin"] == 25
         assert result["max_abs_error_m"] <= result["half_bin_m"]
+
+    @pytest.mark.parametrize("kwargs", [{"trials": 2.5}, {"trials": True}, {"trials": "5"},
+                                        {"base_seed": 1.0}, {"snr_db": float("nan")}])
+    def test_bad_value_type_rejected_before_any_trial(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            ranging_check(**{"trials": 1, **kwargs})
 
 
 class TestStatisticalStability:

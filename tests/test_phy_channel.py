@@ -12,13 +12,11 @@ from isacloc import (
     apply_channel,
     bistatic_delay,
     build_grid,
-    estimate_range,
-    extract_and_divide,
-    noise_variance_from_snr,
-    range_profile,
     sample_scenario,
     synthesize_measurements_phy,
 )
+from isacloc.phy_channel import noise_variance_from_snr
+from isacloc.ranging import estimate_range, extract_and_divide, range_profile
 from isacloc.constants import SPEED_OF_LIGHT
 
 
@@ -118,6 +116,11 @@ class TestApplyChannel:
         assert noise.size >= 10_000
         assert np.var(noise.real) == pytest.approx(variance, rel=0.05)
         assert np.var(noise.imag) == pytest.approx(variance, rel=0.05)
+
+    @pytest.mark.parametrize("variance", [float("nan"), float("inf"), -0.1])
+    def test_noise_variance_must_be_finite_and_nonnegative(self, variance):
+        with pytest.raises(ScenarioError):
+            NoiseSpec(variance=variance)
 
     def test_noise_reproducible_and_per_receiver(self, small_config):
         grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))

@@ -7,11 +7,9 @@ from isacloc import (
     ConfigurationError,
     OfdmConfig,
     PrsAllocation,
-    ResourceGrid,
     build_grid,
-    gold_sequence,
-    prs_symbols,
 )
+from isacloc.prs_grid import ResourceGrid, gold_sequence, prs_symbols
 
 # Oracle trace computed with the shift-register emulation below.
 SEED_A = 123456789

@@ -6,18 +6,16 @@ from isacloc import (
     NoiseSpec,
     OfdmConfig,
     PrsAllocation,
-    ResourceGrid,
     apply_channel,
     bistatic_delay,
     build_grid,
     comb_profiles,
-    estimate_range,
     estimate_ranges,
-    extract_and_divide,
-    noise_variance_from_snr,
-    range_profile,
     sample_scenario,
 )
+from isacloc.phy_channel import noise_variance_from_snr
+from isacloc.prs_grid import ResourceGrid
+from isacloc.ranging import estimate_range, extract_and_divide, range_profile
 from isacloc.constants import SPEED_OF_LIGHT
 
 

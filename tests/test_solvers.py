@@ -5,26 +5,28 @@ import pytest
 
 from isacloc import (
     InsufficientGeometryError,
-    MeasurementSet,
     SolverConfig,
     UnderdeterminedError,
-    andrews_weight,
-    centroid_init,
     difference_grid_init,
     difference_value_grad,
     fuse,
     ls_grid_init,
     ls_value_grad,
     pair_differences,
-    residuals,
     sample_scenario,
     solve_irls,
     solve_ls,
     solve_proposed,
-    true_bistatic_ranges,
 )
 from isacloc import solvers
-from isacloc.solvers import _grid_distances
+from isacloc.scenario import MeasurementSet, true_bistatic_ranges
+from isacloc.solvers import (
+    _grid_distances,
+    _ls_evaluator,
+    _mean_abs_residual,
+    andrews_weight,
+    centroid_init,
+)
 
 TIGHT = SolverConfig(irls_threshold=1e-6, proposed_threshold=1e-6)
 
@@ -56,24 +58,30 @@ def grid_search_init(objective, half_extent, points=20):
     return best_xy
 
 
+def _residuals(ranges, gnbs, ues, x):
+    """Per-receiver mean absolute range residual at x, as the reweighting reads it."""
+    evaluate = _ls_evaluator(np.asarray(ranges, float), np.vstack([gnbs, ues]))
+    return _mean_abs_residual(evaluate(np.asarray(x, float))[0])
+
+
 class TestResiduals:
     def test_zero_at_truth(self):
         sc, ranges = _problem(seed=1)
-        e = residuals(ranges, sc.gnb_positions, sc.ue_positions, sc.target)
+        e = _residuals(ranges, sc.gnb_positions, sc.ue_positions, sc.target)
         assert np.allclose(e, 0.0, atol=1e-9)
 
     def test_single_biased_measurement(self):
         sc, ranges = _problem(seed=2)
         biased = ranges.copy()
         biased[2, 3] += 5.0
-        e = residuals(biased, sc.gnb_positions, sc.ue_positions, sc.target)
+        e = _residuals(biased, sc.gnb_positions, sc.ue_positions, sc.target)
         assert e[3] == pytest.approx(5.0 / 6.0)
         assert np.allclose(np.delete(e, 3), 0.0, atol=1e-9)
 
     def test_matches_loop_oracle(self, rng):
         sc, ranges = _problem(seed=3, outlier_max=8.0)
         x = rng.uniform(-50, 50, 2)
-        e = residuals(ranges, sc.gnb_positions, sc.ue_positions, x)
+        e = _residuals(ranges, sc.gnb_positions, sc.ue_positions, x)
         for k in range(6):
             total = 0.0
             for s in range(6):
@@ -304,7 +312,7 @@ class TestSolveProposed:
 
 class TestFusion:
     def _results(self, converged_irls):
-        from isacloc import LocalizationResult
+        from isacloc.solvers import LocalizationResult
 
         irls = LocalizationResult(np.array([0.0, 0.0]), converged_irls, 10, "irls",
                                   np.full(4, 0.25))
@@ -576,7 +584,7 @@ class TestDriverMatchesReferenceLoops:
             ):
                 assert value_grad[0] == ref[0]
                 assert np.array_equal(value_grad[1], ref[1])
-            assert np.array_equal(residuals(ranges, g, u, x), _ref_residuals(ranges, g, u, x))
+            assert np.array_equal(_residuals(ranges, g, u, x), _ref_residuals(ranges, g, u, x))
         # Both stop paths of the grid-initialized solves occurred: converged
         # and, for the least-squares pair, the best iterate at the cap.
         assert {("ls", False), ("irls", False), ("proposed", True)} <= outcomes
@@ -723,8 +731,9 @@ _GRID_SETTINGS = {  # setting: (mode, trials, sample_scenario fields)
 
 @pytest.mark.parametrize("setting", sorted(_GRID_SETTINGS))
 def test_grid_inits_match_norm_reference_on_workload_geometries(setting):
-    from isacloc import (NoiseSpec, OfdmConfig, noise_variance_from_snr,
-                         synthesize_measurements_model, synthesize_measurements_phy)
+    from isacloc import (NoiseSpec, OfdmConfig, synthesize_measurements_model,
+                         synthesize_measurements_phy)
+    from isacloc.phy_channel import noise_variance_from_snr
 
     mode, trials, fields = _GRID_SETTINGS[setting]
     ofdm = OfdmConfig(120e3, 792)
