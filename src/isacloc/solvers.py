@@ -3,7 +3,7 @@
 Every measurement models the sum of the target's distances to one
 transmitter and one receiver.  Three estimators are provided:
 
-* plain least squares over all pairs (gradient descent);
+* plain least squares over all pairs;
 * iteratively reweighted least squares, where each receiver's weight is
   recomputed every iteration from its mean absolute residual through the
   redescending Andrews sine function, so receivers behind large biases
@@ -20,6 +20,13 @@ for its objective, which computes the distances to the stacked (S+K, 2)
 nodes once per iterate and builds the residuals that value, gradient and
 the reweighting hook read.  The pair differences of distances and unit
 vectors come from one constant ±1 matrix per (S, K), exactly.
+
+Least squares and differencing take damped Gauss-Newton steps, the
+Taylor-series positioning iteration (Foy, IEEE TAES 1976) with step halving
+(Nocedal & Wright, Numerical Optimization, §3.1 and §10.3), and stop at the
+minimum of their objective.  IRLS keeps its fixed gradient step: the
+Gauss-Newton fixed point of the reweighted objective is a different
+estimate, and the fused estimate would inherit the difference.
 
 A fusion rule averages the reweighted and differencing estimates and
 falls back to the differencing estimate when the reweighted iteration
@@ -45,14 +52,18 @@ from .errors import (
 
 _SINGULARITY_GUARD = 1e-9  # below this node distance the unit vector is zeroed
 _DIVERGENCE_NORM = 1e6     # iterate norm beyond which descent is abandoned
+_GN_SINGULAR = 1e-12       # det / trace^2 of J^T J below which its inverse is not used
+_GN_HALVINGS = 52          # a step halved this often no longer moves a double
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step sizes, stopping thresholds, and fusion weights.
+    """Step size, stopping thresholds, and fusion weights.
 
     The plain least-squares descent reuses `irls_threshold` as its
-    stopping threshold.
+    stopping threshold.  `ls_step` and `proposed_step` are unused, since
+    those solves take Gauss-Newton steps; a value other than the default
+    is rejected so that no config sets a knob that does nothing.
     """
 
     ls_step: float = 0.01
@@ -70,10 +81,11 @@ class SolverConfig:
         for f in fields(self):
             if f.name != "max_iterations":
                 check_finite(f.name, getattr(self, f.name))
+            if f.name in ("ls_step", "proposed_step") and getattr(self, f.name) != f.default:
+                raise ConfigurationError(
+                    f"{f.name} is unused (this solve takes Gauss-Newton steps); leave it out")
         positive = (
-            ("ls_step", self.ls_step),
             ("irls_step", self.irls_step),
-            ("proposed_step", self.proposed_step),
             ("irls_threshold", self.irls_threshold),
             ("proposed_threshold", self.proposed_threshold),
             ("e_max", self.e_max),
@@ -203,7 +215,8 @@ def _grid_design(objective, num_gnbs, num_ues):
     Least squares ("ls"): one row per (s, k), +1 at s and at k.  Differencing:
     the pair-matrix rows, each transmitter pair repeated for the K receivers
     and the receiver pairs tiled over the S transmitters, in the order of the
-    flattened residuals.  Returns the design and its Gram matrix, read-only.
+    flattened residuals.  Returns the design and its Gram matrix, read-only;
+    the Gauss-Newton solves read the Gram matrix.
     """
     if objective == "ls":
         s, k = np.divmod(np.arange(num_gnbs * num_ues), num_ues)
@@ -315,10 +328,11 @@ def andrews_weight(residual, e_max: float):
 
 
 def _difference_evaluator(ranges, nodes):
-    """Per-solve evaluator: x -> pair residuals and pair unit-vector differences.
+    """Per-solve evaluator: x -> pair residuals, pair unit-vector differences, node units.
 
     The residuals are (Pg, K) for the transmitter pairs and (S, Pu) for the
-    receiver pairs; the unit-vector differences are (Pg, 2) and (Pu, 2).
+    receiver pairs; the unit-vector differences are (Pg, 2) and (Pu, 2) and
+    the node unit vectors (S+K, 2).
     """
     pairs, data_g, data_u = _difference_setup(ranges)
     num_pg = data_g.shape[0]
@@ -327,14 +341,14 @@ def _difference_evaluator(ranges, nodes):
         dist, units = _node_geometry(x, nodes)
         model, model_units = pairs @ dist, pairs @ units
         return (data_g - model[:num_pg, None], data_u - model[num_pg:],
-                model_units[:num_pg], model_units[num_pg:])
+                model_units[:num_pg], model_units[num_pg:], units)
 
     return evaluate
 
 
 def _difference_value_grad(evaluation, weights=None):
     """Value and gradient of the differencing objective; it takes no weights."""
-    res_g, res_u, units_g, units_u = evaluation
+    res_g, res_u, units_g, units_u, _ = evaluation
     value = float(np.add.reduce(res_g * res_g, None) + np.add.reduce(res_u * res_u, None))
     grad = -2.0 * (np.add.reduce(res_g, 1) @ units_g + np.add.reduce(res_u, 0) @ units_u)
     return value, grad
@@ -350,13 +364,58 @@ def difference_value_grad(x, measurements, gnbs, ues):
 # Descent driver
 # ---------------------------------------------------------------------------
 
+def _fixed_step(rate):
+    """Step rule x - rate * gradient; the driver evaluates the new iterate."""
+    return lambda x, evaluation, value, grad: (x - rate * grad, None, None)
+
+
+def _gauss_newton_step(evaluate, value_grad, gram):
+    """Damped Gauss-Newton step rule for an objective with residuals data - design @ d.
+
+    The Jacobian of the model is J = design @ units, so J^T J is
+    units^T gram units with the objective's constant gram = design^T design,
+    and -grad / 2 is J^T r.  The 2 x 2 system (J^T J) delta = -grad / 2 is
+    solved in closed form; a near-singular J^T J falls back to the gradient
+    step -grad / (2 tr(J^T J)).  delta is halved until the objective does
+    not rise, and the new iterate is returned with its evaluation and its
+    value and gradient.  When no halving stops the rise, x is a
+    floating-point stationary point and (None, None, None) is returned.  A
+    NaN objective is accepted, so the driver's divergence check stops the
+    solve.
+    """
+
+    def step(x, evaluation, value, grad):
+        units = evaluation[-1]
+        (a, b), (_, d) = (units.T @ (gram @ units)).tolist()
+        g0, g1 = (-0.5 * grad).tolist()
+        det, trace = a * d - b * b, a + d
+        if det > _GN_SINGULAR * trace * trace:
+            delta = np.array([(d * g0 - b * g1) / det, (a * g1 - b * g0) / det])
+        else:
+            delta = np.array([g0 / trace, g1 / trace])
+        for _ in range(_GN_HALVINGS):
+            x_new = x + delta
+            trial = evaluate(x_new)
+            trial_value_grad = value_grad(trial)
+            if not trial_value_grad[0] > value:
+                return x_new, trial, trial_value_grad
+            delta = 0.5 * delta
+        return None, None, None
+
+    return step
+
+
 def _descend(method, evaluate, value_grad, x0, step, threshold, max_iterations, trace,
              weights=None, reweight=None) -> LocalizationResult:
-    """Fixed-step gradient descent with best-iterate fallback, for all solvers.
+    """Descent with best-iterate fallback, for all solvers.
 
     `evaluate(x)` runs once per iterate; `value_grad(evaluation, weights)`
     reads from it, and a `reweight` hook turns it into the next weights or
-    into None (all zero: stop).  Converged means an update norm <= threshold;
+    into None (all zero: stop).  `step(x, evaluation, value, grad)` is the
+    solve's step rule: it returns the next iterate, its evaluation and its
+    value and gradient (None to have the driver compute them), or all None
+    at a stationary point, which counts as converged.  Converged means an
+    update norm <= threshold;
     otherwise the lowest-objective iterate and its weights are returned.
 
     A fixed step can trap the iterate in an exact floating-point cycle, so
@@ -373,17 +432,21 @@ def _descend(method, evaluate, value_grad, x0, step, threshold, max_iterations, 
     evaluation = evaluate(x)
     best_x, best_w, best_val = x, weights, math.inf  # iterates are never modified in place
     checkpoint, mark_at, power = None, 0, 1
+    value_and_grad = None
     for iteration in range(1, max_iterations + 1):
-        value, grad = value_grad(evaluation, weights)
+        value, grad = value_and_grad or value_grad(evaluation, weights)
         if trace is not None:
             trace.append(value)
         if value < best_val:
             best_val, best_x, best_w = value, x, weights
-        x_new = x - step * grad
+        x_new, evaluation, value_and_grad = step(x, evaluation, value, grad)
+        if x_new is None:
+            return LocalizationResult(x, True, iteration, method, weights)
         # Also true for a NaN or infinite iterate; same floats as np.linalg.norm.
         if not math.sqrt(x_new.dot(x_new)) <= _DIVERGENCE_NORM:
             break
-        evaluation = evaluate(x_new)
+        if evaluation is None:
+            evaluation = evaluate(x_new)
         if reweight is not None:
             weights = reweight(evaluation)
             if weights is None:
@@ -414,12 +477,21 @@ def _prepare(measurements, gnbs, ues, config, init):
     return ranges, nodes, config, x0
 
 
-def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
-    """Plain least-squares position fit by gradient descent.
+def _solve_gauss_newton(method, evaluator, value_grad, ranges, nodes, x0, threshold,
+                        max_iterations, trace) -> LocalizationResult:
+    evaluate = evaluator(ranges, nodes)
+    gram = _grid_design(method, *ranges.shape)[1]
+    return _descend(method, evaluate, value_grad, x0,
+                    _gauss_newton_step(evaluate, value_grad, gram),
+                    threshold, max_iterations, trace)
 
-    Starts from `init` (default: node centroid) and descends the
-    sum-of-squares objective with a fixed step until the update norm
-    drops below the threshold.  Converges to a local minimum only.
+
+def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
+    """Plain least-squares position fit by damped Gauss-Newton steps.
+
+    Starts from `init` (default: node centroid) and steps until the
+    update norm drops below `irls_threshold`.  Converges to a local
+    minimum only.
 
     Args:
         measurements: MeasurementSet or (S, K) range matrix.
@@ -432,10 +504,8 @@ def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> Loc
     ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
     if ranges.size < 3:
         raise UnderdeterminedError("need at least 3 measurements for a 2-D fit")
-    return _descend(
-        "ls", _ls_evaluator(ranges, nodes), _ls_value_grad,
-        x0, config.ls_step, config.irls_threshold, config.max_iterations, trace,
-    )
+    return _solve_gauss_newton("ls", _ls_evaluator, _ls_value_grad, ranges, nodes, x0,
+                               config.irls_threshold, config.max_iterations, trace)
 
 
 def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
@@ -463,24 +533,24 @@ def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> L
 
     return _descend(
         "irls", _ls_evaluator(ranges, nodes), _ls_value_grad,
-        x0, config.irls_step, config.irls_threshold, config.max_iterations, trace,
+        x0, _fixed_step(config.irls_step), config.irls_threshold, config.max_iterations, trace,
         np.full(num_ues, 1.0 / num_ues), reweight,
     )
 
 
 def solve_proposed(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
-    """Pair-differencing position fit by gradient descent.
+    """Pair-differencing position fit by damped Gauss-Newton steps.
 
     Minimizes the squared mismatch between measured and geometric
     transmitter-pair and receiver-pair differences; each family of
-    differences is blind to the other side's per-link biases.  Converges
-    to a local minimum only.
+    differences is blind to the other side's per-link biases.  Stops when
+    the update norm drops below `proposed_threshold`.  Converges to a
+    local minimum only.
     """
     ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
-    return _descend(
-        "proposed", _difference_evaluator(ranges, nodes), _difference_value_grad,
-        x0, config.proposed_step, config.proposed_threshold, config.max_iterations, trace,
-    )
+    return _solve_gauss_newton("proposed", _difference_evaluator, _difference_value_grad,
+                               ranges, nodes, x0, config.proposed_threshold,
+                               config.max_iterations, trace)
 
 
 def fuse(irls_result: LocalizationResult, proposed_result: LocalizationResult,

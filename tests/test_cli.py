@@ -152,6 +152,12 @@ class TestValueTypesFailValidation:
         assert main(["run", "--config", str(config_path)]) == 1
         assert "must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", [{"ls_step": 0.02}, {"proposed_step": 0.004}], ids=str)
+    def test_unused_step_exits_one(self, tmp_path, capsys, solver):
+        config_path = _write_config(tmp_path / "config.json", solver=solver)
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "is unused" in capsys.readouterr().err
+
     def test_non_finite_sweep_point_exits_one(self, tmp_path, capsys):
         config_path = _write_config(tmp_path / "config.json", outlier_max=[4.0, float("nan")])
         assert main(["sweep", "--config", str(config_path)]) == 1
