@@ -9,6 +9,7 @@ and the whole experiment is reproducible byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -36,7 +37,6 @@ from .scenario import (
 )
 from .solvers import (
     SolverConfig,
-    centroid_init,
     difference_grid_init,
     fuse,
     ls_grid_init,
@@ -49,6 +49,12 @@ METHODS = ("ls", "irls", "proposed")
 
 _GAMMA_STREAM = 1  # substream tag for the model-mode range error draw
 _CDF_STEP = 0.05   # meters per CDF grid point
+
+# Region sides (m) of the ranging check's single-pair geometries: their
+# worst-case bistatic range, 170 m, stays inside the default 208 m window.
+_CHECK_GNB_REGION = 80.0
+_CHECK_UE_REGION = 80.0
+_CHECK_TARGET_REGION = 40.0
 
 # Run-time failures of one solve, recorded as an infinite error.  Any other
 # exception is a defect and propagates.
@@ -85,10 +91,6 @@ class ExperimentConfig:
     target_region: float = 150.0
     ofdm: OfdmConfig = field(default_factory=_default_ofdm)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    # Grid-search initialization is the default: from the node centroid the
-    # first reweighting step usually sees residuals beyond e_max on every
-    # receiver, which zeroes all weights and aborts the reweighted solver.
-    init: str = "grid"
     base_seed: int = 0
     workers: int = 1
     output_dir: str = "results"
@@ -117,8 +119,14 @@ class ExperimentConfig:
             raise ConfigurationError("trials must be >= 1")
         if self.mode not in ("model", "phy"):
             raise ConfigurationError("mode must be 'model' or 'phy'")
-        if self.init not in ("centroid", "grid"):
-            raise ConfigurationError("init must be 'centroid' or 'grid'")
+        if not isinstance(self.quantization_error, bool):
+            raise ConfigurationError(
+                f"quantization_error must be true or false, got {self.quantization_error!r}"
+            )
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigurationError(
+                f"output_dir must be a nonempty string, got {self.output_dir!r}"
+            )
         if self.base_seed < 0:
             raise ConfigurationError("base_seed must be >= 0")
         if self.workers < 1:
@@ -220,13 +228,14 @@ def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialResult:
             scenario, config.ofdm, NoiseSpec(variance, trial_seed)
         )
 
+    # Every solve starts from a coarse grid search over the target region:
+    # from the node centroid the first reweighting step usually sees
+    # residuals beyond e_max on every receiver, which zeroes all weights and
+    # aborts the reweighted solver.
     gnbs, ues = scenario.gnb_positions, scenario.ue_positions
-    if config.init == "grid":
-        half = config.target_region / 2.0
-        init_ls = ls_grid_init(measurements, gnbs, ues, half)
-        init_diff = difference_grid_init(measurements, gnbs, ues, half)
-    else:
-        init_ls = init_diff = centroid_init(gnbs, ues)
+    half = config.target_region / 2.0
+    init_ls = ls_grid_init(measurements, gnbs, ues, half)
+    init_diff = difference_grid_init(measurements, gnbs, ues, half)
 
     def solve(solver, init):
         try:
@@ -251,10 +260,6 @@ def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialResult:
     return TrialResult(errors=errors, converged=converged)
 
 
-def _run_trial_star(args) -> TrialResult:
-    return run_trial(*args)
-
-
 def _nearest_rank_p90(samples) -> float:
     ordered = sorted(samples)
     rank = math.ceil(0.9 * len(ordered))
@@ -275,7 +280,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunk = max(1, config.trials // (config.workers * 8))
             results = list(
-                pool.map(_run_trial_star, [(config, s) for s in seeds], chunksize=chunk)
+                pool.map(run_trial, itertools.repeat(config), seeds, chunksize=chunk)
             )
     else:
         results = [run_trial(config, s) for s in seeds]
@@ -433,10 +438,6 @@ def ranging_check(
     config: OfdmConfig | None = None,
     base_seed: int = 0,
     snr_db: float | None = None,
-    *,
-    gnb_region: float = 80.0,
-    ue_region: float = 80.0,
-    target_region: float = 40.0,
 ) -> dict:
     """Physical-layer ranging validation over random single-pair geometries.
 
@@ -463,9 +464,9 @@ def ranging_check(
         scenario = sample_scenario(
             1,
             1,
-            gnb_region=gnb_region,
-            ue_region=ue_region,
-            target_region=target_region,
+            gnb_region=_CHECK_GNB_REGION,
+            ue_region=_CHECK_UE_REGION,
+            target_region=_CHECK_TARGET_REGION,
             outlier_max=0.0,
             rng_seed=seed,
         )

@@ -23,40 +23,10 @@ first W bins of the dense profile up to floating-point rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoDetectionError
 from .prs_grid import OfdmConfig
-
-__all__ = [
-    "RangeProfile",
-    "RangeEstimate",
-    "extract_and_divide",
-    "range_profile",
-    "estimate_range",
-    "comb_profiles",
-    "estimate_ranges",
-]
-
-
-@dataclass(frozen=True)
-class RangeProfile:
-    """Column-averaged IFFT magnitudes over the M delay bins."""
-
-    values: np.ndarray
-    bin_width: float  # meters per delay bin
-
-
-@dataclass(frozen=True)
-class RangeEstimate:
-    """Peak location of a range profile converted to meters."""
-
-    transmitter_id: int
-    receiver_id: int
-    peak_index: int
-    range: float
 
 
 def extract_and_divide(received, transmit) -> np.ndarray:
@@ -75,11 +45,11 @@ def extract_and_divide(received, transmit) -> np.ndarray:
     return out
 
 
-def range_profile(g: np.ndarray, config: OfdmConfig) -> RangeProfile:
+def range_profile(g: np.ndarray, config: OfdmConfig) -> np.ndarray:
     """Average the per-column IFFT magnitudes of the divided grid.
 
-    The inverse DFT is unnormalized; only relative magnitudes matter for
-    the peak search.
+    Returns the M delay-bin values, read-only.  The inverse DFT is
+    unnormalized; only relative magnitudes matter for the peak search.
     """
     g = np.asarray(g)
     if g.ndim != 2 or g.shape[0] != config.num_subcarriers:
@@ -87,31 +57,20 @@ def range_profile(g: np.ndarray, config: OfdmConfig) -> RangeProfile:
     spectra = np.fft.ifft(g, axis=0) * g.shape[0]
     values = np.abs(spectra).mean(axis=1)
     values.setflags(write=False)
-    return RangeProfile(values=values, bin_width=config.range_resolution)
+    return values
 
 
-def estimate_range(
-    profile: RangeProfile,
-    config: OfdmConfig,
-    transmitter_id: int = 0,
-    receiver_id: int = 0,
-) -> RangeEstimate:
-    """Locate the profile peak and convert the bin index to meters.
+def estimate_range(profile: np.ndarray, config: OfdmConfig) -> float:
+    """Bistatic range in meters at the peak of a `range_profile`.
 
     The argmax is taken over bins [0, M/comb_size); ties resolve to the
-    lowest index.  Raises NoDetectionError on an all-zero profile.
+    lowest index, whose bin index times the bin width is the range.
+    Raises NoDetectionError on an all-zero profile.
     """
-    window = config.num_subcarriers // config.comb_size
-    values = profile.values[:window]
+    values = profile[:config.num_subcarriers // config.comb_size]
     if values.size == 0 or float(values.max(initial=0.0)) <= 0.0:
         raise NoDetectionError("range profile has no nonzero peak")
-    peak = int(np.argmax(values))
-    return RangeEstimate(
-        transmitter_id=transmitter_id,
-        receiver_id=receiver_id,
-        peak_index=peak,
-        range=peak * config.range_resolution,
-    )
+    return int(np.argmax(values)) * config.range_resolution
 
 
 def comb_profiles(received, transmit, config: OfdmConfig) -> np.ndarray:
@@ -122,7 +81,7 @@ def comb_profiles(received, transmit, config: OfdmConfig) -> np.ndarray:
     `allocation.comb_offset::comb_size` as `build_grid` makes them; a
     transmit grid with a nonzero row elsewhere raises ValueError.  Entry
     [s, k] equals `range_profile(extract_and_divide(received[k],
-    transmit[s]), config).values[:W]` up to rounding, with W = M/comb_size.
+    transmit[s]), config)[:W]` up to rounding, with W = M/comb_size.
 
     Returns a float array of shape (S, K, W).
     """
@@ -160,7 +119,7 @@ def estimate_ranges(received, transmit, config: OfdmConfig) -> np.ndarray:
     """Bistatic range of every transmitter-receiver pair, in meters.
 
     Peak of each `comb_profiles` profile, lowest index on ties, times the
-    bin width: entry [s, k] is `estimate_range(...).range` of that pair.
+    bin width: entry [s, k] is `estimate_range(...)` of that pair.
     Raises NoDetectionError if any profile is all zero.
     """
     profiles = comb_profiles(received, transmit, config)

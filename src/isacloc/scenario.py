@@ -27,6 +27,7 @@ from .ranging import estimate_range, estimate_ranges, extract_and_divide, range_
 
 MIN_NODE_SEPARATION = 1.0  # meters between target and any node
 _MAX_TARGET_REDRAWS = 1000
+_BASE_SEQUENCE_SEED = 1  # Gold-sequence seed of transmitter 0; transmitter s adds s
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,6 @@ class MeasurementSet:
             raise ScenarioError("ranges must be finite and >= 0")
         ranges.setflags(write=False)
         object.__setattr__(self, "ranges", ranges)
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def sample_scenario(
@@ -175,9 +170,8 @@ def synthesize_measurements_model(
     """
     ranges = true_bistatic_ranges(scenario).ranges
     if quantization_error:
-        gen = _as_generator(rng)
         half = config.range_resolution / 2.0
-        ranges = ranges + gen.uniform(-half, half, size=ranges.shape)
+        ranges = ranges + np.random.default_rng(rng).uniform(-half, half, size=ranges.shape)
     return MeasurementSet(ranges=ranges)
 
 
@@ -185,13 +179,11 @@ def synthesize_measurements_phy(
     scenario: Scenario,
     config: OfdmConfig,
     noise: NoiseSpec = NoiseSpec(),
-    *,
-    base_sequence_seed: int = 1,
 ) -> MeasurementSet:
     """Full physical-layer measurement synthesis.
 
     Builds one comb-offset grid per transmitter (offset = transmitter
-    index, seed = base_sequence_seed + index), applies the echo channel
+    index, seed = _BASE_SEQUENCE_SEED + index), applies the echo channel
     for every pair, and estimates all bistatic ranges with the comb-domain
     periodogram.  All true path lengths must stay below the unambiguous
     range of the configuration.
@@ -208,7 +200,7 @@ def synthesize_measurements_phy(
         )
 
     grids = [
-        build_grid(config, PrsAllocation(s, comb_offset=s, sequence_seed=base_sequence_seed + s))
+        build_grid(config, PrsAllocation(s, comb_offset=s, sequence_seed=_BASE_SEQUENCE_SEED + s))
         for s in range(num_gnbs)
     ]
     received = apply_channel(grids, bistatic_delay(scenario), config, noise)

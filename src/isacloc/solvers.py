@@ -54,6 +54,7 @@ _SINGULARITY_GUARD = 1e-9  # below this node distance the unit vector is zeroed
 _DIVERGENCE_NORM = 1e6     # iterate norm beyond which descent is abandoned
 _GN_SINGULAR = 1e-12       # det / trace^2 of J^T J below which its inverse is not used
 _GN_HALVINGS = 52          # a step halved this often no longer moves a double
+_GRID_POINTS = 20          # grid-start points per axis
 
 
 @dataclass(frozen=True)
@@ -192,18 +193,18 @@ def pair_differences(measurements):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def _grid_points(half_extent, points):
-    """The (points**2, 2) grid over [-half_extent, half_extent]^2, read-only."""
-    axis = np.linspace(-half_extent, half_extent, points)
+def _grid_points(half_extent):
+    """The (_GRID_POINTS**2, 2) grid over [-half_extent, half_extent]^2, read-only."""
+    axis = np.linspace(-half_extent, half_extent, _GRID_POINTS)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     pts.flags.writeable = False
     return pts
 
 
-def _grid_distances(nodes, half_extent, points):
+def _grid_distances(nodes, half_extent):
     """Grid points (P, 2) and their distances (P, S+K) to every node."""
-    pts = _grid_points(half_extent, points)
+    pts = _grid_points(half_extent)
     dx, dy = pts[:, :1] - nodes[:, 0], pts[:, 1:] - nodes[:, 1]
     return pts, np.sqrt(dx * dx + dy * dy)
 
@@ -231,7 +232,7 @@ def _grid_design(objective, num_gnbs, num_ues):
     return design, gram
 
 
-def _grid_argmin(objective, data, ranges, gnbs, ues, half_extent, points):
+def _grid_argmin(objective, data, ranges, gnbs, ues, half_extent):
     """Grid point minimizing the sum of squares of data - design @ d.
 
     Every residual of both objectives is a datum minus a +-1 combination of
@@ -245,23 +246,23 @@ def _grid_argmin(objective, data, ranges, gnbs, ues, half_extent, points):
     point (at least 1.4e-9 of it on the benchmark geometries).
     """
     design, gram = _grid_design(objective, *ranges.shape)
-    pts, dist = _grid_distances(_stack_nodes(gnbs, ues), half_extent, points)
+    pts, dist = _grid_distances(_stack_nodes(gnbs, ues), half_extent)
     values = np.einsum("pn,pn->p", dist @ gram, dist) - 2.0 * (dist @ (data @ design))
     return pts[int(np.argmin(values))].copy()
 
 
-def ls_grid_init(measurements, gnbs, ues, half_extent: float, points: int = 20) -> np.ndarray:
+def ls_grid_init(measurements, gnbs, ues, half_extent: float) -> np.ndarray:
     """Grid minimum of the least-squares objective, evaluated in one batch."""
     ranges = _ranges_of(measurements)
-    return _grid_argmin("ls", ranges.ravel(), ranges, gnbs, ues, half_extent, points)
+    return _grid_argmin("ls", ranges.ravel(), ranges, gnbs, ues, half_extent)
 
 
-def difference_grid_init(measurements, gnbs, ues, half_extent: float, points: int = 20) -> np.ndarray:
+def difference_grid_init(measurements, gnbs, ues, half_extent: float) -> np.ndarray:
     """Grid minimum of the pair-differencing objective, evaluated in one batch."""
     ranges = _ranges_of(measurements)
     _, data_g, data_u = _difference_setup(ranges)
     data = np.concatenate([data_g.ravel(), data_u.ravel()])
-    return _grid_argmin("proposed", data, ranges, gnbs, ues, half_extent, points)
+    return _grid_argmin("proposed", data, ranges, gnbs, ues, half_extent)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,12 @@ class TestRunCommand:
         config_path = _write_config(tmp_path / "config.json", bogus=1)
         assert main(["run", "--config", str(config_path)]) == 1
 
+    def test_retired_init_key_exits_one(self, tmp_path, capsys):
+        # Every trial starts from the grid search; "init" is no longer a key.
+        config_path = _write_config(tmp_path / "config.json", init="grid")
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "unknown config keys: ['init']" in capsys.readouterr().err
+
     def test_bad_value_exits_one(self, tmp_path):
         config_path = _write_config(tmp_path / "config.json", trials=-5)
         assert main(["run", "--config", str(config_path)]) == 1
@@ -157,6 +163,18 @@ class TestValueTypesFailValidation:
         config_path = _write_config(tmp_path / "config.json", solver=solver)
         assert main(["run", "--config", str(config_path)]) == 1
         assert "is unused" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"output_dir": None}, "output_dir must be a nonempty string"),
+        ({"output_dir": 7}, "output_dir must be a nonempty string"),
+        ({"output_dir": ""}, "output_dir must be a nonempty string"),
+        ({"quantization_error": "false"}, "quantization_error must be true or false"),
+        ({"quantization_error": 0}, "quantization_error must be true or false"),
+    ], ids=str)
+    def test_wrong_type_run_exits_one(self, tmp_path, capsys, overrides, message):
+        config_path = _write_config(tmp_path / "config.json", **overrides)
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_non_finite_sweep_point_exits_one(self, tmp_path, capsys):
         config_path = _write_config(tmp_path / "config.json", outlier_max=[4.0, float("nan")])

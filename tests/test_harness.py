@@ -269,8 +269,6 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(mode="other")
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(init="best")
-    with pytest.raises(ConfigurationError):
         ExperimentConfig(base_seed=-1)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(workers=0)

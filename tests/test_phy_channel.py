@@ -229,7 +229,7 @@ def test_phy_synthesis_matches_per_pair_pipeline(fr2_config, snr_db):
         delays = np.array([[pair_delay(sc, s, k) for k in range(6)] for s in range(6)])
         received = dense_channel(grids, delays, fr2_config, noise)
         expected = [[estimate_range(range_profile(extract_and_divide(rx, grid), fr2_config),
-                                    fr2_config).range
+                                    fr2_config)
                      for rx in received] for grid in grids]
         ranges = synthesize_measurements_phy(sc, fr2_config, noise).ranges
         assert np.array_equal(ranges, expected)

@@ -792,7 +792,7 @@ def _assert_grid_inits_match_norm_reference(ranges, g, u, half_extent):
     res_u = (ranges[:, iu] - ranges[:, ju])[None] - (dist_u[:, iu] - dist_u[:, ju])[:, None, :]
     values = np.einsum("pik,pik->p", res_g, res_g) + np.einsum("psi,psi->p", res_u, res_u)
     ref_df = pts[int(np.argmin(values))]
-    _, dist = _grid_distances(np.vstack([g, u]), half_extent, 20)
+    _, dist = _grid_distances(np.vstack([g, u]), half_extent)
     assert np.array_equal(dist, np.hstack([dist_g, dist_u]))
     assert np.array_equal(ls_grid_init(ranges, g, u, half_extent), ref_ls)
     assert np.array_equal(difference_grid_init(ranges, g, u, half_extent), ref_df)
