@@ -286,12 +286,12 @@ def _ls_value_grad(evaluation, weights=None):
     num_gnbs = res.shape[0]
     if weights is None:
         value = float(np.add.reduce(res * res, None))
-        grad = -2.0 * (np.add.reduce(res, 1) @ units[:num_gnbs]
-                       + np.add.reduce(res, 0) @ units[num_gnbs:])
+        grad = -2.0 * (np.add.reduce(res, 1).dot(units[:num_gnbs])
+                       + np.add.reduce(res, 0).dot(units[num_gnbs:]))
     else:
-        value = float(weights @ np.add.reduce(res * res, 0))
-        grad = -2.0 * ((res @ weights) @ units[:num_gnbs]
-                       + (weights * np.add.reduce(res, 0)) @ units[num_gnbs:])
+        value = float(weights.dot(np.add.reduce(res * res, 0)))
+        grad = -2.0 * (res.dot(weights).dot(units[:num_gnbs])
+                       + (weights * np.add.reduce(res, 0)).dot(units[num_gnbs:]))
     return value, grad
 
 
@@ -318,11 +318,17 @@ def andrews_weight(residual, e_max: float):
     e -> 0 and sin(1) at e = e_max) and exactly 0 beyond e_max.
     """
     e = np.asarray(residual, dtype=float)
-    w = np.zeros(e.shape)
-    inside = (e > 0) & (e <= e_max)
-    t = e[inside] / e_max
-    w[inside] = np.sin(t) / t
-    w[e == 0] = 1.0
+    t = e / e_max
+    # Python's min and sum on a short list cost less than two numpy
+    # reductions; a NaN or inf anywhere makes the sum non-finite.
+    values = t.ravel().tolist()
+    if values and 0.0 < min(values) and math.isfinite(sum(values)):
+        w = np.where(e <= e_max, np.sin(t) / t, 0.0)  # no 0 / 0 and no sin(inf)
+    else:  # a zero, negative, NaN or infinite mean: divide only inside (0, e_max]
+        w = np.zeros(e.shape)
+        inside = (e > 0) & (e <= e_max)
+        w[inside] = np.sin(t[inside]) / t[inside]
+        w[e == 0] = 1.0
     if w.ndim == 0:
         return float(w)
     return w
@@ -340,7 +346,7 @@ def _difference_evaluator(ranges, nodes):
 
     def evaluate(x):
         dist, units = _node_geometry(x, nodes)
-        model, model_units = pairs @ dist, pairs @ units
+        model, model_units = pairs.dot(dist), pairs.dot(units)
         return (data_g - model[:num_pg, None], data_u - model[num_pg:],
                 model_units[:num_pg], model_units[num_pg:], units)
 
@@ -351,7 +357,7 @@ def _difference_value_grad(evaluation, weights=None):
     """Value and gradient of the differencing objective; it takes no weights."""
     res_g, res_u, units_g, units_u, _ = evaluation
     value = float(np.add.reduce(res_g * res_g, None) + np.add.reduce(res_u * res_u, None))
-    grad = -2.0 * (np.add.reduce(res_g, 1) @ units_g + np.add.reduce(res_u, 0) @ units_u)
+    grad = -2.0 * (np.add.reduce(res_g, 1).dot(units_g) + np.add.reduce(res_u, 0).dot(units_u))
     return value, grad
 
 
@@ -387,7 +393,7 @@ def _gauss_newton_step(evaluate, value_grad, gram):
 
     def step(x, evaluation, value, grad):
         units = evaluation[-1]
-        (a, b), (_, d) = (units.T @ (gram @ units)).tolist()
+        (a, b), (_, d) = units.T.dot(gram.dot(units)).tolist()
         g0, g1 = (-0.5 * grad).tolist()
         det, trace = a * d - b * b, a + d
         if det > _GN_SINGULAR * trace * trace:

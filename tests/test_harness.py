@@ -9,6 +9,7 @@ from isacloc import (
     ConfigurationError,
     InsufficientGeometryError,
     ExperimentConfig,
+    NoDetectionError,
     OfdmConfig,
     SolverConfig,
     emit_report,
@@ -17,6 +18,7 @@ from isacloc import (
     run_experiment,
     run_sweep,
     sample_scenario,
+    solve_ls,
 )
 from isacloc import harness
 from isacloc.harness import METHODS, _sweep_points, run_trial
@@ -128,6 +130,23 @@ class TestRunExperiment:
         assert report.cdf_grid[0] == 0.0
         steps = np.diff(report.cdf_grid)
         assert np.allclose(steps, 0.05)
+
+    def test_cdf_grid_spans_finite_errors_after_a_failed_solve(self, monkeypatch):
+        calls = []
+
+        def first_ls_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise NoDetectionError("range profile has no nonzero peak")
+            return solve_ls(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_ls", first_ls_fails)
+        report = run_experiment(_quick_config(trials=20, base_seed=3))
+        assert report.errors["ls"][0] == math.inf
+        finite = [e for m in METHODS for e in report.errors[m] if math.isfinite(e)]
+        assert report.cdf_grid[-1] >= max(finite) > report.cdf_grid[-1] - 0.05
+        assert report.cdf["ls"][-1] == 19 / 20
+        assert report.cdf["irls"][-1] == report.cdf["proposed"][-1] == 1.0
 
     def test_divergence_counts(self, report):
         for method in METHODS:

@@ -115,6 +115,39 @@ class TestAndrewsWeight:
         normalized = w / w.sum()
         assert np.allclose(normalized, 1.0 / 6.0)
 
+    E_MAX = 7.0
+    EDGES = (0.0, 1e-300, E_MAX, float(np.nextafter(E_MAX, np.inf)), np.nan, np.inf)
+
+    @staticmethod
+    def _assert_same_bits(e, e_max):
+        e = np.asarray(e, dtype=float)
+        w = andrews_weight(e, e_max)
+        ref = _ref_andrews_weight(e, e_max)
+        if e.ndim == 0:
+            assert type(w) is float
+        assert np.asarray(w).shape == ref.shape
+        assert np.asarray(w).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_edge_values_match_reference_bit_for_bit(self, edge):
+        self._assert_same_bits(edge, self.E_MAX)
+        inside = np.array([0.5, 1.5, 2.5, 3.5, 4.5, 5.5])
+        for k in (0, 3, 5):
+            vector = inside.copy()
+            vector[k] = edge
+            self._assert_same_bits(vector, self.E_MAX)
+
+    def test_vectors_match_reference_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            every_inside = rng.uniform(1e-6, self.E_MAX, 6)
+            self._assert_same_bits(every_inside, self.E_MAX)
+            one_beyond = every_inside.copy()
+            one_beyond[rng.integers(6)] = rng.uniform(self.E_MAX, 40.0)
+            self._assert_same_bits(one_beyond, self.E_MAX)
+        self._assert_same_bits(np.float64(3.0), self.E_MAX)
+        self._assert_same_bits(np.array([]), self.E_MAX)
+
 
 class TestDifferencing:
     def test_counts(self):
