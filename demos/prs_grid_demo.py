@@ -14,7 +14,6 @@ config = OfdmConfig(
     num_subcarriers=792,   # 66 resource blocks of 12 subcarriers
     num_symbols=14,
     comb_size=12,
-    carrier_frequency=28e9,
 )
 print(f"numerology: {config.num_subcarriers} subcarriers x {config.num_symbols} symbols, "
       f"comb {config.comb_size}")

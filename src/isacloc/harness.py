@@ -70,7 +70,6 @@ def _default_ofdm() -> OfdmConfig:
         num_subcarriers=792,
         num_symbols=14,
         comb_size=12,
-        carrier_frequency=28e9,
     )
 
 

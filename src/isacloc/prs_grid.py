@@ -37,20 +37,17 @@ class OfdmConfig:
         num_subcarriers: Grid height M; must be a multiple of 12.
         num_symbols: Grid width N (time-domain symbols), default one slot.
         comb_size: Frequency comb period; one of 2, 4, 6, 12.
-        carrier_frequency: Carrier in Hz (metadata only).
     """
 
     subcarrier_spacing: float
     num_subcarriers: int
     num_symbols: int = 14
     comb_size: int = 12
-    carrier_frequency: float = 28e9
 
     def __post_init__(self):
         for name in ("num_subcarriers", "num_symbols", "comb_size"):
             check_integer(name, getattr(self, name))
         check_finite("subcarrier_spacing", self.subcarrier_spacing)
-        check_finite("carrier_frequency", self.carrier_frequency)
         if self.subcarrier_spacing <= 0:
             raise ConfigurationError("subcarrier_spacing must be positive")
         if self.num_subcarriers < 12 or self.num_subcarriers % 12 != 0:

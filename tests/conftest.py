@@ -6,13 +6,12 @@ from isacloc import OfdmConfig
 
 @pytest.fixture(scope="session")
 def fr2_config():
-    """28 GHz / 120 kHz / 66-PRB / comb-12 numerology used throughout."""
+    """120 kHz / 66-PRB / comb-12 numerology used throughout."""
     return OfdmConfig(
         subcarrier_spacing=120e3,
         num_subcarriers=792,
         num_symbols=14,
         comb_size=12,
-        carrier_frequency=28e9,
     )
 
 
@@ -24,7 +23,6 @@ def small_config():
         num_subcarriers=48,
         num_symbols=4,
         comb_size=4,
-        carrier_frequency=28e9,
     )
 
 

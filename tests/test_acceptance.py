@@ -153,7 +153,6 @@ def test_criterion_5_ranging_quantization_bound():
         num_subcarriers=792,
         num_symbols=14,
         comb_size=12,
-        carrier_frequency=28e9,
     )
     bin_ok = abs(config.range_resolution - 3.157) <= 0.01
     result = ranging_check(trials=500, config=config, base_seed=0)

@@ -149,7 +149,7 @@ class TestValueTypesFailValidation:
         {"outlier_max": float("nan")},
         {"target_region": float("inf")},
         {"gnb_region": float("-inf")},
-        {"solver": {"ls_step": float("nan")}},
+        {"solver": {"irls_step": float("nan")}},
         {"solver": {"e_max": float("inf")}},
         {"ofdm": {"subcarrier_spacing": float("nan"), "num_subcarriers": 792}},
     ], ids=str)
@@ -158,11 +158,20 @@ class TestValueTypesFailValidation:
         assert main(["run", "--config", str(config_path)]) == 1
         assert "must be a finite number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("solver", [{"ls_step": 0.02}, {"proposed_step": 0.004}], ids=str)
+    # The Gauss-Newton solves take no step size, and the carrier frequency
+    # was never read: each is an unknown key, at its old default too.
+    @pytest.mark.parametrize("solver", [{"ls_step": 0.02}, {"proposed_step": 0.004},
+                                        {"ls_step": 0.01}], ids=str)
     def test_unused_step_exits_one(self, tmp_path, capsys, solver):
         config_path = _write_config(tmp_path / "config.json", solver=solver)
         assert main(["run", "--config", str(config_path)]) == 1
-        assert "is unused" in capsys.readouterr().err
+        assert f"unexpected keyword argument '{next(iter(solver))}'" in capsys.readouterr().err
+
+    def test_carrier_frequency_exits_one(self, tmp_path, capsys):
+        ofdm = {"subcarrier_spacing": 120e3, "num_subcarriers": 792, "carrier_frequency": 28e9}
+        config_path = _write_config(tmp_path / "config.json", ofdm=ofdm)
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "unexpected keyword argument 'carrier_frequency'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides, message", [
         ({"output_dir": None}, "output_dir must be a nonempty string"),

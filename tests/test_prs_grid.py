@@ -180,7 +180,7 @@ class TestGridCache:
         alloc = PrsAllocation(3, 3, sequence_seed=4)
         grid = build_grid(fr2_config, alloc)
         assert build_grid(fr2_config, alloc) is grid
-        equal_config = OfdmConfig(120e3, 792, 14, 12, 28e9)
+        equal_config = OfdmConfig(120e3, 792, 14, 12)
         assert build_grid(equal_config, PrsAllocation(3, 3, sequence_seed=4)) is grid
 
     def test_symbols_and_support_are_read_only(self, fr2_config):

@@ -19,7 +19,6 @@ from isacloc import (
     solve_ls,
     solve_proposed,
 )
-from isacloc import solvers
 from isacloc.scenario import MeasurementSet, true_bistatic_ranges
 from isacloc.solvers import (
     _grid_distances,
@@ -116,7 +115,9 @@ class TestAndrewsWeight:
         assert np.allclose(normalized, 1.0 / 6.0)
 
     E_MAX = 7.0
-    EDGES = (0.0, 1e-300, E_MAX, float(np.nextafter(E_MAX, np.inf)), np.nan, np.inf)
+    # 5e-324 and 1e-323 are positive, but e / E_MAX underflows to 0.
+    EDGES = (0.0, 5e-324, 1e-323, 1e-300, E_MAX, float(np.nextafter(E_MAX, np.inf)),
+             np.nan, np.inf)
 
     @staticmethod
     def _assert_same_bits(e, e_max):
@@ -428,11 +429,11 @@ def test_solver_config_validation():
     from isacloc import ConfigurationError
 
     with pytest.raises(ConfigurationError):
-        SolverConfig(ls_step=0.0)
-    # The Gauss-Newton solves take no step size: a non-default value is a dead knob.
-    for unused in ({"ls_step": 0.02}, {"proposed_step": 0.004}):
-        with pytest.raises(ConfigurationError, match="unused"):
-            SolverConfig(**unused)
+        SolverConfig(irls_step=0.0)
+    # The Gauss-Newton solves take no step size, so there is no key for one.
+    for retired in ({"ls_step": 0.01}, {"proposed_step": 0.001}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            SolverConfig(**retired)
     with pytest.raises(ConfigurationError):
         SolverConfig(fusion_weight_irls=0.7, fusion_weight_proposed=0.7)
     with pytest.raises(ConfigurationError):
@@ -479,13 +480,12 @@ def test_measurement_set_and_array_inputs_agree():
 
 
 # ---------------------------------------------------------------------------
-# Exactness oracle: the hand-written fixed-step descent loops and the
+# Exactness oracle: the hand-written fixed-step IRLS loop and the
 # per-objective value/gradient functions that the single driver replaced.
 # The IRLS solve must reproduce its loop's estimates, flags, iteration
-# counts, weights and traces bit for bit, and every solve its loop's stop on
-# a NaN measurement.  The least-squares and differencing solves take
-# Gauss-Newton steps instead and are held to the minimum of their objective
-# (stationarity oracle below).
+# counts, weights and traces bit for bit.  The least-squares and
+# differencing solves take Gauss-Newton steps instead and are held to the
+# minimum of their objective (stationarity oracle below).
 # ---------------------------------------------------------------------------
 
 def _ref_distances_and_units(x, nodes):
@@ -530,30 +530,12 @@ def _ref_difference_value_grad(x, ranges, gnbs, ues):
     return value, grad
 
 
-def _ref_descend(value_grad, x0, step, threshold, max_iterations, trace):
-    x = np.array(x0, dtype=float)
-    best_x, best_val = x.copy(), np.inf
-    for iteration in range(1, max_iterations + 1):
-        value, grad = value_grad(x)
-        trace.append(value)
-        if value < best_val:
-            best_val, best_x = value, x.copy()
-        x_new = x - step * grad
-        if not np.isfinite(x_new).all() or np.linalg.norm(x_new) > 1e6:
-            return best_x, False, iteration
-        delta = np.linalg.norm(x_new - x)
-        x = x_new
-        if delta <= threshold:
-            return x, True, iteration
-    return best_x, False, max_iterations
-
-
 def _ref_andrews_weight(e, e_max):
     w = np.zeros(e.shape)
-    inside = (e > 0) & (e <= e_max)
-    t = e[inside] / e_max
-    w[inside] = np.sin(t) / t
-    w[e == 0] = 1.0
+    t = e / e_max
+    inside = (t > 0) & (e <= e_max)
+    w[inside] = np.sin(t[inside]) / t[inside]
+    w[(t == 0) & (e >= 0)] = 1.0  # also a positive e whose e / e_max underflows
     return w
 
 
@@ -586,19 +568,6 @@ def _ref_irls(ranges, gnbs, ues, config, x0, trace):
     return best_x, False, iterations, best_w
 
 
-def _ref_solve(method, ranges, gnbs, ues, config, x0, trace):
-    if method == "irls":
-        return _ref_irls(ranges, gnbs, ues, config, x0, trace)
-    if method == "ls":
-        out = _ref_descend(lambda x: _ref_ls_value_grad(x, ranges, gnbs, ues), x0,
-                           config.ls_step, config.irls_threshold, config.max_iterations, trace)
-    else:
-        out = _ref_descend(lambda x: _ref_difference_value_grad(x, ranges, gnbs, ues), x0,
-                           config.proposed_step, config.proposed_threshold,
-                           config.max_iterations, trace)
-    return (*out, None)
-
-
 _SOLVES = {"ls": solve_ls, "irls": solve_irls, "proposed": solve_proposed}
 _FIXED_STEP = ["irls"]  # the solves that still take a fixed gradient step
 
@@ -615,17 +584,15 @@ def _random_problem(seed):
     return rng, ms.ranges, sc.gnb_positions, sc.ue_positions
 
 
-def _assert_matches_reference(method, ranges, g, u, config, x0):
+def _assert_matches_reference(ranges, g, u, config, x0):
+    """The IRLS solve reproduces `_ref_irls` bit for bit, trace included."""
     trace, ref_trace = [], []
-    result = _SOLVES[method](ranges, g, u, config, init=x0, trace=trace)
-    ref_est, ref_conv, ref_iter, ref_w = _ref_solve(method, ranges, g, u, config, x0, ref_trace)
+    result = solve_irls(ranges, g, u, config, init=x0, trace=trace)
+    ref_est, ref_conv, ref_iter, ref_w = _ref_irls(ranges, g, u, config, x0, ref_trace)
     assert np.array_equal(result.estimate, ref_est)
     assert result.converged == ref_conv
     assert result.iterations == ref_iter
-    if ref_w is None:
-        assert result.ue_weights is None
-    else:
-        assert np.array_equal(result.ue_weights, ref_w)
+    assert np.array_equal(result.ue_weights, ref_w)
     assert np.array_equal(np.asarray(trace), np.asarray(ref_trace), equal_nan=True)
     return result
 
@@ -673,7 +640,7 @@ def _assert_reaches_minimum(method, ranges, g, u, config, x0):
 
 def _check_solve(method, ranges, g, u, config, x0):
     if method in _FIXED_STEP:
-        return _assert_matches_reference(method, ranges, g, u, config, x0)
+        return _assert_matches_reference(ranges, g, u, config, x0)
     return _assert_reaches_minimum(method, ranges, g, u, config, x0)
 
 
@@ -737,7 +704,7 @@ class TestDriverMatchesReferenceLoops:
         config = SolverConfig(irls_step=1e4, max_iterations=200)
         for seed in range(20):
             _, ranges, g, u = _random_problem(seed)
-            result = _assert_matches_reference(method, ranges, g, u, config, centroid_init(g, u))
+            result = _assert_matches_reference(ranges, g, u, config, centroid_init(g, u))
             assert not result.converged
 
     @pytest.mark.parametrize("method", sorted(_SOLVES))
@@ -746,68 +713,48 @@ class TestDriverMatchesReferenceLoops:
             _, ranges, g, u = _random_problem(seed)
             ranges = ranges.copy()
             ranges[0, 1] = np.nan
-            result = _assert_matches_reference(method, ranges, g, u, self.CONFIG,
-                                               centroid_init(g, u))
+            x0 = centroid_init(g, u)
+            if method in _FIXED_STEP:
+                result = _assert_matches_reference(ranges, g, u, self.CONFIG, x0)
+            else:
+                trace = []
+                result = _SOLVES[method](ranges, g, u, self.CONFIG, init=x0, trace=trace)
+                assert np.array_equal(result.estimate, x0)
+                assert len(trace) == 1 and math.isnan(trace[0])
             assert not result.converged and result.iterations == 1
 
     def test_all_weights_zero_stops_irls(self):
         config = SolverConfig(e_max=1e-9)
         for seed in range(20):
             _, ranges, g, u = _random_problem(seed)
-            result = _assert_matches_reference("irls", ranges, g, u, config, centroid_init(g, u))
+            result = _assert_matches_reference(ranges, g, u, config, centroid_init(g, u))
             assert not result.converged and result.iterations == 1
             assert np.array_equal(result.ue_weights, np.full(len(u), 1.0 / len(u)))
 
 
-class TestCycleExit:
-    """Fixed-step solves that fall into an exact floating-point cycle stop early.
+class TestCappedIrls:
+    """A fixed-step IRLS solve that never settles runs to the cap.
 
     The case is a real IRLS solve on an 8 x 8 geometry with up to 14 m of
-    link excess that revisits an earlier iterate bit for bit, and without the
-    cycle exit runs all 10,000 iterations.  It uses a step at which its
-    receiver weights change along the cycle.
+    link excess that falls into an exact floating-point cycle, at a step
+    at which its receiver weights change along the cycle.
     """
 
-    CASES = {  # method: (seed, config)
-        "irls": (24, SolverConfig(irls_step=0.08)),
-    }
+    CONFIG = SolverConfig(irls_step=0.08, max_iterations=1500)
 
-    @staticmethod
-    def _problem(method, seed):
+    def test_matches_reference_at_the_cap(self):
         from isacloc import OfdmConfig, synthesize_measurements_model
 
-        rng = np.random.default_rng(seed)
-        sc = sample_scenario(8, 8, outlier_max=14.0, rng_seed=seed)
+        rng = np.random.default_rng(24)
+        sc = sample_scenario(8, 8, outlier_max=14.0, rng_seed=24)
         ms = synthesize_measurements_model(sc, OfdmConfig(120e3, 792), rng)
         g, u = sc.gnb_positions, sc.ue_positions
-        grid_init = difference_grid_init if method == "proposed" else ls_grid_init
-        return ms.ranges, g, u, grid_init(ms.ranges, g, u, 75.0)
-
-    @pytest.mark.parametrize("method", sorted(CASES))
-    def test_matches_reference_at_the_cap_in_few_evaluations(self, monkeypatch, method):
-        seed, config = self.CASES[method]
-        ranges, g, u, x0 = self._problem(method, seed)
-        # Count the calls of the per-solve evaluator that the descent runs.
-        name = "_difference_evaluator" if method == "proposed" else "_ls_evaluator"
-        build, calls = getattr(solvers, name), []
-
-        def counting_build(*args):
-            evaluate = build(*args)
-            return lambda x: calls.append(1) or evaluate(x)
-
-        monkeypatch.setattr(solvers, name, counting_build)
-        result = _assert_matches_reference(method, ranges, g, u, config, x0)
-        assert not result.converged and result.iterations == config.max_iterations == 10_000
-        assert 0 < len(calls) < 1_000
-
-    def test_trace_padding_counts_only_this_solve(self):
-        seed, config = self.CASES["irls"]
-        ranges, g, u, x0 = self._problem("irls", seed)
-        trace = [-1.0]
-        solve_irls(ranges, g, u, config, init=x0, trace=trace)
-        fresh = []
-        solve_irls(ranges, g, u, config, init=x0, trace=fresh)
-        assert trace == [-1.0] + fresh and len(fresh) == 10_000
+        x0 = ls_grid_init(ms.ranges, g, u, 75.0)
+        result = _assert_matches_reference(ms.ranges, g, u, self.CONFIG, x0)
+        assert not result.converged and result.iterations == self.CONFIG.max_iterations
+        trace = [-1.0]  # a solve appends its own values to the list only
+        solve_irls(ms.ranges, g, u, self.CONFIG, init=x0, trace=trace)
+        assert trace[0] == -1.0 and len(trace) == 1 + self.CONFIG.max_iterations
 
 
 def _assert_grid_inits_match_norm_reference(ranges, g, u, half_extent):
