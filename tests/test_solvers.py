@@ -742,19 +742,28 @@ class TestCappedIrls:
 
     CONFIG = SolverConfig(irls_step=0.08, max_iterations=1500)
 
-    def test_matches_reference_at_the_cap(self):
+    @staticmethod
+    def _problem():
         from isacloc import OfdmConfig, synthesize_measurements_model
 
         rng = np.random.default_rng(24)
         sc = sample_scenario(8, 8, outlier_max=14.0, rng_seed=24)
         ms = synthesize_measurements_model(sc, OfdmConfig(120e3, 792), rng)
         g, u = sc.gnb_positions, sc.ue_positions
-        x0 = ls_grid_init(ms.ranges, g, u, 75.0)
-        result = _assert_matches_reference(ms.ranges, g, u, self.CONFIG, x0)
+        return ms.ranges, g, u, ls_grid_init(ms.ranges, g, u, 75.0)
+
+    def test_matches_reference_at_the_cap(self):
+        ranges, g, u, x0 = self._problem()
+        result = _assert_matches_reference(ranges, g, u, self.CONFIG, x0)
         assert not result.converged and result.iterations == self.CONFIG.max_iterations
+
+    def test_trace_counts_only_this_solve(self):
+        ranges, g, u, x0 = self._problem()
         trace = [-1.0]  # a solve appends its own values to the list only
-        solve_irls(ms.ranges, g, u, self.CONFIG, init=x0, trace=trace)
-        assert trace[0] == -1.0 and len(trace) == 1 + self.CONFIG.max_iterations
+        solve_irls(ranges, g, u, self.CONFIG, init=x0, trace=trace)
+        fresh = []
+        solve_irls(ranges, g, u, self.CONFIG, init=x0, trace=fresh)
+        assert trace == [-1.0] + fresh and len(fresh) == self.CONFIG.max_iterations
 
 
 def _assert_grid_inits_match_norm_reference(ranges, g, u, half_extent):
