@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isacloc import (
+    ExperimentConfig,
     NoiseSpec,
     OfdmConfig,
     PrsAllocation,
@@ -15,9 +16,11 @@ from isacloc import (
     sample_scenario,
     synthesize_measurements_phy,
 )
+from isacloc.harness import _trial_seed
 from isacloc.phy_channel import noise_variance_from_snr
 from isacloc.ranging import estimate_range, extract_and_divide, range_profile
 from isacloc.constants import SPEED_OF_LIGHT
+from isacloc.scenario import true_bistatic_ranges
 
 
 def dense_channel(grids, delays, config, noise):
@@ -233,6 +236,33 @@ def test_phy_synthesis_matches_per_pair_pipeline(fr2_config, snr_db):
                      for rx in received] for grid in grids]
         ranges = synthesize_measurements_phy(sc, fr2_config, noise).ranges
         assert np.array_equal(ranges, expected)
+
+
+def test_phy_6x6_ranges_at_10_db_round_to_the_nearest_bin():
+    # Oracle for the noisy phy pipeline, independent of how the noise is
+    # drawn: at 10 dB on the phy 6x6 geometry the periodogram peak sits on
+    # the bin nearest the true path length for nearly every pair, and the
+    # range errors are spread as uniform quantization, sd = bin / sqrt(12).
+    # Trials use the scenario and NoiseSpec seeds that run_trial gives them.
+    config = ExperimentConfig(trials=150, mode="phy", gnb_region=60.0, ue_region=60.0,
+                              target_region=30.0, snr_db=10.0)
+    ofdm = config.ofdm
+    bin_width = ofdm.range_resolution
+    variance = noise_variance_from_snr(config.snr_db)
+    errors, nearest = [], 0
+    for trial in range(config.trials):
+        seed = _trial_seed(config.base_seed, trial)
+        sc = sample_scenario(config.num_gnbs, config.num_ues, gnb_region=config.gnb_region,
+                             ue_region=config.ue_region, target_region=config.target_region,
+                             outlier_max=config.outlier_max, rng_seed=seed)
+        truth = true_bistatic_ranges(sc).ranges
+        ranges = synthesize_measurements_phy(sc, ofdm, NoiseSpec(variance, seed)).ranges
+        nearest += int((np.rint(ranges / bin_width) == np.rint(truth / bin_width)).sum())
+        errors.append((ranges - truth).ravel())
+    errors = np.concatenate(errors)
+    assert nearest >= 0.99 * errors.size
+    assert np.abs(errors).max() <= bin_width
+    assert np.std(errors) == pytest.approx(bin_width / math.sqrt(12.0), rel=0.02)
 
 
 def test_noise_variance_from_snr():
