@@ -3,14 +3,17 @@
 The channel acts directly on resource grids: receiver k sums, over every
 transmitter s, a copy of transmit grid s with the linear phase ramp across
 subcarriers of the delay of path s -> target -> k, plus complex white
-Gaussian noise.  Paths carry no gain and no Doppler (the target is
-static).  No time-domain waveform is synthesized; the grid is the
-post-FFT view of the received signal.
+Gaussian noise on the subcarriers some transmitter occupies.  Ranging
+reads only those rows, so the rows no transmit comb covers stay exactly
+zero.  Paths carry no gain and no Doppler (the target is static).  No
+time-domain waveform is synthesized; the grid is the post-FFT view of the
+received signal.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -32,8 +35,13 @@ class NoiseSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # A bool is neither a variance nor a seed.
+        if isinstance(self.variance, bool) or not isinstance(self.variance, numbers.Real):
+            raise ScenarioError(f"noise variance must be a number, got {self.variance!r}")
         if not math.isfinite(self.variance) or self.variance < 0:
             raise ScenarioError(f"noise variance must be finite and >= 0, got {self.variance!r}")
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, numbers.Integral):
+            raise ScenarioError(f"rng_seed must be an integer, got {self.rng_seed!r}")
         if self.rng_seed < 0:
             raise ScenarioError("rng_seed must be >= 0")
 
@@ -59,8 +67,12 @@ def apply_channel(
     the path from transmitter `grids[s]` to receiver k.  Receiver k sums
     grids[s] * exp(-j 2 pi m df delays[s, k]) over s = 0..S-1, then adds
     independent complex Gaussian noise (variance per component from
-    `noise`) drawn from its own substream default_rng([rng_seed, k]), so
-    outputs do not depend on evaluation order.
+    `noise`) on the rows where some grid is nonzero, the rows that
+    `comb_profiles` and `extract_and_divide` read; every other row stays
+    exactly zero.  The noise of receiver k is one standard_normal draw of
+    shape (rows, N, 2), real and imaginary part of each entry in turn,
+    from its own substream default_rng([rng_seed, k]), so outputs do not
+    depend on evaluation order.
 
     Returns the K received arrays in receiver order.
     """
@@ -78,29 +90,34 @@ def apply_channel(
         raise ScenarioError(f"path delays must lie in the grid delay window [0, {max_delay:.3e}) s")
 
     # A path contributes exactly zero off its transmit grid's support, so
-    # each path is multiplied and accumulated on those rows only.
+    # each path is multiplied and accumulated on those rows only, for all K
+    # receivers at once.  One exponential covers every path and receiver:
+    # each path's support rows stacked, each row paired with its path's
+    # delay to every receiver, in the per-path operation order.
     supports = [grid.support for grid in grids]
     sizes = [rows.size for rows, _ in supports]
-    m = np.concatenate([rows for rows, _ in supports])[:, None]
-    sigma = np.sqrt(noise.variance)
-
-    received = []
-    for k in range(delays.shape[1]):
-        # One exponential for all paths: each path's support rows stacked,
-        # each row paired with its path's delay, in the per-path operation order.
-        delay = np.repeat(delays[:, k], sizes)[:, None]
-        ramps = np.exp(-2j * np.pi * m * config.subcarrier_spacing * delay)
-        acc = np.zeros(shape, dtype=np.complex128)
-        start = 0
-        for (rows, symbols), size in zip(supports, sizes):
-            acc[rows] += ramps[start:start + size] * symbols
-            start += size
-        if noise.variance > 0:
-            rng = np.random.default_rng([noise.rng_seed, k])
-            acc.real += rng.normal(0.0, sigma, shape)
-            acc.imag += rng.normal(0.0, sigma, shape)
-        received.append(acc)
-    return received
+    stacked = np.concatenate([rows for rows, _ in supports])
+    delay = np.repeat(delays.T, sizes, axis=1)
+    ramps = np.exp(-2j * np.pi * stacked * config.subcarrier_spacing * delay)
+    received = np.zeros((delays.shape[1],) + shape, dtype=np.complex128)
+    start = 0
+    for (rows, symbols), size in zip(supports, sizes):
+        # Both operands 3-D: numpy rounds a one-element (1, 1, 1) x (1, 1)
+        # product differently from the per-receiver (1, 1) x (1, 1) one.
+        received[:, rows] += ramps[:, start:start + size, None] * symbols[None]
+        start += size
+    if noise.variance > 0:
+        # Noise only on the rows some transmit grid occupies, the only rows
+        # ranging reads.  Receiver k draws (rows, N, 2) standard normals from
+        # its substream: the real and imaginary parts of each entry in turn.
+        rows = np.unique(stacked)
+        sigma = np.sqrt(noise.variance)
+        draws = np.empty((rows.size, shape[1], 2))
+        for k, rx in enumerate(received):
+            np.random.default_rng([noise.rng_seed, k]).standard_normal(out=draws)
+            draws *= sigma
+            rx[rows] += draws.view(np.complex128)[..., 0]
+    return list(received)
 
 
 def bistatic_delay(scenario: "Scenario") -> np.ndarray:

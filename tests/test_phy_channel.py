@@ -24,8 +24,14 @@ from isacloc.scenario import true_bistatic_ranges
 
 
 def dense_channel(grids, delays, config, noise):
-    """Multiply-accumulate every path over the full M x N grid."""
+    """Multiply-accumulate every path over the full M x N grid.
+
+    Noise goes on the rows where some grid is nonzero: receiver k draws
+    (rows, N, 2) standard normals from default_rng([rng_seed, k]), the
+    real and imaginary part of each entry in turn.
+    """
     m = np.arange(config.num_subcarriers)[:, None]
+    occupied = np.flatnonzero(np.any([grid.symbols != 0 for grid in grids], axis=(0, 2)))
     out = []
     for k in range(delays.shape[1]):
         acc = np.zeros((config.num_subcarriers, config.num_symbols), dtype=np.complex128)
@@ -33,8 +39,9 @@ def dense_channel(grids, delays, config, noise):
             acc += np.exp(-2j * np.pi * m * config.subcarrier_spacing * delays[s, k]) * grid.symbols
         if noise.variance > 0:
             rng = np.random.default_rng([noise.rng_seed, k])
-            sigma = np.sqrt(noise.variance)
-            acc = acc + rng.normal(0.0, sigma, acc.shape) + 1j * rng.normal(0.0, sigma, acc.shape)
+            z = np.sqrt(noise.variance) * rng.standard_normal(
+                (occupied.size, config.num_symbols, 2))
+            acc[occupied] += z[..., 0] + 1j * z[..., 1]
         out.append(acc)
     return out
 
@@ -110,20 +117,41 @@ class TestApplyChannel:
         assert np.allclose(joint, a + b, atol=1e-12)
 
     def test_noise_statistics(self):
-        config = OfdmConfig(120e3, 120, num_symbols=100, comb_size=2)
-        grid = build_grid(config, PrsAllocation(0, 0, sequence_seed=1))
+        # Noise at the set variance on the rows of the two transmit combs;
+        # the rows no comb covers are exactly the noise-free grid.
+        config = OfdmConfig(120e3, 240, num_symbols=100, comb_size=4)
+        grids = [build_grid(config, PrsAllocation(s, s, sequence_seed=1 + s)) for s in range(2)]
         variance = 0.7
-        [clean] = apply_channel([grid], [[0.0]], config)
-        [rx] = apply_channel([grid], [[0.0]], config, NoiseSpec(variance=variance, rng_seed=11))
-        noise = rx - clean
+        [clean] = apply_channel(grids, [[0.0], [0.0]], config)
+        [rx] = apply_channel(grids, [[0.0], [0.0]], config,
+                             NoiseSpec(variance=variance, rng_seed=11))
+        on_comb = np.arange(config.num_subcarriers) % config.comb_size < 2
+        noise = (rx - clean)[on_comb]
         assert noise.size >= 10_000
         assert np.var(noise.real) == pytest.approx(variance, rel=0.05)
         assert np.var(noise.imag) == pytest.approx(variance, rel=0.05)
+        assert np.array_equal(rx[~on_comb], clean[~on_comb])
 
     @pytest.mark.parametrize("variance", [float("nan"), float("inf"), -0.1])
     def test_noise_variance_must_be_finite_and_nonnegative(self, variance):
         with pytest.raises(ScenarioError):
             NoiseSpec(variance=variance)
+
+    @pytest.mark.parametrize("variance", ["0.1", None, True, 1 + 0j])
+    def test_noise_variance_must_be_a_number(self, variance):
+        with pytest.raises(ScenarioError, match="variance must be a number"):
+            NoiseSpec(variance=variance)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+    def test_noise_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ScenarioError, match="rng_seed must be an integer"):
+            NoiseSpec(0.1, seed)
+
+    def test_noise_seed_may_be_a_numpy_integer(self, small_config):
+        grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
+        [a] = apply_channel([grid], [[0.0]], small_config, NoiseSpec(0.1, np.int64(5)))
+        [b] = apply_channel([grid], [[0.0]], small_config, NoiseSpec(0.1, 5))
+        assert np.array_equal(a, b)
 
     def test_noise_reproducible_and_per_receiver(self, small_config):
         grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
