@@ -102,14 +102,13 @@ def apply_channel(
     received = np.zeros((delays.shape[1],) + shape, dtype=np.complex128)
     start = 0
     for (rows, symbols), size in zip(supports, sizes):
-        # Both operands 3-D: numpy rounds a one-element (1, 1, 1) x (1, 1)
-        # product differently from the per-receiver (1, 1) x (1, 1) one.
+        # `symbols[None]` keeps both operands 3-D: numpy rounds a one-element
+        # (1, 1, 1) x (1, 1) complex product in another loop than every other
+        # shape here and than the dense M x N sum the tests compare with.
         received[:, rows] += ramps[:, start:start + size, None] * symbols[None]
         start += size
     if noise.variance > 0:
-        # Noise only on the rows some transmit grid occupies, the only rows
-        # ranging reads.  Receiver k draws (rows, N, 2) standard normals from
-        # its substream: the real and imaginary parts of each entry in turn.
+        # Only the rows some transmit grid occupies, the rows ranging reads.
         rows = np.unique(stacked)
         sigma = np.sqrt(noise.variance)
         draws = np.empty((rows.size, shape[1], 2))

@@ -183,6 +183,17 @@ class TestApplyChannel:
         for rx, dense in zip(received, expected):
             assert np.array_equal(rx, dense)
 
+    def test_one_row_paths_match_dense_reference(self):
+        # One support row per path, one symbol and one receiver: every
+        # product has a single element, which numpy may round in another loop.
+        config = OfdmConfig(120e3, 12, num_symbols=1, comb_size=12)
+        grids = [build_grid(config, PrsAllocation(s, s, sequence_seed=1 + s)) for s in range(12)]
+        delays = np.random.default_rng(0).uniform(0.0, 0.99 / config.subcarrier_spacing, (12, 1))
+        for noise in (NoiseSpec(), NoiseSpec(variance=0.05, rng_seed=3)):
+            [rx] = apply_channel(grids, delays, config, noise)
+            [dense] = dense_channel(grids, delays, config, noise)
+            assert np.array_equal(rx, dense)
+
     @pytest.mark.parametrize("shape", [(2, 1), (1,), (1, 1, 1)])
     def test_delay_matrix_shape_rejected(self, small_config, shape):
         grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
