@@ -21,29 +21,7 @@ from isacloc.phy_channel import noise_variance_from_snr
 from isacloc.ranging import estimate_range, extract_and_divide, range_profile
 from isacloc.constants import SPEED_OF_LIGHT
 from isacloc.scenario import true_bistatic_ranges
-
-
-def dense_channel(grids, delays, config, noise):
-    """Multiply-accumulate every path over the full M x N grid.
-
-    Noise goes on the rows where some grid is nonzero: receiver k draws
-    (rows, N, 2) standard normals from default_rng([rng_seed, k]), the
-    real and imaginary part of each entry in turn.
-    """
-    m = np.arange(config.num_subcarriers)[:, None]
-    occupied = np.flatnonzero(np.any([grid.symbols != 0 for grid in grids], axis=(0, 2)))
-    out = []
-    for k in range(delays.shape[1]):
-        acc = np.zeros((config.num_subcarriers, config.num_symbols), dtype=np.complex128)
-        for s, grid in enumerate(grids):
-            acc += np.exp(-2j * np.pi * m * config.subcarrier_spacing * delays[s, k]) * grid.symbols
-        if noise.variance > 0:
-            rng = np.random.default_rng([noise.rng_seed, k])
-            z = np.sqrt(noise.variance) * rng.standard_normal(
-                (occupied.size, config.num_symbols, 2))
-            acc[occupied] += z[..., 0] + 1j * z[..., 1]
-        out.append(acc)
-    return out
+from phy_reference import batched_comb_profiles, dense_channel
 
 
 def pair_delay(scenario, s, k):
@@ -275,6 +253,28 @@ def test_phy_synthesis_matches_per_pair_pipeline(fr2_config, snr_db):
                      for rx in received] for grid in grids]
         ranges = synthesize_measurements_phy(sc, fr2_config, noise).ranges
         assert np.array_equal(ranges, expected)
+
+
+def test_phy_6x6_ranges_match_dense_reference_pipeline():
+    # 200 phy-6x6 trials, alternately noise-free and at 10 dB, with the
+    # scenario and NoiseSpec seeds that run_trial gives them: the ranges of
+    # synthesize_measurements_phy equal, bit for bit, those of the dense
+    # M x N channel ranged by the batched comb-domain reference.
+    config = ExperimentConfig(trials=200, mode="phy", gnb_region=60.0, ue_region=60.0,
+                              target_region=30.0, snr_db=10.0)
+    ofdm = config.ofdm
+    grids = [build_grid(ofdm, PrsAllocation(s, s, sequence_seed=1 + s)) for s in range(6)]
+    for trial in range(config.trials):
+        seed = _trial_seed(config.base_seed, trial)
+        sc = sample_scenario(config.num_gnbs, config.num_ues, gnb_region=config.gnb_region,
+                             ue_region=config.ue_region, target_region=config.target_region,
+                             outlier_max=config.outlier_max, rng_seed=seed)
+        noise = NoiseSpec(0.0 if trial % 2 else noise_variance_from_snr(config.snr_db), seed)
+        received = dense_channel(grids, bistatic_delay(sc), ofdm, noise)
+        profiles = batched_comb_profiles(received, grids, ofdm)
+        expected = np.argmax(profiles, axis=-1) * ofdm.range_resolution
+        ranges = synthesize_measurements_phy(sc, ofdm, noise).ranges
+        assert np.array_equal(ranges, expected), f"trial {trial}"
 
 
 def test_phy_6x6_ranges_at_10_db_round_to_the_nearest_bin():

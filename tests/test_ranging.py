@@ -17,6 +17,7 @@ from isacloc.phy_channel import noise_variance_from_snr
 from isacloc.prs_grid import ResourceGrid
 from isacloc.ranging import estimate_range, extract_and_divide, range_profile
 from isacloc.constants import SPEED_OF_LIGHT
+from phy_reference import batched_comb_profiles
 
 
 def dense_pairs(received, grids, config):
@@ -30,23 +31,6 @@ def dense_pairs(received, grids, config):
             profiles[s, k] = profile[:window]
             ranges[s, k] = estimate_range(profile, config)
     return profiles, ranges
-
-
-def batched_comb_profiles(received, transmit, config):
-    """comb_profiles as one (S, K, W, N) divide, IFFT, magnitude and mean."""
-    comb = config.comb_size
-    window = config.num_subcarriers // comb
-    offsets = [grid.allocation.comb_offset for grid in transmit]
-    v_tx = np.stack([
-        grid.symbols.reshape(window, comb, -1)[:, c] for grid, c in zip(transmit, offsets)
-    ])
-    nonzero = v_tx != 0
-    divided = np.zeros((len(transmit), len(received), window, config.num_symbols), np.complex128)
-    for k, rx in enumerate(received):
-        v_rx = rx.reshape(window, comb, -1)[:, offsets].transpose(1, 0, 2)
-        np.divide(v_rx, v_tx, out=divided[:, k], where=nonzero)
-    spectra = np.fft.ifft(divided, axis=2, norm="forward")
-    return np.abs(spectra).mean(axis=3)
 
 
 class TestExtractAndDivide:
