@@ -111,7 +111,7 @@ class ExperimentConfig:
         for name in ("gnb_region", "ue_region", "target_region"):
             check_finite(name, getattr(self, name))
         if self.snr_db is not None:
-            check_finite("snr_db", self.snr_db)
+            noise_variance_from_snr(self.snr_db)  # rejects a variance that is not finite
         for name, check in (("num_gnbs", check_integer), ("num_ues", check_integer),
                             ("outlier_max", check_finite)):
             value = getattr(self, name)
@@ -456,10 +456,8 @@ def ranging_check(
         raise ConfigurationError("trials must be >= 1")
     if base_seed < 0:
         raise ConfigurationError("base_seed must be >= 0")
-    if snr_db is not None:
-        check_finite("snr_db", snr_db)
-    config = config if config is not None else _default_ofdm()
     variance = 0.0 if snr_db is None else noise_variance_from_snr(snr_db)
+    config = config if config is not None else _default_ofdm()
     half_bin = config.range_resolution / 2.0
     max_abs_error = 0.0
     within = 0

@@ -1,13 +1,11 @@
-"""Symbol-domain multistatic echo channel.
+"""Symbol-domain multistatic echo channel on comb blocks.
 
-The channel acts directly on resource grids: receiver k sums, over every
-transmitter s, a copy of transmit grid s with the linear phase ramp across
-subcarriers of the delay of path s -> target -> k, plus complex white
-Gaussian noise on the subcarriers some transmitter occupies.  Ranging
-reads only those rows, so the rows no transmit comb covers stay exactly
-zero.  Paths carry no gain and no Doppler (the target is static).  No
-time-domain waveform is synthesized; the grid is the post-FFT view of the
-received signal.
+Each transmit grid fills its own comb, so every occupied subcarrier
+carries one path.  Receiver k gets each transmitter's comb rows times the
+phase ramp of the path delay, plus complex white Gaussian noise, as one
+(S, W, N) block: the rows ranging reads and no others.  Paths carry no
+gain and no Doppler (the target is static); no time-domain waveform is
+synthesized, the blocks are the post-FFT view of the received signal.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import ScenarioError
-from .prs_grid import OfdmConfig, ResourceGrid
+from .errors import ConfigurationError, ScenarioError, check_finite
+from .prs_grid import OfdmConfig, ResourceGrid, comb_symbols
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -50,9 +48,15 @@ def noise_variance_from_snr(snr_db: float) -> float:
     """Per-component noise variance for a target SNR over unit-power symbols.
 
     Total complex noise power is twice the returned value, so
-    SNR = 1 / (2 * variance).
+    SNR = 1 / (2 * variance).  Raises ConfigurationError unless the SNR and
+    the variance are finite: below about -3083 dB the variance overflows.
     """
-    return 0.5 * 10.0 ** (-snr_db / 10.0)
+    check_finite("snr_db", snr_db)
+    try:
+        return 0.5 * 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        raise ConfigurationError(
+            f"snr_db {snr_db!r} gives a noise variance that is not finite") from None
 
 
 def apply_channel(
@@ -61,26 +65,25 @@ def apply_channel(
     config: OfdmConfig,
     noise: NoiseSpec = NoiseSpec(),
 ) -> list[np.ndarray]:
-    """Produce each receiver's M x N grid from the S transmit grids.
+    """Produce each receiver's (S, W, N) comb block from the S transmit grids.
 
+    The grids must fill whole combs on distinct offsets, as `build_grid`
+    makes them (`prs_grid.comb_symbols` raises ScenarioError otherwise).
     `delays` is an (S, K) matrix in seconds: entry [s, k] is the delay of
-    the path from transmitter `grids[s]` to receiver k.  Receiver k sums
-    grids[s] * exp(-j 2 pi m df delays[s, k]) over s = 0..S-1, then adds
-    independent complex Gaussian noise (variance per component from
-    `noise`) on the rows where some grid is nonzero, the rows that
-    `comb_profiles` and `extract_and_divide` read; every other row stays
-    exactly zero.  The noise of receiver k is one standard_normal draw of
-    shape (rows, N, 2), real and imaginary part of each entry in turn,
-    from its own substream default_rng([rng_seed, k]), so outputs do not
-    depend on evaluation order.
+    path s -> k.  With c_s the comb offset of grids[s] and m = c_s + comb*i,
+    entry [s, i, n] of block k is grids[s].symbols[m, n] *
+    exp(-j 2 pi m df delays[s, k]) plus complex Gaussian noise (variance
+    per component from `noise`).  The noise of receiver k is one
+    standard_normal draw of shape (S*W, N, 2) over the occupied subcarriers
+    in ascending order, real and imaginary part of each entry in turn, from
+    its own substream default_rng([rng_seed, k]), so outputs do not depend
+    on evaluation order.
 
-    Returns the K received arrays in receiver order.
+    Returns the K blocks in receiver order.
     """
-    shape = (config.num_subcarriers, config.num_symbols)
-    if any(grid.symbols.shape != shape for grid in grids):
-        raise ScenarioError("grid dimensions do not match the OFDM configuration")
+    symbols = comb_symbols(grids, config)
     delays = np.asarray(delays, dtype=float)
-    if not grids or delays.ndim != 2 or delays.shape[0] != len(grids):
+    if delays.ndim != 2 or delays.shape[0] != len(grids):
         raise ScenarioError(
             "delays must be an (S, K) matrix with one row per transmit grid, "
             f"got shape {delays.shape} for {len(grids)} grids"
@@ -89,34 +92,24 @@ def apply_channel(
     if not ((delays >= 0) & (delays < max_delay)).all():
         raise ScenarioError(f"path delays must lie in the grid delay window [0, {max_delay:.3e}) s")
 
-    # A path contributes exactly zero off its transmit grid's support, so
-    # each path is multiplied and accumulated on those rows only, for all K
-    # receivers at once.  One exponential covers every path and receiver:
-    # each path's support rows stacked, each row paired with its path's
-    # delay to every receiver, in the per-path operation order.
-    supports = [grid.support for grid in grids]
-    sizes = [rows.size for rows, _ in supports]
-    stacked = np.concatenate([rows for rows, _ in supports])
-    delay = np.repeat(delays.T, sizes, axis=1)
-    ramps = np.exp(-2j * np.pi * stacked * config.subcarrier_spacing * delay)
-    received = np.zeros((delays.shape[1],) + shape, dtype=np.complex128)
-    start = 0
-    for (rows, symbols), size in zip(supports, sizes):
-        # `symbols[None]` keeps both operands 3-D: numpy rounds a one-element
-        # (1, 1, 1) x (1, 1) complex product in another loop than every other
-        # shape here and than the dense M x N sum the tests compare with.
-        received[:, rows] += ramps[:, start:start + size, None] * symbols[None]
-        start += size
+    # One exponential covers every path and receiver: ramps[k, s, i] is the
+    # phase of path s -> k on subcarrier c_s + comb*i.
+    offsets = np.array([grid.allocation.comb_offset for grid in grids])
+    num_tx, window, num_symbols = symbols.shape
+    rows = offsets[:, None] + config.comb_size * np.arange(window)
+    ramps = np.exp(-2j * np.pi * rows * config.subcarrier_spacing * delays.T[:, :, None])
+    received = [ramp[..., None] * symbols for ramp in ramps]
     if noise.variance > 0:
-        # Only the rows some transmit grid occupies, the rows ranging reads.
-        rows = np.unique(stacked)
+        # In ascending subcarrier order, row c_s + comb*i is entry [i, r_s]
+        # of a (W, S) layout, r_s the rank of c_s among the offsets.
+        ranks = np.argsort(np.argsort(offsets))
         sigma = np.sqrt(noise.variance)
-        draws = np.empty((rows.size, shape[1], 2))
-        for k, rx in enumerate(received):
+        draws = np.empty((window, num_tx, num_symbols, 2))
+        for k, block in enumerate(received):
             np.random.default_rng([noise.rng_seed, k]).standard_normal(out=draws)
             draws *= sigma
-            rx[rows] += draws.view(np.complex128)[..., 0]
-    return list(received)
+            block += draws.view(np.complex128)[..., 0].transpose(1, 0, 2)[ranks]
+    return received
 
 
 def bistatic_delay(scenario: "Scenario") -> np.ndarray:

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigurationError, check_finite, check_integer
+from .errors import ConfigurationError, ScenarioError, check_finite, check_integer
 
 _REGISTER_LENGTH = 31
 _FAST_FORWARD = 1600  # discarded warm-up outputs of the combined sequence
@@ -194,3 +194,25 @@ def build_grid(config: OfdmConfig, alloc: PrsAllocation) -> ResourceGrid:
         del grids[next(iter(grids))]
     grids[alloc] = ResourceGrid(symbols=grid, allocation=alloc)
     return grids[alloc]
+
+
+def comb_symbols(grids, config: OfdmConfig) -> np.ndarray:
+    """Stack the comb rows of grids that fill whole combs on distinct offsets.
+
+    Grid s must be an M x N grid of `config`, nonzero exactly on the rows
+    c_s + comb*i (c_s its comb offset, i < W = M/comb_size), as
+    `build_grid` makes it, and no two grids may share an offset; otherwise
+    ScenarioError.  Entry [s, i, n] of the (S, W, N) result is
+    grids[s].symbols[c_s + comb*i, n].
+    """
+    shape = (config.num_subcarriers, config.num_symbols)
+    offsets = [grid.allocation.comb_offset for grid in grids]
+    comb_rows = np.add.outer(offsets, np.arange(0, shape[0], config.comb_size)).ravel()
+    if (grids and all(grid.symbols.shape == shape for grid in grids)
+            and len(set(offsets)) == len(offsets)
+            and np.array_equal(np.concatenate([grid.support[0] for grid in grids]), comb_rows)):
+        symbols = np.stack([grid.support[1] for grid in grids])
+        if symbols.all():
+            return symbols
+    raise ScenarioError("transmit grids must fill every entry of their comb rows "
+                        f"offset::{config.comb_size} on distinct offsets; got offsets {offsets}")

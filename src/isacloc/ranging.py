@@ -1,4 +1,4 @@
-"""Periodogram bistatic range estimation from received symbol grids.
+"""Periodogram bistatic range estimation from received symbols.
 
 The receiver divides its grid entrywise by a transmitter's grid (defined
 as zero off the transmit comb), takes an M-point IFFT of every symbol
@@ -10,9 +10,10 @@ window.
 
 `extract_and_divide`, `range_profile` and `estimate_range` do this for
 one pair on dense M x N grids.  `comb_profiles` and `estimate_ranges` do
-it for every transmitter-receiver pair in the comb domain, one receiver
-at a time: they divide only the W comb rows of each transmitter and take
-W-point IFFTs.  For a divided grid g that is zero off the rows c + comb*i,
+it for every transmitter-receiver pair on the (S, W, N) comb blocks that
+`apply_channel` returns, one receiver at a time: each block is divided
+by the transmitters' comb rows and transformed with W-point IFFTs.  For
+a divided grid g that is zero off the rows c + comb*i,
 
     |sum_m g[m] e^{2 pi j m q / M}| = |sum_i g[c + comb*i] e^{2 pi j i q / W}|
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoDetectionError
-from .prs_grid import OfdmConfig
+from .prs_grid import OfdmConfig, comb_symbols
 
 
 def extract_and_divide(received, transmit) -> np.ndarray:
@@ -76,41 +77,22 @@ def estimate_range(profile: np.ndarray, config: OfdmConfig) -> float:
 def comb_profiles(received, transmit, config: OfdmConfig) -> np.ndarray:
     """Range profiles of every transmitter-receiver pair over bins [0, W).
 
-    `received` holds K received M x N arrays, as `apply_channel` returns
-    them, and `transmit` S ResourceGrids, each zero off the rows
-    `allocation.comb_offset::comb_size` as `build_grid` makes them; a
-    transmit grid with a nonzero row elsewhere raises ValueError.  Entry
-    [s, k] equals `range_profile(extract_and_divide(received[k],
-    transmit[s]), config)[:W]` up to rounding, with W = M/comb_size.
+    `received` holds the K (S, W, N) comb blocks `apply_channel` returns
+    for the S `transmit` grids, which must fill whole combs on distinct
+    offsets (`prs_grid.comb_symbols` raises ScenarioError otherwise).
+    Entry [s, k] equals `range_profile(extract_and_divide(rx, transmit[s]),
+    config)[:W]` up to rounding, rx being block k laid out as an M x N grid.
 
     Returns a float array of shape (S, K, W).
     """
-    shape = (config.num_subcarriers, config.num_symbols)
-    comb = config.comb_size
-    window = config.num_subcarriers // comb
-    offsets = [grid.allocation.comb_offset for grid in transmit]
-    for grid, c in zip(transmit, offsets):
-        rows, _ = grid.support
-        if (rows % comb != c).any():
-            raise ValueError(f"transmit grid {grid.allocation.transmitter_id} has nonzero "
-                             f"rows off its comb rows {c}::{comb}")
-    # Row c + comb*i of an M x N grid is entry [i, c] of its (W, comb, N)
-    # view, so one index gathers a grid's comb rows for every offset.
-    v_tx = np.stack([
-        grid.symbols.reshape(window, comb, -1)[:, c] for grid, c in zip(transmit, offsets)
-    ])
-    nonzero = v_tx != 0
-    # One receiver at a time keeps the (S, W, N) temporaries small; entries
-    # off the transmit support are never written and stay zero.
-    divided = np.zeros(v_tx.shape, np.complex128)
-    profiles = np.empty((len(transmit), len(received), window))
-    for k, rx in enumerate(received):
-        if rx.shape != shape:
-            raise ValueError(f"received grid shape {rx.shape} does not match {shape}")
-        v_rx = rx.reshape(window, comb, -1)[:, offsets].transpose(1, 0, 2)
-        np.divide(v_rx, v_tx, out=divided, where=nonzero)
+    v_tx = comb_symbols(transmit, config)
+    profiles = np.empty((len(transmit), len(received), v_tx.shape[1]))
+    # One receiver at a time keeps each (S, W, N) temporary small.
+    for k, block in enumerate(received):
+        if block.shape != v_tx.shape:
+            raise ValueError(f"received block shape {block.shape} does not match {v_tx.shape}")
         # Unnormalized inverse DFT along subcarriers, as range_profile takes it.
-        spectra = np.fft.ifft(divided, axis=1, norm="forward")
+        spectra = np.fft.ifft(block / v_tx, axis=1, norm="forward")
         profiles[:, k] = np.abs(spectra).mean(axis=2)
     return profiles
 

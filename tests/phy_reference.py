@@ -48,3 +48,18 @@ def batched_comb_profiles(received, transmit, config):
         np.divide(v_rx, v_tx, out=divided[:, k], where=nonzero)
     spectra = np.fft.ifft(divided, axis=2, norm="forward")
     return np.abs(spectra).mean(axis=3)
+
+
+def scatter_blocks(blocks, grids, config):
+    """Lay each receiver's (S, W, N) comb block into a zeroed M x N grid.
+
+    Block row [s, i] goes to subcarrier comb_offset + comb_size*i of
+    grids[s]; every other row stays exactly zero.
+    """
+    out = []
+    for block in blocks:
+        rx = np.zeros((config.num_subcarriers, config.num_symbols), np.complex128)
+        for s, grid in enumerate(grids):
+            rx[grid.allocation.comb_offset::config.comb_size] = block[s]
+        out.append(rx)
+    return out

@@ -185,6 +185,24 @@ class TestValueTypesFailValidation:
         assert main(["run", "--config", str(config_path)]) == 1
         assert message in capsys.readouterr().err
 
+    # Below about -3083 dB, 10 ** (-snr_db / 10) overflows a float.
+    def test_overflowing_snr_run_exits_one(self, tmp_path, capsys):
+        config_path = _write_config(tmp_path / "config.json", mode="phy", gnb_region=60.0,
+                                    ue_region=60.0, target_region=30.0, snr_db=-4000.0)
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "snr_db -4000.0 gives a noise variance that is not finite" in (
+            capsys.readouterr().err)
+
+    def test_overflowing_snr_ranging_check_exits_one(self, monkeypatch, capsys):
+        def synthesize_measurements_phy(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "synthesize_measurements_phy", synthesize_measurements_phy)
+        assert main(["ranging-check", "--trials", "2", "--snr-db", "-4000"]) == 1
+        captured = capsys.readouterr()
+        assert "snr_db -4000.0 gives a noise variance that is not finite" in captured.err
+        assert "PASS" not in captured.out
+
     def test_non_finite_sweep_point_exits_one(self, tmp_path, capsys):
         config_path = _write_config(tmp_path / "config.json", outlier_max=[4.0, float("nan")])
         assert main(["sweep", "--config", str(config_path)]) == 1

@@ -18,10 +18,16 @@ from isacloc import (
 )
 from isacloc.harness import _trial_seed
 from isacloc.phy_channel import noise_variance_from_snr
+from isacloc.prs_grid import ResourceGrid
 from isacloc.ranging import estimate_range, extract_and_divide, range_profile
 from isacloc.constants import SPEED_OF_LIGHT
 from isacloc.scenario import true_bistatic_ranges
-from phy_reference import batched_comb_profiles, dense_channel
+from phy_reference import batched_comb_profiles, dense_channel, scatter_blocks
+
+
+def channel(grids, delays, config, noise=NoiseSpec()):
+    """apply_channel's comb blocks laid out as K received M x N grids."""
+    return scatter_blocks(apply_channel(grids, delays, config, noise), grids, config)
 
 
 def pair_delay(scenario, s, k):
@@ -49,7 +55,7 @@ def _scenario(gnbs, ues, target, zg=None, zu=None):
 class TestApplyChannel:
     def test_identity_channel(self, small_config):
         grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
-        [rx] = apply_channel([grid], [[0.0]], small_config)
+        [rx] = channel([grid], [[0.0]], small_config)
         assert np.array_equal(rx, grid.symbols)
 
     def test_integer_bin_phase_ramp(self, small_config):
@@ -57,7 +63,7 @@ class TestApplyChannel:
         q = 5
         delay = q / (small_config.subcarrier_spacing * m_count)
         grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
-        [rx] = apply_channel([grid], [[delay]], small_config)
+        [rx] = channel([grid], [[delay]], small_config)
         support = np.abs(grid.symbols) > 0
         ramp = np.exp(-2j * np.pi * np.arange(m_count) * q / m_count)[:, None]
         expected = ramp * grid.symbols
@@ -67,7 +73,7 @@ class TestApplyChannel:
         # Divided grid equals the analytic delay ramp.
         delay = 123e-9
         grid = build_grid(small_config, PrsAllocation(0, 2, sequence_seed=4))
-        [rx] = apply_channel([grid], [[delay]], small_config)
+        [rx] = channel([grid], [[delay]], small_config)
         support = np.abs(grid.symbols) > 0
         m = np.arange(small_config.num_subcarriers)[:, None]
         expected = np.exp(-2j * np.pi * m * small_config.subcarrier_spacing * delay)
@@ -78,9 +84,9 @@ class TestApplyChannel:
     def test_disjoint_combs_split_by_support(self, small_config):
         g0 = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
         g1 = build_grid(small_config, PrsAllocation(1, 1, sequence_seed=2))
-        [joint] = apply_channel([g0, g1], [[50e-9], [80e-9]], small_config)
-        [only0] = apply_channel([g0], [[50e-9]], small_config)
-        [only1] = apply_channel([g1], [[80e-9]], small_config)
+        [joint] = channel([g0, g1], [[50e-9], [80e-9]], small_config)
+        [only0] = channel([g0], [[50e-9]], small_config)
+        [only1] = channel([g1], [[80e-9]], small_config)
         support0 = np.abs(g0.symbols) > 0
         support1 = np.abs(g1.symbols) > 0
         assert np.allclose(joint[support0], only0[support0])
@@ -89,9 +95,9 @@ class TestApplyChannel:
     def test_superposition_linearity(self, small_config):
         g0 = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
         g1 = build_grid(small_config, PrsAllocation(1, 1, sequence_seed=2))
-        [joint] = apply_channel([g0, g1], [[10e-9], [20e-9]], small_config)
-        [a] = apply_channel([g0], [[10e-9]], small_config)
-        [b] = apply_channel([g1], [[20e-9]], small_config)
+        [joint] = channel([g0, g1], [[10e-9], [20e-9]], small_config)
+        [a] = channel([g0], [[10e-9]], small_config)
+        [b] = channel([g1], [[20e-9]], small_config)
         assert np.allclose(joint, a + b, atol=1e-12)
 
     def test_noise_statistics(self):
@@ -100,9 +106,9 @@ class TestApplyChannel:
         config = OfdmConfig(120e3, 240, num_symbols=100, comb_size=4)
         grids = [build_grid(config, PrsAllocation(s, s, sequence_seed=1 + s)) for s in range(2)]
         variance = 0.7
-        [clean] = apply_channel(grids, [[0.0], [0.0]], config)
-        [rx] = apply_channel(grids, [[0.0], [0.0]], config,
-                             NoiseSpec(variance=variance, rng_seed=11))
+        [clean] = channel(grids, [[0.0], [0.0]], config)
+        [rx] = channel(grids, [[0.0], [0.0]], config,
+                       NoiseSpec(variance=variance, rng_seed=11))
         on_comb = np.arange(config.num_subcarriers) % config.comb_size < 2
         noise = (rx - clean)[on_comb]
         assert noise.size >= 10_000
@@ -142,8 +148,8 @@ class TestApplyChannel:
 
     @pytest.mark.parametrize("trial", range(20))
     def test_matches_dense_reference(self, trial):
-        # Random comb grids, delays and noise; the support-restricted sum
-        # must reproduce the dense one bit for bit.
+        # Random comb grids at shuffled offsets, delays and noise: the comb
+        # blocks, laid out as M x N grids, reproduce the dense sum bit for bit.
         rng = np.random.default_rng(trial)
         comb = int(rng.choice([2, 4, 6, 12]))
         config = OfdmConfig(120e3, 12 * int(rng.integers(1, 12)), int(rng.integers(1, 15)), comb)
@@ -155,10 +161,12 @@ class TestApplyChannel:
         ]
         delays = rng.uniform(0.0, 0.99 / config.subcarrier_spacing, (num_tx, num_rx))
         noise = NoiseSpec(variance=[0.0, 0.05, 0.5][trial % 3], rng_seed=trial)
-        received = apply_channel(grids, delays, config, noise)
+        blocks = apply_channel(grids, delays, config, noise)
         expected = dense_channel(grids, delays, config, noise)
-        assert len(received) == num_rx
-        for rx, dense in zip(received, expected):
+        assert len(blocks) == num_rx
+        window = config.num_subcarriers // comb
+        assert all(block.shape == (num_tx, window, config.num_symbols) for block in blocks)
+        for rx, dense in zip(scatter_blocks(blocks, grids, config), expected):
             assert np.array_equal(rx, dense)
 
     def test_one_row_paths_match_dense_reference(self):
@@ -168,9 +176,29 @@ class TestApplyChannel:
         grids = [build_grid(config, PrsAllocation(s, s, sequence_seed=1 + s)) for s in range(12)]
         delays = np.random.default_rng(0).uniform(0.0, 0.99 / config.subcarrier_spacing, (12, 1))
         for noise in (NoiseSpec(), NoiseSpec(variance=0.05, rng_seed=3)):
-            [rx] = apply_channel(grids, delays, config, noise)
+            [rx] = channel(grids, delays, config, noise)
             [dense] = dense_channel(grids, delays, config, noise)
             assert np.array_equal(rx, dense)
+
+    @pytest.mark.parametrize("fault", ["shared offset", "off-comb row", "partial comb",
+                                       "missing entry"])
+    def test_grids_must_fill_distinct_combs(self, small_config, fault):
+        # Overlapping paths are not summed: each subcarrier carries one path.
+        g0 = build_grid(small_config, PrsAllocation(0, 1, sequence_seed=1))
+        symbols = g0.symbols.copy()
+        if fault == "shared offset":
+            bad = build_grid(small_config, PrsAllocation(1, 1, sequence_seed=2))
+        else:
+            if fault == "off-comb row":
+                symbols[2] = 1.0  # row 2 is on comb offset 2, not 1
+            elif fault == "partial comb":
+                symbols[5] = 0.0
+            else:
+                symbols[5, 0] = 0.0
+            bad = ResourceGrid(symbols=symbols, allocation=PrsAllocation(1, 1, sequence_seed=1))
+        grids = [g0, bad] if fault == "shared offset" else [bad]
+        with pytest.raises(ScenarioError):
+            apply_channel(grids, np.zeros((len(grids), 1)), small_config)
 
     @pytest.mark.parametrize("shape", [(2, 1), (1,), (1, 1, 1)])
     def test_delay_matrix_shape_rejected(self, small_config, shape):

@@ -17,12 +17,13 @@ from isacloc.phy_channel import noise_variance_from_snr
 from isacloc.prs_grid import ResourceGrid
 from isacloc.ranging import estimate_range, extract_and_divide, range_profile
 from isacloc.constants import SPEED_OF_LIGHT
-from phy_reference import batched_comb_profiles
+from phy_reference import batched_comb_profiles, scatter_blocks
 
 
-def dense_pairs(received, grids, config):
-    """Per-pair dense profiles over the first M/comb bins, and ranges."""
+def dense_pairs(blocks, grids, config):
+    """Per-pair dense profiles of comb blocks over the first M/comb bins, and ranges."""
     window = config.num_subcarriers // config.comb_size
+    received = scatter_blocks(blocks, grids, config)
     profiles = np.zeros((len(grids), len(received), window))
     ranges = np.zeros((len(grids), len(received)))
     for s, grid in enumerate(grids):
@@ -50,7 +51,8 @@ class TestExtractAndDivide:
     def test_single_path_gives_channel_ramp(self, small_config):
         delay = 200e-9
         grid = build_grid(small_config, PrsAllocation(0, 1, sequence_seed=2))
-        [rx] = apply_channel([grid], [[delay]], small_config)
+        [rx] = scatter_blocks(apply_channel([grid], [[delay]], small_config), [grid],
+                              small_config)
         g = extract_and_divide(rx, grid)
         m = np.arange(small_config.num_subcarriers)[:, None]
         ramp = np.exp(-2j * np.pi * m * small_config.subcarrier_spacing * delay)
@@ -112,9 +114,9 @@ class TestRangeProfile:
             grid = build_grid(config, PrsAllocation(0, 0, sequence_seed=1))
             samples = []
             for seed in range(64):
-                [rx] = apply_channel(
-                    [grid], [[0.0]], config, NoiseSpec(variance=0.5, rng_seed=seed)
-                )
+                blocks = apply_channel([grid], [[0.0]], config,
+                                       NoiseSpec(variance=0.5, rng_seed=seed))
+                [rx] = scatter_blocks(blocks, [grid], config)
                 profile = range_profile(extract_and_divide(rx, grid), config)
                 samples.append(profile[5])  # off-peak bin (peak is at 0)
             spreads.append(np.var(samples))
@@ -163,7 +165,7 @@ class TestEstimateRange:
         true_range = 100.0
         delay = true_range / SPEED_OF_LIGHT
         grid = build_grid(fr2_config, PrsAllocation(0, 0, sequence_seed=1))
-        [rx] = apply_channel([grid], [[delay]], fr2_config)
+        [rx] = scatter_blocks(apply_channel([grid], [[delay]], fr2_config), [grid], fr2_config)
         profile = range_profile(extract_and_divide(rx, grid), fr2_config)
         estimate = estimate_range(profile, fr2_config)
         assert abs(estimate - true_range) <= fr2_config.range_resolution / 2
@@ -197,7 +199,8 @@ class TestCombDomainRanging:
         tone = np.exp(-2j * np.pi * np.arange(m_count) * q / m_count)[:, None]
         grids = [build_grid(small_config, PrsAllocation(c, c, sequence_seed=3 + c))
                  for c in range(small_config.comb_size)]
-        received = [sum(tone * grid.symbols for grid in grids)]
+        received = [np.stack([(tone * grid.symbols)[c::small_config.comb_size]
+                              for c, grid in enumerate(grids)])]
         profiles, ranges = dense_pairs(received, grids, small_config)
         comb = comb_profiles(received, grids, small_config)
         assert comb.shape == (small_config.comb_size, 1, window)
@@ -207,7 +210,8 @@ class TestCombDomainRanging:
 
     def test_all_zero_received_grid_raises(self, small_config):
         grids = [build_grid(small_config, PrsAllocation(0, 1, sequence_seed=1))]
-        received = [np.zeros((small_config.num_subcarriers, small_config.num_symbols), complex)]
+        window = small_config.num_subcarriers // small_config.comb_size
+        received = [np.zeros((1, window, small_config.num_symbols), complex)]
         assert (comb_profiles(received, grids, small_config) == 0).all()
         with pytest.raises(NoDetectionError):
             estimate_ranges(received, grids, small_config)
@@ -228,16 +232,18 @@ class TestCombDomainRanging:
                  for s in range(num_tx)]
         delays = rng.uniform(0.0, 0.99 / config.subcarrier_spacing, (num_tx, num_rx))
         noise = NoiseSpec(variance=0.0 if trial % 8 < 4 else 0.1, rng_seed=trial)
-        received = apply_channel(grids, delays, config, noise)
-        assert np.array_equal(comb_profiles(received, grids, config),
-                              batched_comb_profiles(received, grids, config))
+        blocks = apply_channel(grids, delays, config, noise)
+        assert np.array_equal(comb_profiles(blocks, grids, config),
+                              batched_comb_profiles(scatter_blocks(blocks, grids, config),
+                                                    grids, config))
 
     def test_energy_off_the_comb_rejected(self, small_config):
         grid = build_grid(small_config, PrsAllocation(0, 1, sequence_seed=1))
         symbols = grid.symbols.copy()
         symbols[2] = 1.0  # row 2 is on comb offset 2, not 1
         stray = ResourceGrid(symbols=symbols, allocation=grid.allocation)
-        received = [symbols]
+        window = small_config.num_subcarriers // small_config.comb_size
+        received = [np.zeros((1, window, small_config.num_symbols), complex)]
         for ranging in (comb_profiles, estimate_ranges):
-            with pytest.raises(ValueError, match="off its comb"):
+            with pytest.raises(ValueError, match="must fill every entry of their comb rows"):
                 ranging(received, [stray], small_config)
