@@ -33,8 +33,11 @@ def dense_channel(grids, delays, config, noise):
 
 
 def batched_comb_profiles(received, transmit, config):
-    """Comb profiles of M x N received grids as one (S, K, W, N) divide, IFFT,
-    magnitude and mean; entry [s, k] is the profile of pair (s, k) over bins [0, W)."""
+    """Comb profiles of M x N received grids in one batched pass.
+
+    One (S, K, W, N) divide, IFFT, magnitude and mean: entry [s, k] is the
+    profile of pair (s, k) over bins [0, W).
+    """
     comb = config.comb_size
     window = config.num_subcarriers // comb
     offsets = [grid.allocation.comb_offset for grid in transmit]

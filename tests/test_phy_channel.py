@@ -180,25 +180,23 @@ class TestApplyChannel:
             [dense] = dense_channel(grids, delays, config, noise)
             assert np.array_equal(rx, dense)
 
-    @pytest.mark.parametrize("fault", ["shared offset", "off-comb row", "partial comb",
-                                       "missing entry"])
-    def test_grids_must_fill_distinct_combs(self, small_config, fault):
-        # Overlapping paths are not summed: each subcarrier carries one path.
+    def test_two_grids_on_one_offset_rejected(self, small_config):
+        # Paths that share subcarriers are rejected, not summed.
         g0 = build_grid(small_config, PrsAllocation(0, 1, sequence_seed=1))
-        symbols = g0.symbols.copy()
-        if fault == "shared offset":
-            bad = build_grid(small_config, PrsAllocation(1, 1, sequence_seed=2))
-        else:
-            if fault == "off-comb row":
-                symbols[2] = 1.0  # row 2 is on comb offset 2, not 1
-            elif fault == "partial comb":
-                symbols[5] = 0.0
-            else:
-                symbols[5, 0] = 0.0
-            bad = ResourceGrid(symbols=symbols, allocation=PrsAllocation(1, 1, sequence_seed=1))
-        grids = [g0, bad] if fault == "shared offset" else [bad]
-        with pytest.raises(ScenarioError):
-            apply_channel(grids, np.zeros((len(grids), 1)), small_config)
+        g1 = build_grid(small_config, PrsAllocation(1, 1, sequence_seed=2))
+        with pytest.raises(ScenarioError, match="on distinct offsets"):
+            apply_channel([g0, g1], np.zeros((2, 1)), small_config)
+
+    # Comb offset 1 of comb 4 is rows 1, 5, 9, ...: row 2 lies off it.
+    @pytest.mark.parametrize("index, value", [(2, 1.0), (5, 0.0), ((5, 0), 0.0)],
+                             ids=["off-comb row", "partial comb", "missing entry"])
+    def test_grid_that_does_not_fill_its_comb_rejected(self, small_config, index, value):
+        grid = build_grid(small_config, PrsAllocation(0, 1, sequence_seed=1))
+        symbols = grid.symbols.copy()
+        symbols[index] = value
+        bad = ResourceGrid(symbols=symbols, allocation=grid.allocation)
+        with pytest.raises(ScenarioError, match="must fill every entry of their comb rows"):
+            apply_channel([bad], [[0.0]], small_config)
 
     @pytest.mark.parametrize("shape", [(2, 1), (1,), (1, 1, 1)])
     def test_delay_matrix_shape_rejected(self, small_config, shape):
