@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -279,6 +278,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigurationError("config contains sweep lists; use run_sweep")
     seeds = [_trial_seed(config.base_seed, t) for t in range(config.trials)]
     if config.workers > 1:
+        # Imported here: a serial run does not load concurrent.futures or multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunk = max(1, config.trials // (config.workers * 8))
             results = list(

@@ -26,6 +26,8 @@ _GRIDS_PER_CONFIG = 64
 # OfdmConfig -> {PrsAllocation: ResourceGrid}.  Weak keys, so that a
 # config's grids are freed with the config and not kept by the module.
 _grids = weakref.WeakKeyDictionary()
+# OfdmConfig -> {tuple of PrsAllocation: (S, W, N) comb symbols} of cached grids.
+_comb_stacks = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -202,17 +204,31 @@ def comb_symbols(grids, config: OfdmConfig) -> np.ndarray:
     Grid s must be an M x N grid of `config`, nonzero exactly on the rows
     c_s + comb*i (c_s its comb offset, i < W = M/comb_size), as
     `build_grid` makes it, and no two grids may share an offset; otherwise
-    ScenarioError.  Entry [s, i, n] of the (S, W, N) result is
-    grids[s].symbols[c_s + comb*i, n].
+    ScenarioError.  Entry [s, i, n] of the read-only (S, W, N) result is
+    grids[s].symbols[c_s + comb*i, n].  When every grid is the one
+    `build_grid` keeps for its allocation, the stack is made and checked
+    once per config and allocation list; other grids are checked on every
+    call.
     """
+    built = _grids.get(config, {})
+    allocations = tuple(grid.allocation for grid in grids)
+    cached = all(built.get(alloc) is grid for alloc, grid in zip(allocations, grids))
+    stacks = _comb_stacks.setdefault(config, {})
+    if cached and allocations in stacks:
+        return stacks[allocations]
     shape = (config.num_subcarriers, config.num_symbols)
-    offsets = [grid.allocation.comb_offset for grid in grids]
+    offsets = [alloc.comb_offset for alloc in allocations]
     comb_rows = np.add.outer(offsets, np.arange(0, shape[0], config.comb_size)).ravel()
     if (grids and all(grid.symbols.shape == shape for grid in grids)
             and len(set(offsets)) == len(offsets)
             and np.array_equal(np.concatenate([grid.support[0] for grid in grids]), comb_rows)):
         symbols = np.stack([grid.support[1] for grid in grids])
         if symbols.all():
+            symbols.setflags(write=False)
+            if cached:
+                if len(stacks) >= _GRIDS_PER_CONFIG:
+                    del stacks[next(iter(stacks))]
+                stacks[allocations] = symbols
             return symbols
     raise ScenarioError("transmit grids must fill every entry of their comb rows "
                         f"offset::{config.comb_size} on distinct offsets; got offsets {offsets}")

@@ -148,8 +148,9 @@ def sample_scenario(
 
 def true_bistatic_ranges(scenario: Scenario) -> MeasurementSet:
     """Noise-free path lengths: geometric ranges plus link excesses."""
-    dist_g = np.linalg.norm(scenario.target - scenario.gnb_positions, axis=1)
-    dist_u = np.linalg.norm(scenario.target - scenario.ue_positions, axis=1)
+    # The floats of np.linalg.norm(..., axis=1), without its Python wrapper.
+    d_g, d_u = scenario.target - scenario.gnb_positions, scenario.target - scenario.ue_positions
+    dist_g, dist_u = np.sqrt(np.add.reduce(d_g * d_g, 1)), np.sqrt(np.add.reduce(d_u * d_u, 1))
     geometric = dist_g[:, None] + dist_u[None, :]
     entries = geometric + scenario.link_excess_gnb[:, None] + scenario.link_excess_ue[None, :]
     return MeasurementSet(ranges=entries)

@@ -19,7 +19,15 @@ All three run through one descent driver.  Each solve builds one evaluator
 for its objective, which computes the distances to the stacked (S+K, 2)
 nodes once per iterate and builds the residuals that value, gradient and
 the reweighting hook read.  The pair differences of distances and unit
-vectors come from one constant ±1 matrix per (S, K), exactly.
+vectors come from one constant ±1 matrix per (S, K), exactly.  The
+evaluators and the IRLS reweight write into buffers made once per solve,
+so an evaluation holds only until the next one; estimates and weights are
+returned as arrays of their own.  The driver computes the
+gradient at every iterate and the objective value only where something
+reads it: the trace, a Gauss-Newton step, or the best-iterate fallback of
+a solve that did not converge, which evaluates the recorded iterates again
+and gets the same floats.  The two grid starts of a trial share one
+read-only grid-distance matrix.
 
 Least squares and differencing take damped Gauss-Newton steps, the
 Taylor-series positioning iteration (Foy, IEEE TAES 1976) with step halving
@@ -123,14 +131,30 @@ def _stack_nodes(gnbs, ues) -> np.ndarray:
     return np.vstack([np.asarray(gnbs, float), np.asarray(ues, float)])
 
 
-def _node_geometry(x, nodes):
-    """Distances from x to each node and guarded unit vectors toward x."""
-    delta = x - nodes
-    dist = np.hypot(delta[:, 0], delta[:, 1])
-    if np.minimum.reduce(dist) > _SINGULARITY_GUARD:  # the plain divide gives the same floats
-        return dist, delta / dist[:, None]
-    return dist, np.divide(delta, dist[:, None], out=np.zeros_like(delta),
-                           where=(dist[:, None] > _SINGULARITY_GUARD))
+def _node_geometry(nodes):
+    """Per-solve node geometry in buffers: returns (locate, dist, units).
+
+    `locate(x)` writes the distances from x to each node into the (S+K,)
+    buffer `dist` and the unit vectors toward x into the (S+K, 2) buffer
+    `units`, zero for a node within _SINGULARITY_GUARD of x.  The buffers
+    and their views are made once, so each call overwrites the last.
+    """
+    delta, units, dist = np.empty(nodes.shape), np.empty(nodes.shape), np.empty(len(nodes))
+    dx, dy, dist_col = delta[:, 0], delta[:, 1], dist[:, None]
+
+    def locate(x):
+        np.subtract(x, nodes, out=delta)
+        np.hypot(dx, dy, out=dist)
+        values = dist.tolist()
+        # min and sum of a short list cost less than a numpy reduction; a NaN
+        # distance makes the sum NaN and takes the masked path.
+        if min(values) > _SINGULARITY_GUARD and not math.isnan(sum(values)):
+            np.divide(delta, dist_col, out=units)  # the masked divide gives the same floats
+        else:
+            units.fill(0.0)
+            np.divide(delta, dist_col, out=units, where=dist_col > _SINGULARITY_GUARD)
+
+    return locate, dist, units
 
 
 def centroid_init(gnbs, ues) -> np.ndarray:
@@ -200,10 +224,22 @@ def _grid_points(half_extent):
 
 
 def _grid_distances(nodes, half_extent):
-    """Grid points (P, 2) and their distances (P, S+K) to every node."""
+    """Grid points (P, 2) and their distances (P, S+K) to every node, read-only.
+
+    The last node set's matrix is kept, so the two grid starts of a trial
+    share one.
+    """
+    return _grid_distances_of(np.asarray(nodes, float).tobytes(), half_extent)
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_distances_of(node_bytes, half_extent):
+    nodes = np.frombuffer(node_bytes).reshape(-1, 2)
     pts = _grid_points(half_extent)
     dx, dy = pts[:, :1] - nodes[:, 0], pts[:, 1:] - nodes[:, 1]
-    return pts, np.sqrt(dx * dx + dy * dy)
+    dist = np.sqrt(dx * dx + dy * dy)
+    dist.flags.writeable = False
+    return pts, dist
 
 
 @functools.lru_cache(maxsize=None)
@@ -267,34 +303,61 @@ def difference_grid_init(measurements, gnbs, ues, half_extent: float) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def _ls_evaluator(ranges, nodes):
-    """Per-solve evaluator: x -> range residuals (S, K) and node unit vectors."""
+    """Per-solve evaluator: x -> range residuals (S, K) and node unit vectors (S+K, 2).
+
+    Every evaluation is written into buffers made once per solve, with the
+    floats of a fresh computation, and each call returns the same
+    (res, units) tuple: the next call overwrites it.
+    """
     num_gnbs = ranges.shape[0]
+    locate, dist, units = _node_geometry(nodes)
+    res = np.empty(ranges.shape)
+    dist_g, dist_u = dist[:num_gnbs, None], dist[num_gnbs:]
+    evaluation = res, units
 
     def evaluate(x):
-        dist, units = _node_geometry(x, nodes)
-        return ranges - (dist[:num_gnbs, None] + dist[num_gnbs:]), units
+        locate(x)
+        np.add(dist_g, dist_u, out=res)
+        np.subtract(ranges, res, out=res)
+        return evaluation
 
     return evaluate
 
 
-def _ls_value_grad(evaluation, weights=None):
-    """Weighted sum-of-squares value and gradient; uniform weights give LS."""
+def _ls_value(evaluation, weights=None):
+    """Weighted sum of squared residuals; uniform weights give LS."""
+    res = evaluation[0]
+    if weights is None:
+        return float(np.add.reduce(res * res, None))
+    return float(weights.dot(np.add.reduce(res * res, 0)))
+
+
+def _ls_grad(evaluation, weights=None):
+    """Gradient of `_ls_value` as two floats: -2 (transmitter part + receiver part)."""
     res, units = evaluation
     num_gnbs = res.shape[0]
     if weights is None:
-        value = float(np.add.reduce(res * res, None))
-        grad = -2.0 * (np.add.reduce(res, 1).dot(units[:num_gnbs])
-                       + np.add.reduce(res, 0).dot(units[num_gnbs:]))
+        tx, rx = np.add.reduce(res, 1), np.add.reduce(res, 0)
     else:
-        value = float(weights.dot(np.add.reduce(res * res, 0)))
-        grad = -2.0 * (res.dot(weights).dot(units[:num_gnbs])
-                       + (weights * np.add.reduce(res, 0)).dot(units[num_gnbs:]))
-    return value, grad
+        tx, rx = res.dot(weights), weights * np.add.reduce(res, 0)
+    return _sum_times_minus_two(tx.dot(units[:num_gnbs]), rx.dot(units[num_gnbs:]))
 
 
-def _mean_abs_residual(res):
-    """Per-receiver mean over the S transmitters; the same floats as mean(axis=0)."""
-    return np.add.reduce(np.abs(res), 0) / res.shape[0]
+def _sum_times_minus_two(a, b):
+    """-2 (a + b) for two 2-vectors, in floats: the IEEE operations numpy does elementwise."""
+    (a0, a1), (b0, b1) = a.tolist(), b.tolist()
+    return -2.0 * (a0 + b0), -2.0 * (a1 + b1)
+
+
+def _mean_abs_residual(res, abs_res, out, count):
+    """Per-receiver mean of |res| over the S transmitters, written into `out`.
+
+    `abs_res` is an (S, K) buffer and `count` is S as a 0-d float array; the
+    floats are those of np.abs(res).mean(axis=0).
+    """
+    np.abs(res, out=abs_res)
+    np.add.reduce(abs_res, 0, out=out)
+    return np.divide(out, count, out=out)
 
 
 def ls_value_grad(x, measurements, gnbs, ues, weights=None):
@@ -303,9 +366,10 @@ def ls_value_grad(x, measurements, gnbs, ues, weights=None):
     With `weights` (one per receiver) the squares are receiver-weighted,
     which is the objective each reweighted iteration descends.
     """
-    evaluate = _ls_evaluator(_ranges_of(measurements), _stack_nodes(gnbs, ues))
-    return _ls_value_grad(evaluate(np.asarray(x, float)),
-                          None if weights is None else np.asarray(weights, float))
+    evaluation = _ls_evaluator(_ranges_of(measurements), _stack_nodes(gnbs, ues))(
+        np.asarray(x, float))
+    weights = None if weights is None else np.asarray(weights, float)
+    return _ls_value(evaluation, weights), np.array(_ls_grad(evaluation, weights))
 
 
 def andrews_weight(residual, e_max: float):
@@ -336,13 +400,14 @@ def _difference_evaluator(ranges, nodes):
 
     The residuals are (Pg, K) for the transmitter pairs and (S, Pu) for the
     receiver pairs; the unit-vector differences are (Pg, 2) and (Pu, 2) and
-    the node unit vectors (S+K, 2).
+    the node unit vectors (S+K, 2), a buffer that the next call overwrites.
     """
     pairs, data_g, data_u = _difference_setup(ranges)
     num_pg = data_g.shape[0]
+    locate, dist, units = _node_geometry(nodes)
 
     def evaluate(x):
-        dist, units = _node_geometry(x, nodes)
+        locate(x)
         model, model_units = pairs.dot(dist), pairs.dot(units)
         return (data_g - model[:num_pg, None], data_u - model[num_pg:],
                 model_units[:num_pg], model_units[num_pg:], units)
@@ -350,18 +415,24 @@ def _difference_evaluator(ranges, nodes):
     return evaluate
 
 
-def _difference_value_grad(evaluation, weights=None):
-    """Value and gradient of the differencing objective; it takes no weights."""
+def _difference_value(evaluation, weights=None):
+    """Value of the differencing objective; it takes no weights."""
+    res_g, res_u = evaluation[:2]
+    return float(np.add.reduce(res_g * res_g, None) + np.add.reduce(res_u * res_u, None))
+
+
+def _difference_grad(evaluation, weights=None):
+    """Gradient of `_difference_value`."""
     res_g, res_u, units_g, units_u, _ = evaluation
-    value = float(np.add.reduce(res_g * res_g, None) + np.add.reduce(res_u * res_u, None))
-    grad = -2.0 * (np.add.reduce(res_g, 1).dot(units_g) + np.add.reduce(res_u, 0).dot(units_u))
-    return value, grad
+    return _sum_times_minus_two(np.add.reduce(res_g, 1).dot(units_g),
+                                np.add.reduce(res_u, 0).dot(units_u))
 
 
 def difference_value_grad(x, measurements, gnbs, ues):
     """Sum of squared pair-difference residuals at position x and its gradient."""
     evaluate = _difference_evaluator(_ranges_of(measurements), _stack_nodes(gnbs, ues))
-    return _difference_value_grad(evaluate(np.asarray(x, float)))
+    evaluation = evaluate(np.asarray(x, float))
+    return _difference_value(evaluation), np.array(_difference_grad(evaluation))
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +441,15 @@ def difference_value_grad(x, measurements, gnbs, ues):
 
 def _fixed_step(rate):
     """Step rule x - rate * gradient; the driver evaluates the new iterate."""
-    return lambda x, evaluation, value, grad: (x - rate * grad, None, None)
+
+    def step(x, evaluation, value, grad):
+        x0, x1 = x.tolist()
+        return np.array([x0 - rate * grad[0], x1 - rate * grad[1]]), None, None, None
+
+    return step
 
 
-def _gauss_newton_step(evaluate, value_grad, gram):
+def _gauss_newton_step(evaluate, objective, gram):
     """Damped Gauss-Newton step rule for an objective with residuals data - design @ d.
 
     The Jacobian of the model is J = design @ units, so J^T J is
@@ -381,17 +457,20 @@ def _gauss_newton_step(evaluate, value_grad, gram):
     and -grad / 2 is J^T r.  The 2 x 2 system (J^T J) delta = -grad / 2 is
     solved in closed form; a near-singular J^T J falls back to the gradient
     step -grad / (2 tr(J^T J)).  delta is halved until the objective does
-    not rise, and the new iterate is returned with its evaluation and its
-    value and gradient.  When no halving stops the rise, x is a
-    floating-point stationary point and (None, None, None) is returned.  A
-    NaN objective is accepted, so the driver's divergence check stops the
-    solve.
+    not rise, and the new iterate is returned with its evaluation, value
+    and gradient; a rejected trial costs no gradient.  When no halving stops
+    the rise, x is a floating-point stationary point and all None is
+    returned.  A NaN objective is accepted, so the driver's divergence check
+    stops the solve.
     """
+    value_of, grad_of = objective
 
     def step(x, evaluation, value, grad):
         units = evaluation[-1]
         (a, b), (_, d) = units.T.dot(gram.dot(units)).tolist()
-        g0, g1 = (-0.5 * grad).tolist()
+        if value is None:  # the start, untraced; read before a trial overwrites it
+            value = value_of(evaluation)
+        g0, g1 = -0.5 * grad[0], -0.5 * grad[1]
         det, trace = a * d - b * b, a + d
         if det > _GN_SINGULAR * trace * trace:
             delta = np.array([(d * g0 - b * g1) / det, (a * g1 - b * g0) / det])
@@ -400,40 +479,50 @@ def _gauss_newton_step(evaluate, value_grad, gram):
         for _ in range(_GN_HALVINGS):
             x_new = x + delta
             trial = evaluate(x_new)
-            trial_value_grad = value_grad(trial)
-            if not trial_value_grad[0] > value:
-                return x_new, trial, trial_value_grad
+            trial_value = value_of(trial)
+            if not trial_value > value:
+                return x_new, trial, trial_value, grad_of(trial)
             delta = 0.5 * delta
-        return None, None, None
+        return None, None, None, None
 
     return step
 
 
-def _descend(method, evaluate, value_grad, x0, step, threshold, max_iterations, trace,
+def _descend(method, evaluate, objective, x0, step, threshold, max_iterations, trace,
              weights=None, reweight=None) -> LocalizationResult:
     """Descent with best-iterate fallback, for all solvers.
 
-    `evaluate(x)` runs once per iterate; `value_grad(evaluation, weights)`
+    `evaluate(x)` runs once per iterate and may return the same buffers on
+    every call, so an evaluation is read before the next one is made.  The
+    `objective` pair of functions (value, gradient) of (evaluation, weights)
     reads from it, and a `reweight` hook turns it into the next weights or
     into None (all zero: stop).  `step(x, evaluation, value, grad)` is the
-    solve's step rule: it returns the next iterate, its evaluation and its
-    value and gradient (None to have the driver compute them), or all None
-    at a stationary point, which counts as converged.  Converged means an
-    update norm <= threshold.  Otherwise (a divergent or NaN iterate, all
-    weights zero, or `max_iterations` steps run) the lowest-objective
-    iterate and its weights are returned with the iterations that ran.
+    solve's step rule: it returns the next iterate, its evaluation, value
+    and gradient (None for any it did not compute), or all None at a
+    stationary point, which counts as converged.  Converged means an update
+    norm <= threshold.  Otherwise (a divergent or NaN iterate, all weights
+    zero, or `max_iterations` steps run) the lowest-objective iterate and
+    its weights are returned with the iterations that ran.
+
+    The gradient is computed at every iterate and the value only when read:
+    for the trace, by the step (Gauss-Newton), or by the fallback, which
+    evaluates the recorded (x, weights) of each iterate whose value was not
+    needed and so gets the floats the loop would have had.
     """
+    value_of, grad_of = objective
     x = np.array(x0, dtype=float)
     evaluation = evaluate(x)
-    best_x, best_w, best_val = x, weights, math.inf  # iterates are never modified in place
-    value_and_grad = None
+    visited = []  # (x, weights, value or None) per iteration; never modified in place
+    value = grad = None
     for iteration in range(1, max_iterations + 1):
-        value, grad = value_and_grad or value_grad(evaluation, weights)
+        if grad is None:
+            grad = grad_of(evaluation, weights)
         if trace is not None:
+            if value is None:
+                value = value_of(evaluation, weights)
             trace.append(value)
-        if value < best_val:
-            best_val, best_x, best_w = value, x, weights
-        x_new, evaluation, value_and_grad = step(x, evaluation, value, grad)
+        visited.append((x, weights, value))
+        x_new, evaluation, value, grad = step(x, evaluation, value, grad)
         if x_new is None:
             return LocalizationResult(x, True, iteration, method, weights)
         # Also true for a NaN or infinite iterate; same floats as np.linalg.norm.
@@ -449,6 +538,12 @@ def _descend(method, evaluate, value_grad, x0, step, threshold, max_iterations, 
         x = x_new
         if math.sqrt(move.dot(move)) <= threshold:
             return LocalizationResult(x, True, iteration, method, weights)
+    best_val, (best_x, best_w, _) = math.inf, visited[0]
+    for x, weights, value in visited:
+        if value is None:
+            value = value_of(evaluate(x), weights)
+        if value < best_val:
+            best_val, best_x, best_w = value, x, weights
     return LocalizationResult(best_x, False, iteration, method, best_w)
 
 
@@ -463,12 +558,12 @@ def _prepare(measurements, gnbs, ues, config, init):
     return ranges, nodes, config, x0
 
 
-def _solve_gauss_newton(method, evaluator, value_grad, ranges, nodes, x0, threshold,
+def _solve_gauss_newton(method, evaluator, objective, ranges, nodes, x0, threshold,
                         max_iterations, trace) -> LocalizationResult:
     evaluate = evaluator(ranges, nodes)
     gram = _grid_design(method, *ranges.shape)[1]
-    return _descend(method, evaluate, value_grad, x0,
-                    _gauss_newton_step(evaluate, value_grad, gram),
+    return _descend(method, evaluate, objective, x0,
+                    _gauss_newton_step(evaluate, objective, gram),
                     threshold, max_iterations, trace)
 
 
@@ -490,8 +585,43 @@ def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> Loc
     ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
     if ranges.size < 3:
         raise UnderdeterminedError("need at least 3 measurements for a 2-D fit")
-    return _solve_gauss_newton("ls", _ls_evaluator, _ls_value_grad, ranges, nodes, x0,
+    return _solve_gauss_newton("ls", _ls_evaluator, (_ls_value, _ls_grad), ranges, nodes, x0,
                                config.irls_threshold, config.max_iterations, trace)
+
+
+def _andrews_reweight(num_gnbs, num_ues, e_max):
+    """Per-solve IRLS reweight: evaluation -> normalized Andrews weights, or None.
+
+    The `andrews_weight` of each receiver's mean absolute residual e,
+    divided by their sum; None when they sum to 0 (every receiver
+    rejected).  The intermediate arrays are buffers made once per solve and
+    the returned weights a fresh array.  When every t = e / e_max is
+    positive and finite, the weights are sin(t) / t, set to 0 where
+    e > e_max, without a mask: the floats `andrews_weight` gives.
+    """
+    count, limit = np.array(float(num_gnbs)), np.array(float(e_max))
+    abs_res = np.empty((num_gnbs, num_ues))
+    mean, t, raw = np.empty(num_ues), np.empty(num_ues), np.empty(num_ues)
+
+    def reweight(evaluation):
+        _mean_abs_residual(evaluation[0], abs_res, mean, count)
+        np.divide(mean, limit, out=t)
+        values = t.tolist()
+        if 0.0 < min(values) and math.isfinite(sum(values)):
+            np.sin(t, out=raw)
+            np.divide(raw, t, out=raw)
+            # Division rounds monotonically, and the quotient of the next
+            # float above e_max rounds above 1, so t > 1 exactly when e > e_max.
+            for k, value in enumerate(values):
+                if value > 1.0:
+                    raw[k] = 0.0
+            weights = raw
+        else:
+            weights = andrews_weight(mean, e_max)
+        total = np.add.reduce(weights)
+        return None if total <= 0.0 else weights / total
+
+    return reweight
 
 
 def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
@@ -508,19 +638,13 @@ def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> L
     ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
     if ranges.size < 3:
         raise UnderdeterminedError("need at least 3 measurements for a 2-D fit")
-    num_ues = ranges.shape[1]
+    num_gnbs, num_ues = ranges.shape
     if num_ues < 2:
         raise InsufficientGeometryError("receiver reweighting needs >= 2 receivers")
-
-    def reweight(evaluation):
-        raw = andrews_weight(_mean_abs_residual(evaluation[0]), config.e_max)
-        total = np.add.reduce(raw)
-        return None if total <= 0.0 else raw / total  # None: all receivers rejected
-
     return _descend(
-        "irls", _ls_evaluator(ranges, nodes), _ls_value_grad,
+        "irls", _ls_evaluator(ranges, nodes), (_ls_value, _ls_grad),
         x0, _fixed_step(config.irls_step), config.irls_threshold, config.max_iterations, trace,
-        np.full(num_ues, 1.0 / num_ues), reweight,
+        np.full(num_ues, 1.0 / num_ues), _andrews_reweight(num_gnbs, num_ues, config.e_max),
     )
 
 
@@ -534,7 +658,8 @@ def solve_proposed(measurements, gnbs, ues, config=None, init=None, trace=None) 
     local minimum only.
     """
     ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
-    return _solve_gauss_newton("proposed", _difference_evaluator, _difference_value_grad,
+    return _solve_gauss_newton("proposed", _difference_evaluator,
+                               (_difference_value, _difference_grad),
                                ranges, nodes, x0, config.proposed_threshold,
                                config.max_iterations, trace)
 

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from isacloc import (
     sample_scenario,
     solve_ls,
 )
+import isacloc
 from isacloc import harness
 from isacloc.harness import METHODS, _sweep_points, run_trial
 
@@ -355,3 +359,12 @@ class TestGeometryValidation:
         with pytest.raises(ConfigurationError):
             run_sweep(config)
         assert calls == []
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """Only a run with workers > 1 imports concurrent.futures (and multiprocessing)."""
+    src = os.path.dirname(os.path.dirname(isacloc.__file__))
+    code = "import sys, isacloc; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -7,9 +7,10 @@ from isacloc import (
     ConfigurationError,
     OfdmConfig,
     PrsAllocation,
+    ScenarioError,
     build_grid,
 )
-from isacloc.prs_grid import ResourceGrid, gold_sequence, prs_symbols
+from isacloc.prs_grid import ResourceGrid, comb_symbols, gold_sequence, prs_symbols
 
 # Oracle trace computed with the shift-register emulation below.
 SEED_A = 123456789
@@ -208,3 +209,32 @@ class TestGridCache:
         assert grid() is not None
         del config
         assert grid() is None
+
+
+class TestCombSymbols:
+    """The comb stack of `build_grid`'s grids is made once; other grids are checked every call."""
+
+    @staticmethod
+    def _grids(config):
+        return [build_grid(config, PrsAllocation(s, s, sequence_seed=1 + s)) for s in range(3)]
+
+    def test_stack_of_built_grids_is_made_once(self, fr2_config):
+        grids = self._grids(fr2_config)
+        symbols = comb_symbols(grids, fr2_config)
+        assert comb_symbols(list(grids), fr2_config) is symbols
+        assert not symbols.flags.writeable
+        expected = np.stack([g.symbols[g.allocation.comb_offset::12] for g in grids])
+        assert np.array_equal(symbols, expected)
+
+    def test_other_grids_are_checked_on_every_call(self, fr2_config):
+        grids = self._grids(fr2_config)
+        built = comb_symbols(grids, fr2_config)
+        copies = [ResourceGrid(g.symbols.copy(), g.allocation) for g in grids]
+        stacked = comb_symbols(copies, fr2_config)
+        assert stacked is not built and np.array_equal(stacked, built)
+        # Same allocations as the stored stack, but a hole in one comb row.
+        holed = grids[1].symbols.copy()
+        holed[grids[1].allocation.comb_offset, 0] = 0
+        with pytest.raises(ScenarioError, match="fill every entry"):
+            comb_symbols([grids[0], ResourceGrid(holed, grids[1].allocation), grids[2]],
+                         fr2_config)

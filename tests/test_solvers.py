@@ -21,6 +21,7 @@ from isacloc import (
 )
 from isacloc.scenario import MeasurementSet, true_bistatic_ranges
 from isacloc.solvers import (
+    _andrews_reweight,
     _grid_distances,
     _ls_evaluator,
     _mean_abs_residual,
@@ -60,8 +61,10 @@ def grid_search_init(objective, half_extent, points=20):
 
 def _residuals(ranges, gnbs, ues, x):
     """Per-receiver mean absolute range residual at x, as the reweighting reads it."""
-    evaluate = _ls_evaluator(np.asarray(ranges, float), np.vstack([gnbs, ues]))
-    return _mean_abs_residual(evaluate(np.asarray(x, float))[0])
+    ranges = np.asarray(ranges, float)
+    res = _ls_evaluator(ranges, np.vstack([gnbs, ues]))(np.asarray(x, float))[0]
+    return _mean_abs_residual(res, np.empty(ranges.shape), np.empty(ranges.shape[1]),
+                              np.array(float(ranges.shape[0])))
 
 
 class TestResiduals:
@@ -539,7 +542,8 @@ def _ref_andrews_weight(e, e_max):
     return w
 
 
-def _ref_irls(ranges, gnbs, ues, config, x0, trace):
+def _ref_irls(ranges, gnbs, ues, config, x0, trace, iterates=None):
+    """The fixed-step IRLS loop; `iterates` collects each iteration's (x, weights)."""
     num_ues = ranges.shape[1]
     weights = np.full(num_ues, 1.0 / num_ues)
     x = np.array(x0, dtype=float)
@@ -549,6 +553,8 @@ def _ref_irls(ranges, gnbs, ues, config, x0, trace):
     for iterations in range(1, config.max_iterations + 1):
         value, grad = _ref_ls_value_grad(x, ranges, gnbs, ues, weights)
         trace.append(value)
+        if iterates is not None:
+            iterates.append((x.copy(), weights.copy()))
         if value < best_val:
             best_val, best_x, best_w = value, x.copy(), weights.copy()
         x_new = x - config.irls_step * grad
@@ -585,14 +591,19 @@ def _random_problem(seed):
 
 
 def _assert_matches_reference(ranges, g, u, config, x0):
-    """The IRLS solve reproduces `_ref_irls` bit for bit, trace included."""
+    """The IRLS solve reproduces `_ref_irls` bit for bit, traced and untraced.
+
+    Untraced, the solve computes objective values only for the best-iterate
+    fallback of a solve that does not converge, so both runs are compared.
+    """
     trace, ref_trace = [], []
-    result = solve_irls(ranges, g, u, config, init=x0, trace=trace)
     ref_est, ref_conv, ref_iter, ref_w = _ref_irls(ranges, g, u, config, x0, ref_trace)
-    assert np.array_equal(result.estimate, ref_est)
-    assert result.converged == ref_conv
-    assert result.iterations == ref_iter
-    assert np.array_equal(result.ue_weights, ref_w)
+    for result in (solve_irls(ranges, g, u, config, init=x0, trace=trace),
+                   solve_irls(ranges, g, u, config, init=x0)):
+        assert np.array_equal(result.estimate, ref_est)
+        assert result.converged == ref_conv
+        assert result.iterations == ref_iter
+        assert np.array_equal(result.ue_weights, ref_w)
     assert np.array_equal(np.asarray(trace), np.asarray(ref_trace), equal_nan=True)
     return result
 
@@ -764,6 +775,98 @@ class TestCappedIrls:
         fresh = []
         solve_irls(ranges, g, u, self.CONFIG, init=x0, trace=fresh)
         assert trace == [-1.0] + fresh and len(fresh) == self.CONFIG.max_iterations
+
+
+class TestAndrewsReweight:
+    """The buffered IRLS reweight gives the floats of the reference weights, normalized."""
+
+    @staticmethod
+    def _assert_same_bits(res, e_max):
+        res = np.asarray(res, dtype=float)
+        raw = _ref_andrews_weight(np.abs(res).mean(axis=0), e_max)
+        total = raw.sum()
+        weights = _andrews_reweight(*res.shape, e_max)((res, None))
+        if total <= 0.0:
+            assert weights is None
+        else:
+            assert weights.tobytes() == (raw / total).tobytes()
+
+    @pytest.mark.parametrize("e_max", [7.0, 1.0, 0.3, 1e-9])
+    def test_edge_means_match_reference_bit_for_bit(self, e_max):
+        # One transmitter, so each mean is the residual itself.
+        above = float(np.nextafter(e_max, np.inf))
+        edges = (0.0, 5e-324, e_max, above, float(np.nextafter(e_max, 0.0)), 3.5 * e_max,
+                 1e250, np.nan, np.inf)
+        inside = np.linspace(0.1, 0.9, 6) * e_max
+        for edge in edges:
+            for k in (0, 3, 5):
+                vector = inside.copy()
+                vector[k] = edge
+                self._assert_same_bits(vector[None, :], e_max)
+            self._assert_same_bits(np.full((1, 6), edge), e_max)
+        self._assert_same_bits(np.array([[above, e_max, 2.0 * e_max, 0.5 * e_max]]), e_max)
+
+    def test_next_float_above_e_max_is_rejected(self):
+        # The fast path tells e > e_max from t = e / e_max > 1.
+        rng = np.random.default_rng(31)
+        for e_max in 10.0 ** rng.uniform(-6.0, 6.0, 500):
+            above = float(np.nextafter(e_max, np.inf))
+            weights = _andrews_reweight(1, 2, e_max)((np.array([[e_max, above]]), None))
+            assert weights[1] == 0.0 and weights[0] == 1.0
+
+    def test_random_residuals_match_reference_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            shape = tuple(int(n) for n in rng.integers(2, 9, size=2))
+            self._assert_same_bits(rng.uniform(-12.0, 12.0, shape), 7.0)
+
+
+class TestResultsOwnTheirArrays:
+    """Solves write their evaluations into buffers; no result may alias one."""
+
+    def test_results_keep_their_values_after_later_solves(self):
+        kept = []
+        for seed in range(20):
+            _, ranges, g, u = _random_problem(seed)
+            for method, solver in _SOLVES.items():
+                # A cap of 5 leaves many IRLS solves unconverged, on the fallback path.
+                config = SolverConfig(max_iterations=5 if method == "irls" else 100)
+                result = solver(ranges, g, u, config, init=centroid_init(g, u))
+                weights = None if result.ue_weights is None else result.ue_weights.copy()
+                kept.append((result, result.estimate.copy(), weights))
+        for result, estimate, weights in kept:
+            assert np.array_equal(result.estimate, estimate)
+            if weights is not None:
+                assert np.array_equal(result.ue_weights, weights)
+
+    def test_unconverged_estimate_is_one_of_its_iterates(self):
+        config = SolverConfig(max_iterations=5)
+        unconverged = 0
+        for seed in range(20):
+            _, ranges, g, u = _random_problem(seed)
+            x0 = centroid_init(g, u)
+            result = solve_irls(ranges, g, u, config, init=x0)
+            if result.converged:
+                continue
+            unconverged += 1
+            iterates = []
+            _ref_irls(ranges, g, u, config, x0, [], iterates)
+            assert any(np.array_equal(result.estimate, x) and np.array_equal(result.ue_weights, w)
+                       for x, w in iterates)
+        assert unconverged >= 5
+
+
+def test_grid_distances_are_shared_per_node_set():
+    sc, _ = _problem(seed=30)
+    nodes = np.vstack([sc.gnb_positions, sc.ue_positions])
+    pts, dist = _grid_distances(nodes, 75.0)
+    assert _grid_distances(nodes.copy(), 75.0)[1] is dist
+    assert not dist.flags.writeable
+    for other in (_grid_distances(nodes + 1.0, 75.0)[1], _grid_distances(nodes, 60.0)[1]):
+        assert not np.array_equal(other, dist)
+    # The memo moved on: the first node set is computed again, to the same floats.
+    again = _grid_distances(nodes, 75.0)[1]
+    assert again is not dist and np.array_equal(again, dist)
 
 
 def _assert_grid_inits_match_norm_reference(ranges, g, u, half_extent):
