@@ -859,7 +859,7 @@ class TestResultsOwnTheirArrays:
 def test_grid_distances_are_shared_per_node_set():
     sc, _ = _problem(seed=30)
     nodes = np.vstack([sc.gnb_positions, sc.ue_positions])
-    pts, dist = _grid_distances(nodes, 75.0)
+    dist = _grid_distances(nodes, 75.0)[1]
     assert _grid_distances(nodes.copy(), 75.0)[1] is dist
     assert not dist.flags.writeable
     for other in (_grid_distances(nodes + 1.0, 75.0)[1], _grid_distances(nodes, 60.0)[1]):
