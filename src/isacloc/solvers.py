@@ -372,21 +372,31 @@ def ls_value_grad(x, measurements, gnbs, ues, weights=None):
     return _ls_value(evaluation, weights), np.array(_ls_grad(evaluation, weights))
 
 
-def andrews_weight(residual, e_max: float):
+def andrews_weight(residual, e_max: float, out=None):
     """Redescending Andrews sine weight, before normalization.
 
     Equals sin(e/e_max)/(e/e_max) for 0 < e <= e_max (so 1 in the limit
-    e -> 0 and sin(1) at e = e_max) and exactly 0 beyond e_max.
+    e -> 0 and sin(1) at e = e_max) and exactly 0 beyond e_max.  With
+    `out`, a float array of the residual's shape, the weights are written
+    there and it is returned.
     """
     e = np.asarray(residual, dtype=float)
     t = e / e_max
+    w = np.empty(e.shape) if out is None else out
     # Python's min and sum on a short list cost less than two numpy
     # reductions; a NaN or inf anywhere makes the sum non-finite.
     values = t.ravel().tolist()
     if values and 0.0 < min(values) and math.isfinite(sum(values)):
-        w = np.where(e <= e_max, np.sin(t) / t, 0.0)  # no 0 / 0 and no sin(inf)
+        np.sin(t, out=w)
+        np.divide(w, t, out=w)
+        # Division rounds monotonically, and the quotient of the next float
+        # above e_max rounds above 1, so t > 1 exactly when e > e_max.
+        flat = w.ravel()
+        for k, value in enumerate(values):
+            if value > 1.0:
+                flat[k] = 0.0
     else:  # a zero, negative, NaN or infinite mean, or an e / e_max that underflows to 0
-        w = np.zeros(e.shape)
+        w.fill(0.0)
         inside = (t > 0) & (e <= e_max)
         w[inside] = np.sin(t[inside]) / t[inside]
         w[(t == 0) & (e >= 0)] = 1.0
@@ -592,32 +602,18 @@ def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> Loc
 def _andrews_reweight(num_gnbs, num_ues, e_max):
     """Per-solve IRLS reweight: evaluation -> normalized Andrews weights, or None.
 
-    The `andrews_weight` of each receiver's mean absolute residual e,
-    divided by their sum; None when they sum to 0 (every receiver
-    rejected).  The intermediate arrays are buffers made once per solve and
-    the returned weights a fresh array.  When every t = e / e_max is
-    positive and finite, the weights are sin(t) / t, set to 0 where
-    e > e_max, without a mask: the floats `andrews_weight` gives.
+    The `andrews_weight` of each receiver's mean absolute residual, divided
+    by their sum; None when they sum to 0 (every receiver rejected).  The
+    intermediate arrays are buffers made once per solve and the returned
+    weights a fresh array.
     """
     count, limit = np.array(float(num_gnbs)), np.array(float(e_max))
     abs_res = np.empty((num_gnbs, num_ues))
-    mean, t, raw = np.empty(num_ues), np.empty(num_ues), np.empty(num_ues)
+    mean, raw = np.empty(num_ues), np.empty(num_ues)
 
     def reweight(evaluation):
-        _mean_abs_residual(evaluation[0], abs_res, mean, count)
-        np.divide(mean, limit, out=t)
-        values = t.tolist()
-        if 0.0 < min(values) and math.isfinite(sum(values)):
-            np.sin(t, out=raw)
-            np.divide(raw, t, out=raw)
-            # Division rounds monotonically, and the quotient of the next
-            # float above e_max rounds above 1, so t > 1 exactly when e > e_max.
-            for k, value in enumerate(values):
-                if value > 1.0:
-                    raw[k] = 0.0
-            weights = raw
-        else:
-            weights = andrews_weight(mean, e_max)
+        weights = andrews_weight(_mean_abs_residual(evaluation[0], abs_res, mean, count),
+                                 limit, out=raw)
         total = np.add.reduce(weights)
         return None if total <= 0.0 else weights / total
 

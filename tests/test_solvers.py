@@ -131,6 +131,10 @@ class TestAndrewsWeight:
             assert type(w) is float
         assert np.asarray(w).shape == ref.shape
         assert np.asarray(w).tobytes() == ref.tobytes()
+        if e.ndim:
+            out = np.full(e.shape, 9.0)
+            assert andrews_weight(e, e_max, out=out) is out
+            assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("edge", EDGES)
     def test_edge_values_match_reference_bit_for_bit(self, edge):
@@ -149,6 +153,7 @@ class TestAndrewsWeight:
             one_beyond = every_inside.copy()
             one_beyond[rng.integers(6)] = rng.uniform(self.E_MAX, 40.0)
             self._assert_same_bits(one_beyond, self.E_MAX)
+            self._assert_same_bits(rng.uniform(1e-6, 2.0 * self.E_MAX, (3, 4)), self.E_MAX)
         self._assert_same_bits(np.float64(3.0), self.E_MAX)
         self._assert_same_bits(np.array([]), self.E_MAX)
 
