@@ -22,12 +22,11 @@ _REGISTER_LENGTH = 31
 _FAST_FORWARD = 1600  # discarded warm-up outputs of the combined sequence
 _BLOCK = 28  # register bits advanced per step: 31 minus the highest tap, 3
 _SUPPORTED_COMBS = (2, 4, 6, 12)
-_GRIDS_PER_CONFIG = 64
-# OfdmConfig -> {PrsAllocation: ResourceGrid}.  Weak keys, so that a
-# config's grids are freed with the config and not kept by the module.
+_ENTRIES_PER_CONFIG = 64
+# OfdmConfig -> {PrsAllocation: ResourceGrid, tuple of PrsAllocation: comb
+# stack of those grids}.  Weak keys, so that a config's grids are freed with
+# the config and not kept by the module.
 _grids = weakref.WeakKeyDictionary()
-# OfdmConfig -> {tuple of PrsAllocation: (S, W, N) comb symbols} of cached grids.
-_comb_stacks = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,8 @@ def build_grid(config: OfdmConfig, alloc: PrsAllocation) -> ResourceGrid:
     down column by column, M/comb_size per symbol column.  All other grid
     entries are zero.  The grid depends on nothing else, so it is built
     once: while an equal config is alive, an equal allocation returns the
-    same read-only grid.  At most 64 grids are kept per config, the oldest
-    dropped first.
+    same read-only grid.  At most 64 grids and comb stacks are kept per
+    config, the oldest dropped first.
     """
     grids = _grids.setdefault(config, {})
     if alloc in grids:
@@ -192,10 +191,15 @@ def build_grid(config: OfdmConfig, alloc: PrsAllocation) -> ResourceGrid:
     grid = np.zeros((config.num_subcarriers, config.num_symbols), dtype=np.complex128)
     grid[m_index, :] = stream.reshape(config.num_symbols, per_column).T
     grid.setflags(write=False)
-    if len(grids) >= _GRIDS_PER_CONFIG:
-        del grids[next(iter(grids))]
-    grids[alloc] = ResourceGrid(symbols=grid, allocation=alloc)
-    return grids[alloc]
+    return _keep(grids, alloc, ResourceGrid(symbols=grid, allocation=alloc))
+
+
+def _keep(entries, key, value):
+    """Store `value` in a config's entries, dropping the oldest beyond 64."""
+    if len(entries) >= _ENTRIES_PER_CONFIG:
+        del entries[next(iter(entries))]
+    entries[key] = value
+    return value
 
 
 def comb_symbols(grids, config: OfdmConfig) -> np.ndarray:
@@ -213,9 +217,8 @@ def comb_symbols(grids, config: OfdmConfig) -> np.ndarray:
     built = _grids.get(config, {})
     allocations = tuple(grid.allocation for grid in grids)
     cached = all(built.get(alloc) is grid for alloc, grid in zip(allocations, grids))
-    stacks = _comb_stacks.setdefault(config, {})
-    if cached and allocations in stacks:
-        return stacks[allocations]
+    if cached and allocations in built:
+        return built[allocations]
     shape = (config.num_subcarriers, config.num_symbols)
     offsets = [alloc.comb_offset for alloc in allocations]
     comb_rows = np.add.outer(offsets, np.arange(0, shape[0], config.comb_size)).ravel()
@@ -226,9 +229,7 @@ def comb_symbols(grids, config: OfdmConfig) -> np.ndarray:
         if symbols.all():
             symbols.setflags(write=False)
             if cached:
-                if len(stacks) >= _GRIDS_PER_CONFIG:
-                    del stacks[next(iter(stacks))]
-                stacks[allocations] = symbols
+                _keep(built, allocations, symbols)
             return symbols
     raise ScenarioError("transmit grids must fill every entry of their comb rows "
                         f"offset::{config.comb_size} on distinct offsets; got offsets {offsets}")

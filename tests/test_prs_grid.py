@@ -226,6 +226,13 @@ class TestCombSymbols:
         expected = np.stack([g.symbols[g.allocation.comb_offset::12] for g in grids])
         assert np.array_equal(symbols, expected)
 
+    def test_stack_is_freed_with_its_config(self):
+        config = OfdmConfig(120e3, 36, num_symbols=3, comb_size=6)
+        stack = weakref.ref(comb_symbols(self._grids(config), config))
+        assert stack() is not None
+        del config
+        assert stack() is None
+
     def test_other_grids_are_checked_on_every_call(self, fr2_config):
         grids = self._grids(fr2_config)
         built = comb_symbols(grids, fr2_config)
