@@ -23,8 +23,6 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     InsufficientGeometryError,
-    NoDetectionError,
-    ScenarioError,
     UnderdeterminedError,
     check_finite,
     check_integer,
@@ -58,9 +56,10 @@ _CHECK_GNB_REGION = 80.0
 _CHECK_UE_REGION = 80.0
 _CHECK_TARGET_REGION = 40.0
 
-# Run-time failures of one solve, recorded as an infinite error.  Any other
-# exception is a defect and propagates.
-_SOLVE_ERRORS = (UnderdeterminedError, InsufficientGeometryError, NoDetectionError, ScenarioError)
+# The errors a solver raises on its input, recorded as an infinite error.
+# Any other exception, including a phy synthesis error raised before the
+# solves, propagates.
+_SOLVE_ERRORS = (UnderdeterminedError, InsufficientGeometryError)
 
 
 def _default_ofdm() -> OfdmConfig:
@@ -120,6 +119,10 @@ class ExperimentConfig:
             raise ConfigurationError("trials must be >= 1")
         if self.mode not in ("model", "phy"):
             raise ConfigurationError("mode must be 'model' or 'phy'")
+        for name, kind in (("ofdm", OfdmConfig), ("solver", SolverConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigurationError(
+                    f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}")
         if not isinstance(self.quantization_error, bool):
             raise ConfigurationError(
                 f"quantization_error must be true or false, got {self.quantization_error!r}"

@@ -22,10 +22,9 @@ _REGISTER_LENGTH = 31
 _FAST_FORWARD = 1600  # discarded warm-up outputs of the combined sequence
 _BLOCK = 28  # register bits advanced per step: 31 minus the highest tap, 3
 _SUPPORTED_COMBS = (2, 4, 6, 12)
-_ENTRIES_PER_CONFIG = 64
-# OfdmConfig -> {PrsAllocation: ResourceGrid, tuple of PrsAllocation: comb
-# stack of those grids}.  Weak keys, so that a config's grids are freed with
-# the config and not kept by the module.
+_GRIDS_PER_CONFIG = 64
+# OfdmConfig -> {PrsAllocation: ResourceGrid}.  Weak keys, so that a
+# config's grids are freed with the config and not kept by the module.
 _grids = weakref.WeakKeyDictionary()
 
 
@@ -78,6 +77,8 @@ class PrsAllocation:
     sequence_seed: int
 
     def __post_init__(self):
+        for name in ("transmitter_id", "comb_offset", "sequence_seed"):
+            check_integer(name, getattr(self, name))
         if self.transmitter_id < 0:
             raise ConfigurationError("transmitter_id must be >= 0")
         if self.comb_offset < 0:
@@ -175,8 +176,8 @@ def build_grid(config: OfdmConfig, alloc: PrsAllocation) -> ResourceGrid:
     down column by column, M/comb_size per symbol column.  All other grid
     entries are zero.  The grid depends on nothing else, so it is built
     once: while an equal config is alive, an equal allocation returns the
-    same read-only grid.  At most 64 grids and comb stacks are kept per
-    config, the oldest dropped first.
+    same read-only grid.  At most 64 grids are kept per config, the oldest
+    dropped first.
     """
     grids = _grids.setdefault(config, {})
     if alloc in grids:
@@ -191,15 +192,10 @@ def build_grid(config: OfdmConfig, alloc: PrsAllocation) -> ResourceGrid:
     grid = np.zeros((config.num_subcarriers, config.num_symbols), dtype=np.complex128)
     grid[m_index, :] = stream.reshape(config.num_symbols, per_column).T
     grid.setflags(write=False)
-    return _keep(grids, alloc, ResourceGrid(symbols=grid, allocation=alloc))
-
-
-def _keep(entries, key, value):
-    """Store `value` in a config's entries, dropping the oldest beyond 64."""
-    if len(entries) >= _ENTRIES_PER_CONFIG:
-        del entries[next(iter(entries))]
-    entries[key] = value
-    return value
+    if len(grids) >= _GRIDS_PER_CONFIG:
+        del grids[next(iter(grids))]
+    grids[alloc] = ResourceGrid(symbols=grid, allocation=alloc)
+    return grids[alloc]
 
 
 def comb_symbols(grids, config: OfdmConfig) -> np.ndarray:
@@ -209,18 +205,10 @@ def comb_symbols(grids, config: OfdmConfig) -> np.ndarray:
     c_s + comb*i (c_s its comb offset, i < W = M/comb_size), as
     `build_grid` makes it, and no two grids may share an offset; otherwise
     ScenarioError.  Entry [s, i, n] of the read-only (S, W, N) result is
-    grids[s].symbols[c_s + comb*i, n].  When every grid is the one
-    `build_grid` keeps for its allocation, the stack is made and checked
-    once per config and allocation list; other grids are checked on every
-    call.
+    grids[s].symbols[c_s + comb*i, n].
     """
-    built = _grids.get(config, {})
-    allocations = tuple(grid.allocation for grid in grids)
-    cached = all(built.get(alloc) is grid for alloc, grid in zip(allocations, grids))
-    if cached and allocations in built:
-        return built[allocations]
     shape = (config.num_subcarriers, config.num_symbols)
-    offsets = [alloc.comb_offset for alloc in allocations]
+    offsets = [grid.allocation.comb_offset for grid in grids]
     comb_rows = np.add.outer(offsets, np.arange(0, shape[0], config.comb_size)).ravel()
     if (grids and all(grid.symbols.shape == shape for grid in grids)
             and len(set(offsets)) == len(offsets)
@@ -228,8 +216,6 @@ def comb_symbols(grids, config: OfdmConfig) -> np.ndarray:
         symbols = np.stack([grid.support[1] for grid in grids])
         if symbols.all():
             symbols.setflags(write=False)
-            if cached:
-                _keep(built, allocations, symbols)
             return symbols
     raise ScenarioError("transmit grids must fill every entry of their comb rows "
                         f"offset::{config.comb_size} on distinct offsets; got offsets {offsets}")

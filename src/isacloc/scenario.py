@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ScenarioError
+from .errors import ConfigurationError, ScenarioError, check_finite, check_integer
 from .phy_channel import NoiseSpec, apply_channel, bistatic_delay
 from .prs_grid import OfdmConfig, PrsAllocation, build_grid
 # The per-pair names are unused here but stay importable: perfbench's
@@ -111,6 +111,11 @@ def sample_scenario(
     uniformly from (0, outlier_max), all others get zero.  The target is
     redrawn if it lands within 1 m of a node.
     """
+    check_integer("num_gnbs", num_gnbs)
+    check_integer("num_ues", num_ues)
+    for name, value in (("gnb_region", gnb_region), ("ue_region", ue_region),
+                        ("target_region", target_region), ("outlier_max", outlier_max)):
+        check_finite(name, value)
     if num_gnbs < 1 or num_ues < 1:
         raise ConfigurationError("num_gnbs and num_ues must be >= 1")
     if min(gnb_region, ue_region, target_region) <= 0:

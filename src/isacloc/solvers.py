@@ -26,8 +26,7 @@ returned as arrays of their own.  The driver computes the
 gradient at every iterate and the objective value only where something
 reads it: the trace, a Gauss-Newton step, or the best-iterate fallback of
 a solve that did not converge, which evaluates the recorded iterates again
-and gets the same floats.  The two grid starts of a trial share one
-read-only grid-distance matrix.
+and gets the same floats.
 
 Least squares and differencing take damped Gauss-Newton steps, the
 Taylor-series positioning iteration (Foy, IEEE TAES 1976) with step halving
@@ -224,22 +223,10 @@ def _grid_points(half_extent):
 
 
 def _grid_distances(nodes, half_extent):
-    """Grid points (P, 2) and their distances (P, S+K) to every node, read-only.
-
-    The last node set's matrix is kept, so the two grid starts of a trial
-    share one.
-    """
-    return _grid_distances_of(np.asarray(nodes, float).tobytes(), half_extent)
-
-
-@functools.lru_cache(maxsize=1)
-def _grid_distances_of(node_bytes, half_extent):
-    nodes = np.frombuffer(node_bytes).reshape(-1, 2)
+    """Grid points (P, 2) and their distances (P, S+K) to every node."""
     pts = _grid_points(half_extent)
     dx, dy = pts[:, :1] - nodes[:, 0], pts[:, 1:] - nodes[:, 1]
-    dist = np.sqrt(dx * dx + dy * dy)
-    dist.flags.writeable = False
-    return pts, dist
+    return pts, np.sqrt(dx * dx + dy * dy)
 
 
 @functools.lru_cache(maxsize=None)
@@ -278,6 +265,9 @@ def _grid_argmin(objective, data, ranges, gnbs, ues, half_extent):
     of squares, far below the gap between the best and second-best grid
     point (at least 1.4e-9 of it on the benchmark geometries).
     """
+    check_finite("half_extent", half_extent)
+    if half_extent <= 0:
+        raise ConfigurationError("half_extent must be positive")
     design, gram = _grid_design(objective, *ranges.shape)
     pts, dist = _grid_distances(_stack_nodes(gnbs, ues), half_extent)
     values = np.einsum("pn,pn->p", dist @ gram, dist) - 2.0 * (dist @ (data @ design))
@@ -565,6 +555,8 @@ def _prepare(measurements, gnbs, ues, config, init):
                          f"{len(gnbs)} transmitters x {len(ues)} receivers")
     config = config if config is not None else SolverConfig()
     x0 = centroid_init(gnbs, ues) if init is None else np.asarray(init, dtype=float)
+    if init is not None and not np.isfinite(x0).all():
+        raise ValueError(f"init must be finite, got {x0}")
     return ranges, nodes, config, x0
 
 

@@ -22,6 +22,7 @@ from isacloc import (
     run_sweep,
     sample_scenario,
     solve_ls,
+    UnderdeterminedError,
 )
 import isacloc
 from isacloc import harness
@@ -141,7 +142,7 @@ class TestRunExperiment:
         def first_ls_fails(*args, **kwargs):
             calls.append(1)
             if len(calls) == 1:
-                raise NoDetectionError("range profile has no nonzero peak")
+                raise UnderdeterminedError("too few measurements")
             return solve_ls(*args, **kwargs)
 
         monkeypatch.setattr(harness, "solve_ls", first_ls_fails)
@@ -151,6 +152,17 @@ class TestRunExperiment:
         assert report.cdf_grid[-1] >= max(finite) > report.cdf_grid[-1] - 0.05
         assert report.cdf["ls"][-1] == 19 / 20
         assert report.cdf["irls"][-1] == report.cdf["proposed"][-1] == 1.0
+
+    def test_phy_error_from_a_solve_propagates(self, monkeypatch):
+        # Only the solvers' own errors become an infinite error; phy synthesis
+        # raises NoDetectionError before the solves, and a solve raising it is
+        # a defect.
+        def ls_fails(*args, **kwargs):
+            raise NoDetectionError("range profile has no nonzero peak")
+
+        monkeypatch.setattr(harness, "solve_ls", ls_fails)
+        with pytest.raises(NoDetectionError):
+            run_experiment(_quick_config(trials=2))
 
     def test_divergence_counts(self, report):
         for method in METHODS:
@@ -295,6 +307,14 @@ def test_config_validation():
         ExperimentConfig(base_seed=-1)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(workers=0)
+
+
+@pytest.mark.parametrize("mode", ["model", "phy"])
+@pytest.mark.parametrize("field", ["ofdm", "solver"])
+def test_config_rejects_untyped_ofdm_and_solver(mode, field):
+    given = dataclasses.asdict(OfdmConfig(120e3, 792) if field == "ofdm" else SolverConfig())
+    with pytest.raises(ConfigurationError, match=f"{field} must be of type"):
+        ExperimentConfig(mode=mode, **{field: given})
 
 
 class TestGeometryValidation:

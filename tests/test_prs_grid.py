@@ -168,6 +168,11 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError):
             build_grid(fr2_config, PrsAllocation(0, comb_offset=12, sequence_seed=1))
 
+    @pytest.mark.parametrize("fields", [(1.5, 0, 1), (0, 1.0, 1), (0, 0, True)])
+    def test_allocation_rejects_non_integer_fields(self, fields):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            PrsAllocation(*fields)
+
     def test_resource_grid_rejects_non_unit_entries(self, small_config):
         bad = np.full((small_config.num_subcarriers, small_config.num_symbols), 2.0 + 0j)
         with pytest.raises(ConfigurationError):
@@ -212,26 +217,18 @@ class TestGridCache:
 
 
 class TestCombSymbols:
-    """The comb stack of `build_grid`'s grids is made once; other grids are checked every call."""
+    """The comb stack holds each grid's comb rows; every call checks its grids."""
 
     @staticmethod
     def _grids(config):
         return [build_grid(config, PrsAllocation(s, s, sequence_seed=1 + s)) for s in range(3)]
 
-    def test_stack_of_built_grids_is_made_once(self, fr2_config):
+    def test_stack_holds_each_grids_comb_rows(self, fr2_config):
         grids = self._grids(fr2_config)
         symbols = comb_symbols(grids, fr2_config)
-        assert comb_symbols(list(grids), fr2_config) is symbols
         assert not symbols.flags.writeable
         expected = np.stack([g.symbols[g.allocation.comb_offset::12] for g in grids])
         assert np.array_equal(symbols, expected)
-
-    def test_stack_is_freed_with_its_config(self):
-        config = OfdmConfig(120e3, 36, num_symbols=3, comb_size=6)
-        stack = weakref.ref(comb_symbols(self._grids(config), config))
-        assert stack() is not None
-        del config
-        assert stack() is None
 
     def test_other_grids_are_checked_on_every_call(self, fr2_config):
         grids = self._grids(fr2_config)

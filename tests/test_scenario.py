@@ -83,6 +83,21 @@ class TestSampleScenario:
         with pytest.raises(ConfigurationError):
             sample_scenario(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(num_gnbs=2.5, num_ues=3),
+            dict(num_gnbs=3, num_ues=True),
+            dict(num_gnbs=3, num_ues=3, gnb_region=math.inf),
+            dict(num_gnbs=3, num_ues=3, ue_region=math.nan),
+            dict(num_gnbs=3, num_ues=3, target_region=math.inf),
+            dict(num_gnbs=3, num_ues=3, outlier_max=math.nan),
+        ],
+    )
+    def test_non_integer_counts_and_non_finite_sizes_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            sample_scenario(**kwargs)
+
 
 class TestTrueBistaticRanges:
     def test_three_four_five(self):

@@ -433,6 +433,25 @@ class TestSolverProperties:
         assert np.array_equal(fast_df, slow_df)
 
 
+@pytest.mark.parametrize("solver, init", [(solve_ls, [math.nan, 0.0]),
+                                          (solve_irls, [math.inf, 0.0]),
+                                          (solve_proposed, [math.inf, 0.0])])
+def test_non_finite_init_rejected(solver, init):
+    sc, ranges = _problem(seed=21)
+    with pytest.raises(ValueError, match="init must be finite"):
+        solver(ranges, sc.gnb_positions, sc.ue_positions, init=init)
+
+
+@pytest.mark.parametrize("grid_init", [ls_grid_init, difference_grid_init])
+@pytest.mark.parametrize("half_extent", [math.nan, math.inf, 0.0, -75.0])
+def test_grid_init_rejects_bad_half_extent(grid_init, half_extent):
+    from isacloc import ConfigurationError
+
+    sc, ranges = _problem(seed=22)
+    with pytest.raises(ConfigurationError, match="half_extent"):
+        grid_init(ranges, sc.gnb_positions, sc.ue_positions, half_extent)
+
+
 def test_solver_config_validation():
     from isacloc import ConfigurationError
 
@@ -739,6 +758,21 @@ class TestDriverMatchesReferenceLoops:
                 assert len(trace) == 1 and math.isnan(trace[0])
             assert not result.converged and result.iterations == 1
 
+    @pytest.mark.parametrize("method", sorted(set(_SOLVES) - set(_FIXED_STEP)))
+    def test_collinear_geometry_takes_the_gradient_fallback(self, method):
+        # Every node, the target and the start lie on the x-axis, so every
+        # unit vector has a zero y-component and J^T J is exactly singular:
+        # each Gauss-Newton step is the fallback -grad / (2 tr(J^T J)).
+        g = np.array([[-60.0, 0.0], [40.0, 0.0]])
+        u = np.array([[-30.0, 0.0], [70.0, 0.0]])
+        target = np.array([10.0, 0.0])
+        ranges = (np.abs(g[:, :1] - target[0]) + np.abs(u[:, 0] - target[0]))
+        result = _assert_reaches_minimum(method, ranges, g, u, self.CONFIG,
+                                         np.array([0.0, 0.0]))
+        assert result.converged
+        assert result.estimate[1] == 0.0
+        assert abs(result.estimate[0] - target[0]) < 1e-6
+
     def test_all_weights_zero_stops_irls(self):
         config = SolverConfig(e_max=1e-9)
         for seed in range(20):
@@ -859,19 +893,6 @@ class TestResultsOwnTheirArrays:
             assert any(np.array_equal(result.estimate, x) and np.array_equal(result.ue_weights, w)
                        for x, w in iterates)
         assert unconverged >= 5
-
-
-def test_grid_distances_are_shared_per_node_set():
-    sc, _ = _problem(seed=30)
-    nodes = np.vstack([sc.gnb_positions, sc.ue_positions])
-    dist = _grid_distances(nodes, 75.0)[1]
-    assert _grid_distances(nodes.copy(), 75.0)[1] is dist
-    assert not dist.flags.writeable
-    for other in (_grid_distances(nodes + 1.0, 75.0)[1], _grid_distances(nodes, 60.0)[1]):
-        assert not np.array_equal(other, dist)
-    # The memo moved on: the first node set is computed again, to the same floats.
-    again = _grid_distances(nodes, 75.0)[1]
-    assert again is not dist and np.array_equal(again, dist)
 
 
 def _assert_grid_inits_match_norm_reference(ranges, g, u, half_extent):
