@@ -766,7 +766,7 @@ class TestDriverMatchesReferenceLoops:
         g = np.array([[-60.0, 0.0], [40.0, 0.0]])
         u = np.array([[-30.0, 0.0], [70.0, 0.0]])
         target = np.array([10.0, 0.0])
-        ranges = (np.abs(g[:, :1] - target[0]) + np.abs(u[:, 0] - target[0]))
+        ranges = np.abs(g[:, :1] - target[0]) + np.abs(u[:, 0] - target[0])
         result = _assert_reaches_minimum(method, ranges, g, u, self.CONFIG,
                                          np.array([0.0, 0.0]))
         assert result.converged
