@@ -32,7 +32,7 @@ scenario = Scenario(
     link_excess_ue=np.array([9.0, 0.0, 0.0, 0.0, 4.0, 0.0]),
     rng_seed=base.rng_seed,
 )
-config = OfdmConfig(120e3, 792, 14, 12)
+config = OfdmConfig()
 measurements = synthesize_measurements_model(scenario, config, np.random.default_rng(8))
 
 print(f"target at ({scenario.target[0]:+.1f}, {scenario.target[1]:+.1f}) m")

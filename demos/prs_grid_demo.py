@@ -9,12 +9,7 @@ import numpy as np
 
 from isacloc import OfdmConfig, PrsAllocation, build_grid
 
-config = OfdmConfig(
-    subcarrier_spacing=120e3,
-    num_subcarriers=792,   # 66 resource blocks of 12 subcarriers
-    num_symbols=14,
-    comb_size=12,
-)
+config = OfdmConfig()  # 120 kHz, 66 resource blocks of 12 subcarriers, one slot, comb 12
 print(f"numerology: {config.num_subcarriers} subcarriers x {config.num_symbols} symbols, "
       f"comb {config.comb_size}")
 print(f"range bin: {config.range_resolution:.3f} m, "

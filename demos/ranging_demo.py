@@ -19,7 +19,7 @@ from isacloc import (
 )
 from isacloc.constants import SPEED_OF_LIGHT
 
-config = OfdmConfig(120e3, 792, 14, 12)
+config = OfdmConfig()
 grid = build_grid(config, PrsAllocation(0, comb_offset=0, sequence_seed=1))
 half_bin = config.range_resolution / 2
 

@@ -62,15 +62,6 @@ _CHECK_TARGET_REGION = 40.0
 _SOLVE_ERRORS = (UnderdeterminedError, InsufficientGeometryError)
 
 
-def _default_ofdm() -> OfdmConfig:
-    return OfdmConfig(
-        subcarrier_spacing=120e3,
-        num_subcarriers=792,
-        num_symbols=14,
-        comb_size=12,
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment parameters.
@@ -89,7 +80,7 @@ class ExperimentConfig:
     gnb_region: float = 400.0
     ue_region: float = 200.0
     target_region: float = 150.0
-    ofdm: OfdmConfig = field(default_factory=_default_ofdm)
+    ofdm: OfdmConfig = field(default_factory=OfdmConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
     base_seed: int = 0
     workers: int = 1
@@ -462,7 +453,7 @@ def ranging_check(
     if base_seed < 0:
         raise ConfigurationError("base_seed must be >= 0")
     variance = 0.0 if snr_db is None else noise_variance_from_snr(snr_db)
-    config = config if config is not None else _default_ofdm()
+    config = config if config is not None else OfdmConfig()
     half_bin = config.range_resolution / 2.0
     max_abs_error = 0.0
     within = 0

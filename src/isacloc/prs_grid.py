@@ -30,17 +30,17 @@ _grids = weakref.WeakKeyDictionary()
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    """OFDM numerology for one sensing carrier.
+    """OFDM numerology for one sensing carrier; every field has a default.
 
     Attributes:
-        subcarrier_spacing: Subcarrier spacing in Hz.
-        num_subcarriers: Grid height M; must be a multiple of 12.
+        subcarrier_spacing: Subcarrier spacing in Hz, default 120 kHz (numerology 3).
+        num_subcarriers: Grid height M; a multiple of 12, default 792 (66 resource blocks).
         num_symbols: Grid width N (time-domain symbols), default one slot.
         comb_size: Frequency comb period; one of 2, 4, 6, 12.
     """
 
-    subcarrier_spacing: float
-    num_subcarriers: int
+    subcarrier_spacing: float = 120e3
+    num_subcarriers: int = 792
     num_symbols: int = 14
     comb_size: int = 12
 

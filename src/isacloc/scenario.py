@@ -199,7 +199,8 @@ def synthesize_measurements_phy(
         raise ScenarioError(
             f"{num_gnbs} transmitters exceed the {config.comb_size} distinct comb offsets"
         )
-    if (true_bistatic_ranges(scenario).ranges >= config.unambiguous_range).any():
+    delays = bistatic_delay(scenario)
+    if (delays >= 1.0 / (config.subcarrier_spacing * config.comb_size)).any():
         raise ScenarioError(
             "bistatic ranges exceed the unambiguous window "
             f"({config.unambiguous_range:.1f} m); shrink the geometry"
@@ -209,5 +210,5 @@ def synthesize_measurements_phy(
         build_grid(config, PrsAllocation(s, comb_offset=s, sequence_seed=_BASE_SEQUENCE_SEED + s))
         for s in range(num_gnbs)
     ]
-    received = apply_channel(grids, bistatic_delay(scenario), config, noise)
+    received = apply_channel(grids, delays, config, noise)
     return MeasurementSet(ranges=estimate_ranges(received, grids, config))

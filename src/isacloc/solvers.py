@@ -35,9 +35,10 @@ minimum of their objective.  IRLS keeps its fixed gradient step: the
 Gauss-Newton fixed point of the reweighted objective is a different
 estimate, and the fused estimate would inherit the difference.
 
-A fusion rule averages the reweighted and differencing estimates and
-falls back to the differencing estimate when the reweighted iteration
-fails to converge.
+Every entry point that takes (measurements, gnbs, ues) raises ValueError
+unless the range matrix is S x K.  A fusion rule averages the reweighted
+and differencing estimates with weights w and 1 - w, and falls back to the
+differencing estimate when the reweighted iteration fails to converge.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ _GRID_POINTS = 20          # grid-start points per axis
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """IRLS step size, stopping thresholds, and fusion weights.
+    """IRLS step size, stopping thresholds, and the IRLS fusion weight.
 
     The least-squares and differencing solves take Gauss-Newton steps and
     have no step size; the plain least-squares descent reuses
@@ -82,7 +83,6 @@ class SolverConfig:
     max_iterations: int = 10_000
     e_max: float = 7.0
     fusion_weight_irls: float = 0.5
-    fusion_weight_proposed: float = 0.5
 
     def __post_init__(self):
         check_integer("max_iterations", self.max_iterations)
@@ -100,10 +100,8 @@ class SolverConfig:
                 raise ConfigurationError(f"{name} must be positive")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
-        if self.fusion_weight_irls < 0 or self.fusion_weight_proposed < 0:
-            raise ConfigurationError("fusion weights must be >= 0")
-        if abs(self.fusion_weight_irls + self.fusion_weight_proposed - 1.0) > 1e-9:
-            raise ConfigurationError("fusion weights must sum to 1")
+        if not 0.0 <= self.fusion_weight_irls <= 1.0:
+            raise ConfigurationError("fusion_weight_irls must lie in [0, 1]")
 
 
 @dataclass
@@ -128,6 +126,15 @@ def _ranges_of(measurements) -> np.ndarray:
 def _stack_nodes(gnbs, ues) -> np.ndarray:
     """Transmitters then receivers as one (S+K, 2) array."""
     return np.vstack([np.asarray(gnbs, float), np.asarray(ues, float)])
+
+
+def _problem(measurements, gnbs, ues):
+    """The (S, K) range matrix and the stacked nodes; ValueError if they do not match."""
+    ranges = _ranges_of(measurements)
+    if ranges.shape != (len(gnbs), len(ues)):
+        raise ValueError(f"ranges shape {ranges.shape} does not match "
+                         f"{len(gnbs)} transmitters x {len(ues)} receivers")
+    return ranges, _stack_nodes(gnbs, ues)
 
 
 def _node_geometry(nodes):
@@ -252,7 +259,7 @@ def _grid_design(objective, num_gnbs, num_ues):
     return design, gram
 
 
-def _grid_argmin(objective, data, ranges, gnbs, ues, half_extent):
+def _grid_argmin(objective, data, ranges, nodes, half_extent):
     """Grid point minimizing the sum of squares of data - design @ d.
 
     Every residual of both objectives is a datum minus a +-1 combination of
@@ -269,23 +276,23 @@ def _grid_argmin(objective, data, ranges, gnbs, ues, half_extent):
     if half_extent <= 0:
         raise ConfigurationError("half_extent must be positive")
     design, gram = _grid_design(objective, *ranges.shape)
-    pts, dist = _grid_distances(_stack_nodes(gnbs, ues), half_extent)
+    pts, dist = _grid_distances(nodes, half_extent)
     values = np.einsum("pn,pn->p", dist @ gram, dist) - 2.0 * (dist @ (data @ design))
     return pts[int(np.argmin(values))].copy()
 
 
 def ls_grid_init(measurements, gnbs, ues, half_extent: float) -> np.ndarray:
     """Grid minimum of the least-squares objective, evaluated in one batch."""
-    ranges = _ranges_of(measurements)
-    return _grid_argmin("ls", ranges.ravel(), ranges, gnbs, ues, half_extent)
+    ranges, nodes = _problem(measurements, gnbs, ues)
+    return _grid_argmin("ls", ranges.ravel(), ranges, nodes, half_extent)
 
 
 def difference_grid_init(measurements, gnbs, ues, half_extent: float) -> np.ndarray:
     """Grid minimum of the pair-differencing objective, evaluated in one batch."""
-    ranges = _ranges_of(measurements)
+    ranges, nodes = _problem(measurements, gnbs, ues)
     _, data_g, data_u = _difference_setup(ranges)
     data = np.concatenate([data_g.ravel(), data_u.ravel()])
-    return _grid_argmin("proposed", data, ranges, gnbs, ues, half_extent)
+    return _grid_argmin("proposed", data, ranges, nodes, half_extent)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +363,7 @@ def ls_value_grad(x, measurements, gnbs, ues, weights=None):
     With `weights` (one per receiver) the squares are receiver-weighted,
     which is the objective each reweighted iteration descends.
     """
-    evaluation = _ls_evaluator(_ranges_of(measurements), _stack_nodes(gnbs, ues))(
-        np.asarray(x, float))
+    evaluation = _ls_evaluator(*_problem(measurements, gnbs, ues))(np.asarray(x, float))
     weights = None if weights is None else np.asarray(weights, float)
     return _ls_value(evaluation, weights), np.array(_ls_grad(evaluation, weights))
 
@@ -430,8 +436,7 @@ def _difference_grad(evaluation, weights=None):
 
 def difference_value_grad(x, measurements, gnbs, ues):
     """Sum of squared pair-difference residuals at position x and its gradient."""
-    evaluate = _difference_evaluator(_ranges_of(measurements), _stack_nodes(gnbs, ues))
-    evaluation = evaluate(np.asarray(x, float))
+    evaluation = _difference_evaluator(*_problem(measurements, gnbs, ues))(np.asarray(x, float))
     return _difference_value(evaluation), np.array(_difference_grad(evaluation))
 
 
@@ -458,10 +463,11 @@ def _gauss_newton_step(evaluate, objective, gram):
     solved in closed form; a near-singular J^T J falls back to the gradient
     step -grad / (2 tr(J^T J)).  delta is halved until the objective does
     not rise, and the new iterate is returned with its evaluation, value
-    and gradient; a rejected trial costs no gradient.  When no halving stops
-    the rise, x is a floating-point stationary point and all None is
-    returned.  A NaN objective is accepted, so the driver's divergence check
-    stops the solve.
+    and gradient; a rejected trial costs no gradient.  When J^T J is zero
+    (then so is the gradient J^T r) or no halving stops the rise, x is a
+    floating-point stationary point and all None is returned.  A NaN
+    objective or trace is accepted, so the driver's divergence check stops
+    the solve.
     """
     value_of, grad_of = objective
 
@@ -474,6 +480,8 @@ def _gauss_newton_step(evaluate, objective, gram):
         det, trace = a * d - b * b, a + d
         if det > _GN_SINGULAR * trace * trace:
             delta = np.array([(d * g0 - b * g1) / det, (a * g1 - b * g0) / det])
+        elif trace == 0.0:
+            return None, None, None, None
         else:
             delta = np.array([g0 / trace, g1 / trace])
         for _ in range(_GN_HALVINGS):
@@ -548,11 +556,7 @@ def _descend(method, evaluate, objective, x0, step, threshold, max_iterations, t
 
 
 def _prepare(measurements, gnbs, ues, config, init):
-    ranges = _ranges_of(measurements)
-    nodes = _stack_nodes(gnbs, ues)
-    if ranges.shape != (len(gnbs), len(ues)):
-        raise ValueError(f"ranges shape {ranges.shape} does not match "
-                         f"{len(gnbs)} transmitters x {len(ues)} receivers")
+    ranges, nodes = _problem(measurements, gnbs, ues)
     config = config if config is not None else SolverConfig()
     x0 = centroid_init(gnbs, ues) if init is None else np.asarray(init, dtype=float)
     if init is not None and not np.isfinite(x0).all():
@@ -657,15 +661,12 @@ def fuse(irls_result: LocalizationResult, proposed_result: LocalizationResult,
     """Convex combination of the two estimates, gated on IRLS convergence.
 
     When the reweighted fit converged, the fused estimate is
-    fusion_weight_irls * irls + fusion_weight_proposed * proposed;
+    w * irls + (1 - w) * proposed with w = fusion_weight_irls;
     otherwise the differencing estimate is returned unchanged.
     """
-    config = config if config is not None else SolverConfig()
+    w = (config if config is not None else SolverConfig()).fusion_weight_irls
     if irls_result.converged:
-        estimate = (
-            config.fusion_weight_irls * irls_result.estimate
-            + config.fusion_weight_proposed * proposed_result.estimate
-        )
+        estimate = w * irls_result.estimate + (1.0 - w) * proposed_result.estimate
     else:
         estimate = proposed_result.estimate.copy()
     return LocalizationResult(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from isacloc import harness
+from isacloc import OfdmConfig, harness
 from isacloc.cli import experiment_config_from_dict, main
 from isacloc.errors import ConfigurationError
 
@@ -33,6 +33,11 @@ class TestConfigParsing:
         assert config.trials == 3
         assert config.ofdm.num_subcarriers == 96
         assert config.solver.e_max == 5.0
+
+    def test_partial_ofdm_section(self):
+        # Each ofdm key is optional on its own; the rest keep their defaults.
+        config = experiment_config_from_dict({"ofdm": {"num_symbols": 7}})
+        assert config.ofdm == OfdmConfig(120e3, 792, num_symbols=7, comb_size=12)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -158,10 +163,12 @@ class TestValueTypesFailValidation:
         assert main(["run", "--config", str(config_path)]) == 1
         assert "must be a finite number" in capsys.readouterr().err
 
-    # The Gauss-Newton solves take no step size, and the carrier frequency
-    # was never read: each is an unknown key, at its old default too.
+    # The Gauss-Newton solves take no step size, the differencing fusion
+    # weight is 1 - fusion_weight_irls, and the carrier frequency was never
+    # read: each is an unknown key, at its old default too.
     @pytest.mark.parametrize("solver", [{"ls_step": 0.02}, {"proposed_step": 0.004},
-                                        {"ls_step": 0.01}], ids=str)
+                                        {"ls_step": 0.01}, {"fusion_weight_proposed": 0.5}],
+                             ids=str)
     def test_unused_step_exits_one(self, tmp_path, capsys, solver):
         config_path = _write_config(tmp_path / "config.json", solver=solver)
         assert main(["run", "--config", str(config_path)]) == 1

@@ -111,6 +111,9 @@ class TestOfdmConfig:
             fr2_config.range_resolution * 792 / 12
         )
 
+    def test_defaults_are_the_fr2_numerology(self, fr2_config):
+        assert OfdmConfig() == fr2_config
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -13,6 +13,7 @@ from isacloc import (
     synthesize_measurements_model,
     synthesize_measurements_phy,
 )
+from isacloc import scenario as scenario_module
 from isacloc.scenario import MeasurementSet, true_bistatic_ranges
 
 
@@ -210,6 +211,19 @@ class TestPhySynthesis:
                              outlier_max=0.0, rng_seed=0)
         with pytest.raises(ScenarioError):
             synthesize_measurements_phy(sc, fr2_config)
+
+    def test_path_lengths_come_from_the_channel_delays(self, fr2_config, monkeypatch):
+        # The window check reads the same delay matrix the channel gets.
+        sc = self._small_scenario(6, num_gnbs=6, num_ues=6, outlier_max=10.0)
+        noise = NoiseSpec(variance=0.05, rng_seed=6)
+        expected = synthesize_measurements_phy(sc, fr2_config, noise).ranges
+
+        def true_bistatic_ranges(scenario):
+            raise AssertionError("path lengths computed twice")
+
+        monkeypatch.setattr(scenario_module, "true_bistatic_ranges", true_bistatic_ranges)
+        assert np.array_equal(synthesize_measurements_phy(sc, fr2_config, noise).ranges,
+                              expected)
 
     def test_out_of_window_geometry_rejected(self, fr2_config):
         sc = sample_scenario(2, 2, gnb_region=800, ue_region=800, target_region=100,

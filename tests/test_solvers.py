@@ -375,7 +375,7 @@ class TestFusion:
 
     def test_degenerate_weight_returns_irls(self):
         irls, prop = self._results(True)
-        cfg = SolverConfig(fusion_weight_irls=1.0, fusion_weight_proposed=0.0)
+        cfg = SolverConfig(fusion_weight_irls=1.0)
         fused = fuse(irls, prop, cfg)
         assert np.allclose(fused.estimate, [0.0, 0.0])
 
@@ -458,11 +458,14 @@ def test_solver_config_validation():
     with pytest.raises(ConfigurationError):
         SolverConfig(irls_step=0.0)
     # The Gauss-Newton solves take no step size, so there is no key for one.
-    for retired in ({"ls_step": 0.01}, {"proposed_step": 0.001}):
+    # The differencing weight is 1 - fusion_weight_irls, so there is no key for it.
+    for retired in ({"ls_step": 0.01}, {"proposed_step": 0.001},
+                    {"fusion_weight_proposed": 0.5}):
         with pytest.raises(TypeError, match="unexpected keyword"):
             SolverConfig(**retired)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(fusion_weight_irls=0.7, fusion_weight_proposed=0.7)
+    for weight in (1.5, -0.1):
+        with pytest.raises(ConfigurationError, match="fusion_weight_irls"):
+            SolverConfig(fusion_weight_irls=weight)
     with pytest.raises(ConfigurationError):
         SolverConfig(max_iterations=0)
 
@@ -496,6 +499,20 @@ def test_ls_error_matches_linearized_bound():
         error = result.estimate - sc.target
         ratios.append(error @ error / (variance * np.trace(np.linalg.inv(jac.T @ jac))))
     assert abs(np.mean(ratios) - 1.0) <= 4.0 * math.sqrt(2.0 / len(ratios))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda r, g, u: ls_grid_init(r, g, u, 75.0),
+    lambda r, g, u: difference_grid_init(r, g, u, 75.0),
+    lambda r, g, u: ls_value_grad([0.0, 0.0], r, g, u),
+    lambda r, g, u: difference_value_grad([0.0, 0.0], r, g, u),
+    solve_ls, solve_irls, solve_proposed,
+], ids=["ls_grid_init", "difference_grid_init", "ls_value_grad", "difference_value_grad",
+        "solve_ls", "solve_irls", "solve_proposed"])
+def test_transposed_ranges_rejected(entry):
+    sc, ranges = _problem(seed=23, num_gnbs=4, num_ues=6)
+    with pytest.raises(ValueError, match=r"ranges shape \(6, 4\) does not match"):
+        entry(ranges.T, sc.gnb_positions, sc.ue_positions)
 
 
 def test_measurement_set_and_array_inputs_agree():
@@ -772,6 +789,16 @@ class TestDriverMatchesReferenceLoops:
         assert result.converged
         assert result.estimate[1] == 0.0
         assert abs(result.estimate[0] - target[0]) < 1e-6
+
+    def test_zero_jacobian_is_a_stationary_point(self):
+        # Every node lies on the x-axis and the start beyond all of them on
+        # it, so each pair difference of distances is constant in x: every
+        # row of the differencing Jacobian, and with it J^T J, is zero.
+        g = np.array([[-60.0, 0.0], [40.0, 0.0]])
+        u = np.array([[-30.0, 0.0], [70.0, 0.0]])
+        result = solve_proposed(np.full((2, 2), 100.0), g, u, self.CONFIG, init=[100.0, 0.0])
+        assert result.converged and result.iterations == 1
+        assert np.array_equal(result.estimate, [100.0, 0.0])
 
     def test_all_weights_zero_stops_irls(self):
         config = SolverConfig(e_max=1e-9)
