@@ -7,7 +7,7 @@ base_seed XOR trial index, so results are independent of execution order
 and the whole experiment is reproducible byte for byte.  It also means that
 base seeds 0 and 1 run the same trials in another order, and any two base
 seeds that differ only in bits below the trial count share trials; ROADMAP
-item 3 replaces the rule.
+item 5 replaces the rule.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    InsufficientGeometryError,
-    UnderdeterminedError,
-    check_finite,
-    check_integer,
-)
+from .errors import ConfigurationError, check_finite, check_integer
 from .phy_channel import NoiseSpec, noise_variance_from_snr
 from .prs_grid import OfdmConfig
 from .scenario import (
@@ -55,11 +49,6 @@ _CDF_STEP = 0.05   # meters per CDF grid point
 _CHECK_GNB_REGION = 80.0
 _CHECK_UE_REGION = 80.0
 _CHECK_TARGET_REGION = 40.0
-
-# The errors a solver raises on its input, recorded as an infinite error.
-# Any other exception, including a phy synthesis error raised before the
-# solves, propagates.
-_SOLVE_ERRORS = (UnderdeterminedError, InsufficientGeometryError)
 
 
 @dataclass(frozen=True)
@@ -199,9 +188,9 @@ def _trial_seed(base_seed: int, trial: int) -> int:
 def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialResult:
     """Run one scenario through synthesis and all solvers.
 
-    A solve that fails with one of the library's run-time errors is
-    recorded as an infinite error for that method and the trial goes on;
-    any other exception propagates.
+    ExperimentConfig refuses every node count a solve would reject, so
+    each method's error is finite; any exception propagates and stops the
+    run.
     """
     scenario = sample_scenario(
         config.num_gnbs,
@@ -232,33 +221,15 @@ def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialResult:
     init_ls = ls_grid_init(measurements, gnbs, ues, half)
     init_diff = difference_grid_init(measurements, gnbs, ues, half)
 
-    def solve(solver, init):
-        try:
-            return solver(measurements, gnbs, ues, config.solver, init)
-        except _SOLVE_ERRORS:
-            return None
-
     results = {
-        "ls": solve(solve_ls, init_ls),
-        "irls": solve(solve_irls, init_ls),
-        "proposed": solve(solve_proposed, init_diff),
+        "ls": solve_ls(measurements, gnbs, ues, config.solver, init_ls),
+        "irls": solve_irls(measurements, gnbs, ues, config.solver, init_ls),
+        "proposed": solve_proposed(measurements, gnbs, ues, config.solver, init_diff),
     }
-    if results["irls"] is not None and results["proposed"] is not None:
-        results["proposed"] = fuse(results["irls"], results["proposed"], config.solver)
-    errors, converged = {}, {}
-    for method, result in results.items():
-        if result is None:
-            errors[method], converged[method] = math.inf, False
-        else:
-            errors[method] = float(np.linalg.norm(result.estimate - scenario.target))
-            converged[method] = bool(result.converged)
+    results["proposed"] = fuse(results["irls"], results["proposed"], config.solver)
+    errors = {m: float(np.linalg.norm(r.estimate - scenario.target)) for m, r in results.items()}
+    converged = {m: bool(r.converged) for m, r in results.items()}
     return TrialResult(errors=errors, converged=converged)
-
-
-def _nearest_rank_p90(samples) -> float:
-    ordered = sorted(samples)
-    rank = math.ceil(0.9 * len(ordered))
-    return float(ordered[rank - 1])
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -286,12 +257,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     errors = {m: [r.errors[m] for r in results] for m in METHODS}
     converged = {m: [r.converged[m] for r in results] for m in METHODS}
     mean_error = {m: float(np.mean(errors[m])) for m in METHODS}
-    p90_error = {m: _nearest_rank_p90(errors[m]) for m in METHODS}
+    p90_error = {m: float(np.percentile(errors[m], 90, method="inverted_cdf")) for m in METHODS}
     divergence_count = {m: int(sum(not c for c in converged[m])) for m in METHODS}
 
-    # The grid ends at the largest finite error, so a failed solve (an
-    # infinite error) leaves every other error on the grid.
-    top = max((e for m in METHODS for e in errors[m] if math.isfinite(e)), default=0.0)
+    top = max(max(errors[m]) for m in METHODS)
     n_bins = max(1, math.ceil(top / _CDF_STEP))
     cdf_grid = [round(i * _CDF_STEP, 10) for i in range(n_bins + 1)]
     cdf = {}
@@ -313,17 +282,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _json_stats(stats: dict) -> dict:
-    """Per-method statistics for strict JSON: a non-finite value becomes null."""
-    return {m: value if math.isfinite(value) else None for m, value in stats.items()}
-
-
 def emit_report(report: ExperimentReport, out_dir) -> list:
     """Write summary JSON, per-trial CSV, and CDF CSV.
 
     Output is byte-stable: identical reports produce identical files.  The
-    JSON is strict: a mean or p90 that a failed solve made infinite is
-    written as null.  Returns the written paths.
+    JSON is strict: a statistic that is not finite raises ValueError
+    instead of being written.  Returns the written paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, "summary.json")
@@ -333,8 +297,8 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
     summary = {
         "trials": report.trials,
         "base_seed": report.base_seed,
-        "mean_error_m": _json_stats(report.mean_error),
-        "p90_error_m": _json_stats(report.p90_error),
+        "mean_error_m": report.mean_error,
+        "p90_error_m": report.p90_error,
         "divergence_count": report.divergence_count,
         "config": report.config,
     }
@@ -421,8 +385,8 @@ def emit_sweep(results, out_dir) -> list:
     payload = [
         {
             "point": label,
-            "mean_error_m": _json_stats(report.mean_error),
-            "p90_error_m": _json_stats(report.p90_error),
+            "mean_error_m": report.mean_error,
+            "p90_error_m": report.p90_error,
         }
         for label, report in results
     ]

@@ -21,7 +21,6 @@ from isacloc import (
     run_experiment,
     run_sweep,
     sample_scenario,
-    solve_ls,
     UnderdeterminedError,
 )
 import isacloc
@@ -63,34 +62,24 @@ class TestRunTrial:
                 assert math.isfinite(result.errors[method])
                 assert 0 <= result.errors[method] < 120.0
 
-    def test_programming_error_propagates(self, monkeypatch):
+    # ExperimentConfig refuses every node count a solve rejects, so a solve
+    # that raises is a defect: whatever it raises stops the run.
+    @pytest.mark.parametrize("error", [TypeError, InsufficientGeometryError,
+                                       UnderdeterminedError, NoDetectionError])
+    @pytest.mark.parametrize("solver", ["solve_ls", "solve_irls", "solve_proposed"])
+    def test_programming_error_propagates(self, monkeypatch, solver, error):
         def broken(*args, **kwargs):
-            raise TypeError("bug in a solver")
+            raise error("bug in a solver")
 
-        monkeypatch.setattr(harness, "solve_irls", broken)
-        with pytest.raises(TypeError, match="bug in a solver"):
-            run_trial(_quick_config(trials=1), 0)
+        monkeypatch.setattr(harness, solver, broken)
+        with pytest.raises(error, match="bug in a solver"):
+            run_experiment(_quick_config(trials=2))
 
-    def test_library_error_recorded_as_inf(self, monkeypatch):
-        def rejected(*args, **kwargs):
-            raise InsufficientGeometryError("receiver reweighting needs >= 2 receivers")
-
-        monkeypatch.setattr(harness, "solve_irls", rejected)
-        result = run_trial(_quick_config(trials=1), 0)
-        assert result.errors["irls"] == math.inf
-        assert result.converged["irls"] is False
-        # Fusion needs both estimates, so the differencing one stands alone.
-        assert math.isfinite(result.errors["proposed"])
-        assert math.isfinite(result.errors["ls"])
-
-    @pytest.mark.parametrize("irls_outcome", ["raises", "not_converged"])
-    def test_irls_failure_falls_back_to_differencing_estimate(self, monkeypatch, irls_outcome):
+    def test_irls_failure_falls_back_to_differencing_estimate(self, monkeypatch):
         real_irls, real_proposed = harness.solve_irls, harness.solve_proposed
         proposed = []
 
         def irls(*args):
-            if irls_outcome == "raises":
-                raise InsufficientGeometryError("receiver reweighting needs >= 2 receivers")
             return dataclasses.replace(real_irls(*args), converged=False)
 
         def recording_proposed(*args):
@@ -136,33 +125,19 @@ class TestRunExperiment:
         steps = np.diff(report.cdf_grid)
         assert np.allclose(steps, 0.05)
 
-    def test_cdf_grid_spans_finite_errors_after_a_failed_solve(self, monkeypatch):
-        calls = []
+    def test_p90_is_the_nearest_rank(self, monkeypatch):
+        # Synthetic errors, some with ties, for every sample size up to 200.
+        def trial(config, seed):
+            e = float(np.random.default_rng(seed).exponential(3.0))
+            errors = {"ls": e, "irls": round(e, 1), "proposed": float(int(e))}
+            return harness.TrialResult(errors=errors, converged=dict.fromkeys(METHODS, True))
 
-        def first_ls_fails(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
-                raise UnderdeterminedError("too few measurements")
-            return solve_ls(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "solve_ls", first_ls_fails)
-        report = run_experiment(_quick_config(trials=20, base_seed=3))
-        assert report.errors["ls"][0] == math.inf
-        finite = [e for m in METHODS for e in report.errors[m] if math.isfinite(e)]
-        assert report.cdf_grid[-1] >= max(finite) > report.cdf_grid[-1] - 0.05
-        assert report.cdf["ls"][-1] == 19 / 20
-        assert report.cdf["irls"][-1] == report.cdf["proposed"][-1] == 1.0
-
-    def test_phy_error_from_a_solve_propagates(self, monkeypatch):
-        # Only the solvers' own errors become an infinite error; phy synthesis
-        # raises NoDetectionError before the solves, and a solve raising it is
-        # a defect.
-        def ls_fails(*args, **kwargs):
-            raise NoDetectionError("range profile has no nonzero peak")
-
-        monkeypatch.setattr(harness, "solve_ls", ls_fails)
-        with pytest.raises(NoDetectionError):
-            run_experiment(_quick_config(trials=2))
+        monkeypatch.setattr(harness, "run_trial", trial)
+        for n in range(1, 201):
+            report = run_experiment(_quick_config(trials=n))
+            for method in METHODS:
+                ordered = sorted(report.errors[method])
+                assert report.p90_error[method] == ordered[math.ceil(0.9 * n) - 1]
 
     def test_divergence_counts(self, report):
         for method in METHODS:
@@ -210,26 +185,6 @@ class TestEmitReport:
         for p1, p2 in zip(first, second):
             assert open(p1, "rb").read() == open(p2, "rb").read()
 
-
-    def test_failed_solve_written_as_strict_json(self, tmp_path, monkeypatch):
-        def rejected(*args, **kwargs):
-            raise InsufficientGeometryError("pair differencing needs >= 2 receivers")
-
-        def strict(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        monkeypatch.setattr(harness, "solve_proposed", rejected)
-        report = run_experiment(_quick_config(trials=2))
-        assert report.mean_error["proposed"] == math.inf
-        summary_path = emit_report(report, tmp_path / "out")[0]
-        payload = json.loads(open(summary_path).read(), parse_constant=strict)
-        assert payload["mean_error_m"]["proposed"] is None
-        assert payload["p90_error_m"]["proposed"] is None
-        assert payload["mean_error_m"]["ls"] == report.mean_error["ls"]
-        assert set(payload["mean_error_m"]) == set(METHODS)
-        paths = emit_sweep([("point", report)], tmp_path / "sweep")
-        sweep = json.loads(open(paths[-1]).read(), parse_constant=strict)
-        assert sweep[0]["p90_error_m"]["proposed"] is None
 
 
 class TestSweep:
@@ -322,10 +277,17 @@ class TestGeometryValidation:
         config = ExperimentConfig(trials=2, **PHY_6X6)
         assert config.num_gnbs == 6 and config.num_ues == 6
 
-    @pytest.mark.parametrize("nodes", [dict(num_gnbs=1), dict(num_ues=1)])
-    def test_single_node_side_rejected(self, nodes):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(**nodes)
+    # A solve raises on these, so no run may reach one, scalar or sweep point.
+    @pytest.mark.parametrize("nodes", [dict(num_gnbs=1), dict(num_ues=1),
+                                       dict(num_gnbs=[6, 1]), dict(num_ues=[1, 6])])
+    def test_single_node_side_rejected(self, monkeypatch, nodes):
+        def run_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        with pytest.raises(ConfigurationError, match="num_gnbs and num_ues must be >= 2"):
+            config = ExperimentConfig(trials=2, **nodes)
+            (run_sweep if config.is_sweep else run_experiment)(config)
 
     def test_phy_default_regions_rejected(self):
         # Worst case 656.4 m against the 208.2 m window.
