@@ -2,7 +2,8 @@
 
 Each transmitter gets one comb offset: its symbols occupy every 12th
 subcarrier, shifted by the offset, so up to 12 transmitters share the
-band without overlapping.
+band without overlapping.  A grid holds only those comb rows: row i is
+subcarrier comb_offset + 12*i.
 """
 
 import numpy as np
@@ -16,26 +17,30 @@ print(f"range bin: {config.range_resolution:.3f} m, "
       f"unambiguous window: {config.unambiguous_range:.1f} m")
 
 grids = [
-    build_grid(config, PrsAllocation(s, comb_offset=s, sequence_seed=1 + s))
+    build_grid(config, PrsAllocation(comb_offset=s, sequence_seed=1 + s))
     for s in range(3)
 ]
 
+
+def subcarriers(grid):
+    """The subcarrier each comb row of the grid is sent on."""
+    return np.arange(grid.allocation.comb_offset, config.num_subcarriers, config.comb_size)
+
+
 print("\nper-transmitter occupancy (first 24 subcarriers of symbol 0):")
-for grid in grids:
-    row = "".join(
-        "#" if abs(grid.symbols[m, 0]) > 0 else "." for m in range(24)
-    )
-    print(f"  tx {grid.allocation.transmitter_id} (offset {grid.allocation.comb_offset}): {row}")
+for s, grid in enumerate(grids):
+    occupied = set(subcarriers(grid).tolist())
+    row = "".join("#" if m in occupied else "." for m in range(24))
+    print(f"  tx {s} (offset {grid.allocation.comb_offset}): {row}")
 
-per_column = np.count_nonzero(grids[0].symbols, axis=0)
-print(f"\noccupied subcarriers per symbol column: {per_column[0]} "
-      f"(= {config.num_subcarriers}/{config.comb_size})")
+rows, columns = grids[0].symbols.shape
+print(f"\ncomb rows per transmitter: {rows} x {columns} symbols, so {rows} occupied "
+      f"subcarriers per symbol column (= {config.num_subcarriers}/{config.comb_size})")
 
-overlap = (np.abs(grids[0].symbols) > 0) & (np.abs(grids[1].symbols) > 0)
-print(f"support overlap between tx 0 and tx 1: {int(overlap.sum())} entries")
+overlap = np.intersect1d(subcarriers(grids[0]), subcarriers(grids[1]))
+print(f"subcarriers shared by tx 0 and tx 1: {overlap.size}")
 
-mags = np.abs(grids[0].symbols[np.abs(grids[0].symbols) > 0])
+mags = np.abs(grids[0].symbols)
 print(f"symbol magnitude spread: [{mags.min():.15f}, {mags.max():.15f}] (unit-modulus QPSK)")
 
-symbols = grids[0].symbols[np.abs(grids[0].symbols) > 0][:4]
-print("first four symbols of tx 0:", np.round(symbols, 4))
+print("first four symbols of tx 0:", np.round(grids[0].symbols[0, :4], 4))

@@ -20,7 +20,7 @@ from isacloc import (
 from isacloc.constants import SPEED_OF_LIGHT
 
 config = OfdmConfig()
-grid = build_grid(config, PrsAllocation(0, comb_offset=0, sequence_seed=1))
+grid = build_grid(config, PrsAllocation(comb_offset=0, sequence_seed=1))
 half_bin = config.range_resolution / 2
 
 print(f"range bin {config.range_resolution:.4f} m, half bin {half_bin:.4f} m\n")

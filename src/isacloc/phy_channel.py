@@ -67,11 +67,11 @@ def apply_channel(
 ) -> list[np.ndarray]:
     """Produce each receiver's (S, W, N) comb block from the S transmit grids.
 
-    The grids must fill whole combs on distinct offsets, as `build_grid`
-    makes them (`prs_grid.comb_symbols` raises ScenarioError otherwise).
-    `delays` is an (S, K) matrix in seconds: entry [s, k] is the delay of
-    path s -> k.  With c_s the comb offset of grids[s] and m = c_s + comb*i,
-    entry [s, i, n] of block k is grids[s].symbols[m, n] *
+    The grids must be comb rows of `config` on distinct offsets, as
+    `build_grid` makes them (`prs_grid.comb_symbols` raises ScenarioError
+    otherwise).  `delays` is an (S, K) matrix in seconds: entry [s, k] is
+    the delay of path s -> k.  With c_s the comb offset of grids[s] and
+    m = c_s + comb*i, entry [s, i, n] of block k is grids[s].symbols[i, n] *
     exp(-j 2 pi m df delays[s, k]) plus complex Gaussian noise (variance
     per component from `noise`).  The noise of receiver k is one
     standard_normal draw of shape (S*W, N, 2) over the occupied subcarriers

@@ -1,17 +1,16 @@
 """Reference-signal sequences and comb-structured OFDM resource grids.
 
-Each transmitter gets a comb offset and a 31-bit sequence seed.  Its grid
-is an M x N complex matrix carrying unit-modulus QPSK symbols on every
-subcarrier of its comb and zeros elsewhere, so transmitters with distinct
-offsets occupy disjoint subcarrier sets and can be separated at the
-receiver by support alone.
+Each transmitter gets a comb offset c and a 31-bit sequence seed.  It
+sends unit-modulus QPSK symbols on the subcarriers c + comb_size*i of its
+comb and nothing elsewhere, so its grid holds only those W = M/comb_size
+rows.  Transmitters with distinct offsets occupy disjoint subcarrier sets
+and can be separated at the receiver by subcarrier alone.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -72,15 +71,12 @@ class OfdmConfig:
 class PrsAllocation:
     """Comb offset and sequence seed assigned to one transmitter."""
 
-    transmitter_id: int
     comb_offset: int
     sequence_seed: int
 
     def __post_init__(self):
-        for name in ("transmitter_id", "comb_offset", "sequence_seed"):
+        for name in ("comb_offset", "sequence_seed"):
             check_integer(name, getattr(self, name))
-        if self.transmitter_id < 0:
-            raise ConfigurationError("transmitter_id must be >= 0")
         if self.comb_offset < 0:
             raise ConfigurationError("comb_offset must be >= 0")
         if not 0 < self.sequence_seed < 2**31:
@@ -89,28 +85,21 @@ class PrsAllocation:
 
 @dataclass(frozen=True)
 class ResourceGrid:
-    """M x N symbol matrix of one transmitter plus its allocation.
+    """The W x N comb rows one transmitter sends, plus its allocation.
 
-    The symbols must not change once `support` has been read.
+    Row i of `symbols` is subcarrier comb_offset + comb_size*i.  Every entry
+    must have unit modulus, so a grid always fills its whole comb; the
+    symbols must not change once the grid is built.
     """
 
     symbols: np.ndarray
     allocation: PrsAllocation
 
     def __post_init__(self):
-        mags = np.abs(self.symbols)
-        nonzero = mags > 0
-        if nonzero.any() and not np.allclose(mags[nonzero], 1.0, atol=1e-12):
-            raise ConfigurationError("nonzero grid entries must have unit modulus")
-
-    @cached_property
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending indices of the nonzero rows, and those rows (read-only)."""
-        rows = np.flatnonzero(self.symbols.any(axis=1))
-        values = self.symbols[rows]
-        rows.setflags(write=False)
-        values.setflags(write=False)
-        return rows, values
+        symbols = self.symbols
+        if (not isinstance(symbols, np.ndarray) or symbols.ndim != 2
+                or not np.allclose(np.abs(symbols), 1.0, atol=1e-12)):
+            raise ConfigurationError("grid symbols must be a 2-D array of unit-modulus entries")
 
 
 def gold_sequence(seed: int, length: int) -> np.ndarray:
@@ -170,14 +159,14 @@ def prs_symbols(seed: int, count: int) -> np.ndarray:
 
 
 def build_grid(config: OfdmConfig, alloc: PrsAllocation) -> ResourceGrid:
-    """Fill the allocation's comb positions with reference symbols.
+    """Generate the allocation's W x N comb rows of reference symbols.
 
     Symbols are generated as one stream from the allocation seed and laid
-    down column by column, M/comb_size per symbol column.  All other grid
-    entries are zero.  The grid depends on nothing else, so it is built
-    once: while an equal config is alive, an equal allocation returns the
-    same read-only grid.  At most 64 grids are kept per config, the oldest
-    dropped first.
+    down column by column, W = M/comb_size per symbol column; row i goes
+    on subcarrier comb_offset + comb_size*i.  The grid depends on nothing
+    else, so it is built once: while an equal config is alive, an equal
+    allocation returns the same read-only grid.  At most 64 grids are kept
+    per config, the oldest dropped first.
     """
     grids = _grids.setdefault(config, {})
     if alloc in grids:
@@ -186,11 +175,11 @@ def build_grid(config: OfdmConfig, alloc: PrsAllocation) -> ResourceGrid:
         raise ConfigurationError(
             f"comb_offset {alloc.comb_offset} out of range for comb size {config.comb_size}"
         )
-    m_index = np.arange(alloc.comb_offset, config.num_subcarriers, config.comb_size)
-    per_column = m_index.size
-    stream = prs_symbols(alloc.sequence_seed, per_column * config.num_symbols)
-    grid = np.zeros((config.num_subcarriers, config.num_symbols), dtype=np.complex128)
-    grid[m_index, :] = stream.reshape(config.num_symbols, per_column).T
+    window = config.num_subcarriers // config.comb_size
+    stream = prs_symbols(alloc.sequence_seed, window * config.num_symbols)
+    # C order: the comb stack keeps its inputs' layout, and the ranging's
+    # mean over symbols rounds differently on a transposed one.
+    grid = np.ascontiguousarray(stream.reshape(config.num_symbols, window).T)
     grid.setflags(write=False)
     if len(grids) >= _GRIDS_PER_CONFIG:
         del grids[next(iter(grids))]
@@ -199,23 +188,20 @@ def build_grid(config: OfdmConfig, alloc: PrsAllocation) -> ResourceGrid:
 
 
 def comb_symbols(grids, config: OfdmConfig) -> np.ndarray:
-    """Stack the comb rows of grids that fill whole combs on distinct offsets.
+    """Stack the comb rows of grids of `config` on distinct offsets.
 
-    Grid s must be an M x N grid of `config`, nonzero exactly on the rows
-    c_s + comb*i (c_s its comb offset, i < W = M/comb_size), as
-    `build_grid` makes it, and no two grids may share an offset; otherwise
+    Every grid must be W x N (W = M/comb_size) and its comb offset below
+    comb_size, and no two grids may share an offset; otherwise
     ScenarioError.  Entry [s, i, n] of the read-only (S, W, N) result is
-    grids[s].symbols[c_s + comb*i, n].
+    grids[s].symbols[i, n], sent on subcarrier c_s + comb_size*i with c_s
+    the comb offset of grids[s].
     """
-    shape = (config.num_subcarriers, config.num_symbols)
+    shape = (config.num_subcarriers // config.comb_size, config.num_symbols)
     offsets = [grid.allocation.comb_offset for grid in grids]
-    comb_rows = np.add.outer(offsets, np.arange(0, shape[0], config.comb_size)).ravel()
-    if (grids and all(grid.symbols.shape == shape for grid in grids)
-            and len(set(offsets)) == len(offsets)
-            and np.array_equal(np.concatenate([grid.support[0] for grid in grids]), comb_rows)):
-        symbols = np.stack([grid.support[1] for grid in grids])
-        if symbols.all():
-            symbols.setflags(write=False)
-            return symbols
-    raise ScenarioError("transmit grids must fill every entry of their comb rows "
-                        f"offset::{config.comb_size} on distinct offsets; got offsets {offsets}")
+    if (not grids or any(grid.symbols.shape != shape for grid in grids)
+            or len(set(offsets)) != len(offsets) or max(offsets) >= config.comb_size):
+        raise ScenarioError(f"transmit grids must be {shape[0]} x {shape[1]} comb rows on "
+                            f"distinct offsets below {config.comb_size}; got offsets {offsets}")
+    symbols = np.stack([grid.symbols for grid in grids])
+    symbols.setflags(write=False)
+    return symbols

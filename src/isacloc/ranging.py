@@ -1,18 +1,18 @@
 """Periodogram bistatic range estimation from received symbols.
 
-The receiver divides its grid entrywise by a transmitter's grid (defined
-as zero off the transmit comb), takes an M-point IFFT of every symbol
-column, averages the magnitudes over columns, and reads the bistatic
-range off the location of the profile peak.  Because only every
+The receiver divides its grid entrywise by a transmitter's symbols
+(defined as zero off the transmit comb), takes an M-point IFFT of every
+symbol column, averages the magnitudes over columns, and reads the
+bistatic range off the location of the profile peak.  Because only every
 comb_size-th subcarrier carries energy, the profile repeats with period
 W = M/comb_size and the peak search is restricted to that unambiguous
 window.
 
 `extract_and_divide`, `range_profile` and `estimate_range` do this for
-one pair on dense M x N grids.  `comb_profiles` and `estimate_ranges` do
-it for every transmitter-receiver pair on the (S, W, N) comb blocks that
-`apply_channel` returns, one receiver at a time: each block is divided
-by the transmitters' comb rows and transformed with W-point IFFTs.  For
+one pair on dense M x N matrices.  `comb_profiles` and `estimate_ranges`
+do it for every transmitter-receiver pair on the (S, W, N) comb blocks
+that `apply_channel` returns, one receiver at a time: each block is
+divided by the transmitters' comb rows and transformed with W-point IFFTs.  For
 a divided grid g that is zero off the rows c + comb*i,
 
     |sum_m g[m] e^{2 pi j m q / M}| = |sum_i g[c + comb*i] e^{2 pi j i q / W}|
@@ -33,12 +33,12 @@ from .prs_grid import OfdmConfig, comb_symbols
 def extract_and_divide(received, transmit) -> np.ndarray:
     """Remove the known transmit symbols by point-wise division.
 
-    Entries where the transmit grid is zero are defined as zero, so the
-    result carries the per-path channel response on the transmit comb and
-    nothing elsewhere.  Accepts grid objects or bare matrices.
+    Both are M x N matrices.  Entries where the transmit matrix is zero are
+    defined as zero, so the result carries the per-path channel response on
+    the transmit comb and nothing elsewhere.
     """
-    v_rx = np.asarray(getattr(received, "symbols", received))
-    v_tx = np.asarray(getattr(transmit, "symbols", transmit))
+    v_rx = np.asarray(received)
+    v_tx = np.asarray(transmit)
     if v_rx.shape != v_tx.shape:
         raise ValueError(f"shape mismatch: received {v_rx.shape} vs transmit {v_tx.shape}")
     out = np.zeros(v_rx.shape, dtype=np.complex128)
@@ -78,10 +78,11 @@ def comb_profiles(received, transmit, config: OfdmConfig) -> np.ndarray:
     """Range profiles of every transmitter-receiver pair over bins [0, W).
 
     `received` holds the K (S, W, N) comb blocks `apply_channel` returns
-    for the S `transmit` grids, which must fill whole combs on distinct
-    offsets (`prs_grid.comb_symbols` raises ScenarioError otherwise).
-    Entry [s, k] equals `range_profile(extract_and_divide(rx, transmit[s]),
-    config)[:W]` up to rounding, rx being block k laid out as an M x N grid.
+    for the S `transmit` grids, which must be comb rows of `config` on
+    distinct offsets (`prs_grid.comb_symbols` raises ScenarioError
+    otherwise).  Entry [s, k] equals `range_profile(extract_and_divide(rx,
+    tx), config)[:W]` up to rounding, rx and tx being block k and
+    transmit[s] laid out as M x N matrices, zero off their comb rows.
 
     Returns a float array of shape (S, K, W).
     """

@@ -207,7 +207,7 @@ def synthesize_measurements_phy(
         )
 
     grids = [
-        build_grid(config, PrsAllocation(s, comb_offset=s, sequence_seed=_BASE_SEQUENCE_SEED + s))
+        build_grid(config, PrsAllocation(comb_offset=s, sequence_seed=_BASE_SEQUENCE_SEED + s))
         for s in range(num_gnbs)
     ]
     received = apply_channel(grids, delays, config, noise)

@@ -1,28 +1,40 @@
 """Dense M x N reference pipeline for the phy channel and comb ranging tests.
 
-`dense_channel` multiply-accumulates every path over full M x N grids and
-`batched_comb_profiles` ranges those grids in one batched comb-domain
-pass.  Together they are the pipeline the library's comb-block channel
-and ranging must reproduce bit for bit.
+`dense_grid` lays a transmitter's comb rows into its full M x N grid,
+zero off its comb.  `dense_channel` multiply-accumulates every path over
+those grids and `batched_comb_profiles` ranges the received grids in one
+batched comb-domain pass.  Together they are the pipeline the library's
+comb-block channel and ranging must reproduce bit for bit.
 """
 
 import numpy as np
 
 
+def dense_grid(grid, config):
+    """A grid's W x N comb rows laid into M x N zeros.
+
+    Row i of grid.symbols goes to subcarrier comb_offset + comb_size*i.
+    """
+    out = np.zeros((config.num_subcarriers, config.num_symbols), np.complex128)
+    out[grid.allocation.comb_offset::config.comb_size] = grid.symbols
+    return out
+
+
 def dense_channel(grids, delays, config, noise):
-    """Multiply-accumulate every path over the full M x N grid.
+    """Multiply-accumulate every path over the full M x N grids.
 
     Noise goes on the rows where some grid is nonzero: receiver k draws
     (rows, N, 2) standard normals from default_rng([rng_seed, k]), the
     real and imaginary part of each entry in turn.
     """
     m = np.arange(config.num_subcarriers)[:, None]
-    occupied = np.flatnonzero(np.any([grid.symbols != 0 for grid in grids], axis=(0, 2)))
+    dense = [dense_grid(grid, config) for grid in grids]
+    occupied = np.flatnonzero(np.any([tx != 0 for tx in dense], axis=(0, 2)))
     out = []
     for k in range(delays.shape[1]):
         acc = np.zeros((config.num_subcarriers, config.num_symbols), dtype=np.complex128)
-        for s, grid in enumerate(grids):
-            acc += np.exp(-2j * np.pi * m * config.subcarrier_spacing * delays[s, k]) * grid.symbols
+        for s, tx in enumerate(dense):
+            acc += np.exp(-2j * np.pi * m * config.subcarrier_spacing * delays[s, k]) * tx
         if noise.variance > 0:
             rng = np.random.default_rng([noise.rng_seed, k])
             z = np.sqrt(noise.variance) * rng.standard_normal(
@@ -42,7 +54,8 @@ def batched_comb_profiles(received, transmit, config):
     window = config.num_subcarriers // comb
     offsets = [grid.allocation.comb_offset for grid in transmit]
     v_tx = np.stack([
-        grid.symbols.reshape(window, comb, -1)[:, c] for grid, c in zip(transmit, offsets)
+        dense_grid(grid, config).reshape(window, comb, -1)[:, c]
+        for grid, c in zip(transmit, offsets)
     ])
     nonzero = v_tx != 0
     divided = np.zeros((len(transmit), len(received), window, config.num_symbols), np.complex128)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isacloc import (
+    ConfigurationError,
     ExperimentConfig,
     NoiseSpec,
     OfdmConfig,
@@ -22,7 +23,7 @@ from isacloc.prs_grid import ResourceGrid
 from isacloc.ranging import estimate_range, extract_and_divide, range_profile
 from isacloc.constants import SPEED_OF_LIGHT
 from isacloc.scenario import true_bistatic_ranges
-from phy_reference import batched_comb_profiles, dense_channel, scatter_blocks
+from phy_reference import batched_comb_profiles, dense_channel, dense_grid, scatter_blocks
 
 
 def channel(grids, delays, config, noise=NoiseSpec()):
@@ -54,47 +55,48 @@ def _scenario(gnbs, ues, target, zg=None, zu=None):
 
 class TestApplyChannel:
     def test_identity_channel(self, small_config):
-        grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
+        grid = build_grid(small_config, PrsAllocation(0, sequence_seed=1))
         [rx] = channel([grid], [[0.0]], small_config)
-        assert np.array_equal(rx, grid.symbols)
+        assert np.array_equal(rx, dense_grid(grid, small_config))
 
     def test_integer_bin_phase_ramp(self, small_config):
         m_count = small_config.num_subcarriers
         q = 5
         delay = q / (small_config.subcarrier_spacing * m_count)
-        grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
+        grid = build_grid(small_config, PrsAllocation(0, sequence_seed=1))
         [rx] = channel([grid], [[delay]], small_config)
-        support = np.abs(grid.symbols) > 0
+        tx = dense_grid(grid, small_config)
+        support = np.abs(tx) > 0
         ramp = np.exp(-2j * np.pi * np.arange(m_count) * q / m_count)[:, None]
-        expected = ramp * grid.symbols
+        expected = ramp * tx
         assert np.allclose(rx[support], expected[support], atol=1e-12)
 
     def test_channel_phase_exact_on_support(self, small_config):
         # Divided grid equals the analytic delay ramp.
         delay = 123e-9
-        grid = build_grid(small_config, PrsAllocation(0, 2, sequence_seed=4))
+        grid = build_grid(small_config, PrsAllocation(2, sequence_seed=4))
         [rx] = channel([grid], [[delay]], small_config)
-        support = np.abs(grid.symbols) > 0
+        tx = dense_grid(grid, small_config)
+        support = np.abs(tx) > 0
         m = np.arange(small_config.num_subcarriers)[:, None]
         expected = np.exp(-2j * np.pi * m * small_config.subcarrier_spacing * delay)
-        ratio = rx[support] / grid.symbols[support]
-        assert np.allclose(ratio, np.broadcast_to(expected, grid.symbols.shape)[support],
-                           atol=1e-12)
+        ratio = rx[support] / tx[support]
+        assert np.allclose(ratio, np.broadcast_to(expected, tx.shape)[support], atol=1e-12)
 
     def test_disjoint_combs_split_by_support(self, small_config):
-        g0 = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
-        g1 = build_grid(small_config, PrsAllocation(1, 1, sequence_seed=2))
+        g0 = build_grid(small_config, PrsAllocation(0, sequence_seed=1))
+        g1 = build_grid(small_config, PrsAllocation(1, sequence_seed=2))
         [joint] = channel([g0, g1], [[50e-9], [80e-9]], small_config)
         [only0] = channel([g0], [[50e-9]], small_config)
         [only1] = channel([g1], [[80e-9]], small_config)
-        support0 = np.abs(g0.symbols) > 0
-        support1 = np.abs(g1.symbols) > 0
+        support0 = np.abs(dense_grid(g0, small_config)) > 0
+        support1 = np.abs(dense_grid(g1, small_config)) > 0
         assert np.allclose(joint[support0], only0[support0])
         assert np.allclose(joint[support1], only1[support1])
 
     def test_superposition_linearity(self, small_config):
-        g0 = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
-        g1 = build_grid(small_config, PrsAllocation(1, 1, sequence_seed=2))
+        g0 = build_grid(small_config, PrsAllocation(0, sequence_seed=1))
+        g1 = build_grid(small_config, PrsAllocation(1, sequence_seed=2))
         [joint] = channel([g0, g1], [[10e-9], [20e-9]], small_config)
         [a] = channel([g0], [[10e-9]], small_config)
         [b] = channel([g1], [[20e-9]], small_config)
@@ -104,7 +106,7 @@ class TestApplyChannel:
         # Noise at the set variance on the rows of the two transmit combs;
         # the rows no comb covers are exactly the noise-free grid.
         config = OfdmConfig(120e3, 240, num_symbols=100, comb_size=4)
-        grids = [build_grid(config, PrsAllocation(s, s, sequence_seed=1 + s)) for s in range(2)]
+        grids = [build_grid(config, PrsAllocation(s, sequence_seed=1 + s)) for s in range(2)]
         variance = 0.7
         [clean] = channel(grids, [[0.0], [0.0]], config)
         [rx] = channel(grids, [[0.0], [0.0]], config,
@@ -132,13 +134,13 @@ class TestApplyChannel:
             NoiseSpec(0.1, seed)
 
     def test_noise_seed_may_be_a_numpy_integer(self, small_config):
-        grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
+        grid = build_grid(small_config, PrsAllocation(0, sequence_seed=1))
         [a] = apply_channel([grid], [[0.0]], small_config, NoiseSpec(0.1, np.int64(5)))
         [b] = apply_channel([grid], [[0.0]], small_config, NoiseSpec(0.1, 5))
         assert np.array_equal(a, b)
 
     def test_noise_reproducible_and_per_receiver(self, small_config):
-        grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
+        grid = build_grid(small_config, PrsAllocation(0, sequence_seed=1))
         noise = NoiseSpec(variance=0.1, rng_seed=5)
         first = apply_channel([grid], [[0.0, 0.0]], small_config, noise)
         second = apply_channel([grid], [[0.0, 0.0]], small_config, noise)
@@ -156,7 +158,7 @@ class TestApplyChannel:
         num_tx, num_rx = int(rng.integers(1, comb + 1)), int(rng.integers(1, 4))
         offsets = rng.permutation(comb)[:num_tx]
         grids = [
-            build_grid(config, PrsAllocation(s, int(offsets[s]), int(rng.integers(1, 2**31))))
+            build_grid(config, PrsAllocation(int(offsets[s]), int(rng.integers(1, 2**31))))
             for s in range(num_tx)
         ]
         delays = rng.uniform(0.0, 0.99 / config.subcarrier_spacing, (num_tx, num_rx))
@@ -173,7 +175,7 @@ class TestApplyChannel:
         # One support row per path, one symbol and one receiver: every
         # product has a single element, which numpy may round in another loop.
         config = OfdmConfig(120e3, 12, num_symbols=1, comb_size=12)
-        grids = [build_grid(config, PrsAllocation(s, s, sequence_seed=1 + s)) for s in range(12)]
+        grids = [build_grid(config, PrsAllocation(s, sequence_seed=1 + s)) for s in range(12)]
         delays = np.random.default_rng(0).uniform(0.0, 0.99 / config.subcarrier_spacing, (12, 1))
         for noise in (NoiseSpec(), NoiseSpec(variance=0.05, rng_seed=3)):
             [rx] = channel(grids, delays, config, noise)
@@ -182,42 +184,44 @@ class TestApplyChannel:
 
     def test_two_grids_on_one_offset_rejected(self, small_config):
         # Paths that share subcarriers are rejected, not summed.
-        g0 = build_grid(small_config, PrsAllocation(0, 1, sequence_seed=1))
-        g1 = build_grid(small_config, PrsAllocation(1, 1, sequence_seed=2))
+        g0 = build_grid(small_config, PrsAllocation(1, sequence_seed=1))
+        g1 = build_grid(small_config, PrsAllocation(1, sequence_seed=2))
         with pytest.raises(ScenarioError, match="on distinct offsets"):
             apply_channel([g0, g1], np.zeros((2, 1)), small_config)
 
-    # Comb offset 1 of comb 4 is rows 1, 5, 9, ...: row 2 lies off it.
-    @pytest.mark.parametrize("index, value", [(2, 1.0), (5, 0.0), ((5, 0), 0.0)],
+    # A grid that does not fill its comb is refused when it is built, so it
+    # never reaches the channel.  Comb offset 1 of comb 4 is rows 1, 5, 9,
+    # ... of the dense layout: row 2 lies off it.
+    @pytest.mark.parametrize("dense, index, value", [(True, 2, 1.0), (False, 1, 0.0),
+                                                     (False, (1, 0), 0.0)],
                              ids=["off-comb row", "partial comb", "missing entry"])
-    def test_grid_that_does_not_fill_its_comb_rejected(self, small_config, index, value):
-        grid = build_grid(small_config, PrsAllocation(0, 1, sequence_seed=1))
-        symbols = grid.symbols.copy()
+    def test_grid_that_does_not_fill_its_comb_rejected(self, small_config, dense, index, value):
+        grid = build_grid(small_config, PrsAllocation(1, sequence_seed=1))
+        symbols = dense_grid(grid, small_config) if dense else grid.symbols.copy()
         symbols[index] = value
-        bad = ResourceGrid(symbols=symbols, allocation=grid.allocation)
-        with pytest.raises(ScenarioError, match="must fill every entry of their comb rows"):
-            apply_channel([bad], [[0.0]], small_config)
+        with pytest.raises(ConfigurationError, match="2-D array of unit-modulus entries"):
+            ResourceGrid(symbols=symbols, allocation=grid.allocation)
 
     @pytest.mark.parametrize("shape", [(2, 1), (1,), (1, 1, 1)])
     def test_delay_matrix_shape_rejected(self, small_config, shape):
-        grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
+        grid = build_grid(small_config, PrsAllocation(0, sequence_seed=1))
         with pytest.raises(ScenarioError):
             apply_channel([grid], np.zeros(shape), small_config)
 
     def test_grid_shape_rejected(self, small_config, fr2_config):
-        grid = build_grid(fr2_config, PrsAllocation(0, 0, sequence_seed=1))
+        grid = build_grid(fr2_config, PrsAllocation(0, sequence_seed=1))
         with pytest.raises(ScenarioError):
             apply_channel([grid], [[0.0]], small_config)
 
     def test_delay_beyond_window_rejected(self, small_config):
-        grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
+        grid = build_grid(small_config, PrsAllocation(0, sequence_seed=1))
         too_long = 1.0 / small_config.subcarrier_spacing
         with pytest.raises(ScenarioError):
             apply_channel([grid], [[too_long]], small_config)
 
     @pytest.mark.parametrize("delay", [-1e-12, math.nan])
     def test_negative_or_nan_delay_rejected(self, small_config, delay):
-        grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
+        grid = build_grid(small_config, PrsAllocation(0, sequence_seed=1))
         with pytest.raises(ScenarioError):
             apply_channel([grid], [[delay]], small_config)
 
@@ -267,16 +271,17 @@ def test_phy_synthesis_matches_per_pair_pipeline(fr2_config, snr_db):
     # Per-pair delays, the dense channel and dense per-pair ranging give
     # exactly the ranges of the matrix pipeline on the phy 6x6 geometry.
     variance = 0.0 if snr_db is None else noise_variance_from_snr(snr_db)
-    grids = [build_grid(fr2_config, PrsAllocation(s, s, sequence_seed=1 + s)) for s in range(6)]
+    grids = [build_grid(fr2_config, PrsAllocation(s, sequence_seed=1 + s)) for s in range(6)]
+    transmit = [dense_grid(grid, fr2_config) for grid in grids]
     for seed in range(8):
         sc = sample_scenario(6, 6, gnb_region=60.0, ue_region=60.0, target_region=30.0,
                              outlier_max=10.0, rng_seed=seed)
         noise = NoiseSpec(variance, seed)
         delays = np.array([[pair_delay(sc, s, k) for k in range(6)] for s in range(6)])
         received = dense_channel(grids, delays, fr2_config, noise)
-        expected = [[estimate_range(range_profile(extract_and_divide(rx, grid), fr2_config),
+        expected = [[estimate_range(range_profile(extract_and_divide(rx, tx), fr2_config),
                                     fr2_config)
-                     for rx in received] for grid in grids]
+                     for rx in received] for tx in transmit]
         ranges = synthesize_measurements_phy(sc, fr2_config, noise).ranges
         assert np.array_equal(ranges, expected)
 
@@ -289,7 +294,7 @@ def test_phy_6x6_ranges_match_dense_reference_pipeline():
     config = ExperimentConfig(trials=200, mode="phy", gnb_region=60.0, ue_region=60.0,
                               target_region=30.0, snr_db=10.0)
     ofdm = config.ofdm
-    grids = [build_grid(ofdm, PrsAllocation(s, s, sequence_seed=1 + s)) for s in range(6)]
+    grids = [build_grid(ofdm, PrsAllocation(s, sequence_seed=1 + s)) for s in range(6)]
     for trial in range(config.trials):
         seed = _trial_seed(config.base_seed, trial)
         sc = sample_scenario(config.num_gnbs, config.num_ues, gnb_region=config.gnb_region,

@@ -11,6 +11,7 @@ from isacloc import (
     build_grid,
 )
 from isacloc.prs_grid import ResourceGrid, comb_symbols, gold_sequence, prs_symbols
+from phy_reference import dense_grid
 
 # Oracle trace computed with the shift-register emulation below.
 SEED_A = 123456789
@@ -128,40 +129,44 @@ class TestOfdmConfig:
             OfdmConfig(**kwargs)
 
 
+def dense_layout(config, alloc):
+    """The allocation's M x N grid, built straight from prs_symbols.
+
+    Column n holds symbols n*W .. n*W + W - 1 of the allocation's stream on
+    the rows comb_offset + comb_size*i; every other entry is zero.
+    """
+    m_index = np.arange(alloc.comb_offset, config.num_subcarriers, config.comb_size)
+    per_column = m_index.size
+    stream = prs_symbols(alloc.sequence_seed, per_column * config.num_symbols)
+    grid = np.zeros((config.num_subcarriers, config.num_symbols), dtype=np.complex128)
+    grid[m_index, :] = stream.reshape(config.num_symbols, per_column).T
+    return grid
+
+
 class TestBuildGrid:
-    def test_comb12_occupancy(self, fr2_config):
-        grid = build_grid(fr2_config, PrsAllocation(0, comb_offset=0, sequence_seed=1))
-        nonzero_per_column = np.count_nonzero(grid.symbols, axis=0)
-        assert (nonzero_per_column == 66).all()
+    def test_default_grid_is_its_comb_rows(self):
+        grid = build_grid(OfdmConfig(), PrsAllocation(comb_offset=0, sequence_seed=1))
+        assert grid.symbols.shape == (66, 14)
 
-    def test_comb2_even_subcarriers(self):
-        config = OfdmConfig(120e3, 48, num_symbols=2, comb_size=2)
-        grid = build_grid(config, PrsAllocation(0, comb_offset=0, sequence_seed=9))
-        occupied = np.nonzero(np.abs(grid.symbols[:, 0]))[0]
-        assert (occupied % 2 == 0).all()
-        assert occupied.size == 24
-
-    def test_comb_support(self, small_config):
-        for offset in range(small_config.comb_size):
-            grid = build_grid(small_config, PrsAllocation(0, offset, sequence_seed=5))
-            rows = np.nonzero(np.abs(grid.symbols).sum(axis=1))[0]
-            assert (rows % small_config.comb_size == offset).all()
-            assert rows.size == small_config.num_subcarriers // small_config.comb_size
-
-    def test_disjoint_supports(self, fr2_config):
-        g0 = build_grid(fr2_config, PrsAllocation(0, 0, sequence_seed=1))
-        g1 = build_grid(fr2_config, PrsAllocation(1, 1, sequence_seed=2))
-        overlap = (np.abs(g0.symbols) > 0) & (np.abs(g1.symbols) > 0)
-        assert not overlap.any()
+    @pytest.mark.parametrize("comb", [2, 4, 6, 12])
+    def test_comb_rows_lay_out_as_the_dense_grid(self, comb):
+        # Every offset's rows, scattered to their subcarriers, give bit for
+        # bit the dense grid: full comb rows, disjoint between offsets.
+        config = OfdmConfig(120e3, 72, num_symbols=3, comb_size=comb)
+        for seed in (5, 2**31 - 1):
+            dense = [dense_grid(build_grid(config, PrsAllocation(c, seed)), config)
+                     for c in range(comb)]
+            for c, grid in enumerate(dense):
+                assert np.array_equal(grid, dense_layout(config, PrsAllocation(c, seed)))
+            assert (np.count_nonzero(dense, axis=0) == 1).all()
 
     def test_unit_modulus_entries(self, small_config):
-        grid = build_grid(small_config, PrsAllocation(0, 1, sequence_seed=3))
-        mags = np.abs(grid.symbols)
-        assert np.max(np.abs(mags[mags > 0] - 1.0)) < 1e-15
+        grid = build_grid(small_config, PrsAllocation(1, sequence_seed=3))
+        assert np.max(np.abs(np.abs(grid.symbols) - 1.0)) < 1e-15
 
     def test_deterministic(self):
         # Each config is freed after its call, so the second grid is rebuilt.
-        alloc = PrsAllocation(2, 3, sequence_seed=77)
+        alloc = PrsAllocation(3, sequence_seed=77)
         a = build_grid(OfdmConfig(120e3, 60, 3, 4), alloc).symbols
         b = build_grid(OfdmConfig(120e3, 60, 3, 4), alloc).symbols
         assert a is not b
@@ -169,42 +174,55 @@ class TestBuildGrid:
 
     def test_offset_out_of_range(self, fr2_config):
         with pytest.raises(ConfigurationError):
-            build_grid(fr2_config, PrsAllocation(0, comb_offset=12, sequence_seed=1))
+            build_grid(fr2_config, PrsAllocation(comb_offset=12, sequence_seed=1))
 
-    @pytest.mark.parametrize("fields", [(1.5, 0, 1), (0, 1.0, 1), (0, 0, True)])
+    @pytest.mark.parametrize("fields", [(1.0, 1), (0, 1.5), (0, True)])
     def test_allocation_rejects_non_integer_fields(self, fields):
         with pytest.raises(ConfigurationError, match="must be an integer"):
             PrsAllocation(*fields)
 
+    def test_allocation_takes_only_offset_and_seed(self):
+        with pytest.raises(TypeError):
+            PrsAllocation(0, 0, 1)
+
     def test_resource_grid_rejects_non_unit_entries(self, small_config):
-        bad = np.full((small_config.num_subcarriers, small_config.num_symbols), 2.0 + 0j)
+        bad = np.full((small_config.num_subcarriers // 4, small_config.num_symbols), 2.0 + 0j)
         with pytest.raises(ConfigurationError):
-            ResourceGrid(symbols=bad, allocation=PrsAllocation(0, 0, 1))
+            ResourceGrid(symbols=bad, allocation=PrsAllocation(0, 1))
+
+    @pytest.mark.parametrize("case", ["zero entry", "1-D", "3-D", "dense M x N"])
+    def test_resource_grid_rejects_anything_but_full_comb_rows(self, small_config, case):
+        grid = build_grid(small_config, PrsAllocation(1, sequence_seed=2))
+        holed = grid.symbols.copy()
+        holed[1, 0] = 0
+        symbols = {
+            "zero entry": holed,
+            "1-D": grid.symbols.ravel(),
+            "3-D": grid.symbols[None],
+            "dense M x N": dense_grid(grid, small_config),
+        }[case]
+        with pytest.raises(ConfigurationError, match="2-D array of unit-modulus entries"):
+            ResourceGrid(symbols=symbols, allocation=grid.allocation)
 
 
 class TestGridCache:
     """Grids are built once per (config, allocation) and shared, read-only."""
 
     def test_repeated_calls_return_the_same_grid(self, fr2_config):
-        alloc = PrsAllocation(3, 3, sequence_seed=4)
+        alloc = PrsAllocation(3, sequence_seed=4)
         grid = build_grid(fr2_config, alloc)
         assert build_grid(fr2_config, alloc) is grid
         equal_config = OfdmConfig(120e3, 792, 14, 12)
-        assert build_grid(equal_config, PrsAllocation(3, 3, sequence_seed=4)) is grid
+        assert build_grid(equal_config, PrsAllocation(3, sequence_seed=4)) is grid
 
-    def test_symbols_and_support_are_read_only(self, fr2_config):
-        grid = build_grid(fr2_config, PrsAllocation(0, 5, sequence_seed=11))
-        rows, values = grid.support
-        assert grid.support is grid.support
-        assert np.array_equal(rows, np.arange(5, 792, 12))
-        assert np.array_equal(values, grid.symbols[rows])
-        for array in (grid.symbols, rows, values):
-            with pytest.raises(ValueError):
-                array[0] = 0
+    def test_symbols_are_read_only(self, fr2_config):
+        grid = build_grid(fr2_config, PrsAllocation(5, sequence_seed=11))
+        with pytest.raises(ValueError):
+            grid.symbols[0] = 0
 
     def test_cache_is_bounded(self):
         config = OfdmConfig(120e3, 24, num_symbols=2, comb_size=2)
-        allocs = [PrsAllocation(0, 0, sequence_seed=10_000 + i) for i in range(65)]
+        allocs = [PrsAllocation(0, sequence_seed=10_000 + i) for i in range(65)]
         grids = [build_grid(config, alloc) for alloc in allocs]
         assert build_grid(config, allocs[-1]) is grids[-1]
         rebuilt = build_grid(config, allocs[0])
@@ -213,7 +231,7 @@ class TestGridCache:
 
     def test_grids_are_freed_with_their_config(self):
         config = OfdmConfig(120e3, 36, num_symbols=3, comb_size=6)
-        grid = weakref.ref(build_grid(config, PrsAllocation(0, 1, sequence_seed=8)))
+        grid = weakref.ref(build_grid(config, PrsAllocation(1, sequence_seed=8)))
         assert grid() is not None
         del config
         assert grid() is None
@@ -224,13 +242,14 @@ class TestCombSymbols:
 
     @staticmethod
     def _grids(config):
-        return [build_grid(config, PrsAllocation(s, s, sequence_seed=1 + s)) for s in range(3)]
+        return [build_grid(config, PrsAllocation(s, sequence_seed=1 + s)) for s in range(3)]
 
     def test_stack_holds_each_grids_comb_rows(self, fr2_config):
         grids = self._grids(fr2_config)
         symbols = comb_symbols(grids, fr2_config)
         assert not symbols.flags.writeable
-        expected = np.stack([g.symbols[g.allocation.comb_offset::12] for g in grids])
+        expected = np.stack([dense_grid(g, fr2_config)[g.allocation.comb_offset::12]
+                             for g in grids])
         assert np.array_equal(symbols, expected)
 
     def test_other_grids_are_checked_on_every_call(self, fr2_config):
@@ -239,9 +258,14 @@ class TestCombSymbols:
         copies = [ResourceGrid(g.symbols.copy(), g.allocation) for g in grids]
         stacked = comb_symbols(copies, fr2_config)
         assert stacked is not built and np.array_equal(stacked, built)
-        # Same allocations as the stored stack, but a hole in one comb row.
-        holed = grids[1].symbols.copy()
-        holed[grids[1].allocation.comb_offset, 0] = 0
-        with pytest.raises(ScenarioError, match="fill every entry"):
-            comb_symbols([grids[0], ResourceGrid(holed, grids[1].allocation), grids[2]],
+        # Same allocations as the built grids, but one comb row too many.
+        tall = np.vstack([grids[1].symbols, grids[1].symbols[:1]])
+        with pytest.raises(ScenarioError, match="66 x 14 comb rows"):
+            comb_symbols([grids[0], ResourceGrid(tall, grids[1].allocation), grids[2]],
                          fr2_config)
+
+    def test_offset_beyond_the_comb_rejected(self, fr2_config):
+        grids = self._grids(fr2_config)
+        beyond = ResourceGrid(grids[1].symbols, PrsAllocation(12, sequence_seed=2))
+        with pytest.raises(ScenarioError, match="distinct offsets below 12"):
+            comb_symbols([grids[0], beyond], fr2_config)

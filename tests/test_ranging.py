@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from isacloc import (
+    ConfigurationError,
     NoDetectionError,
     NoiseSpec,
     OfdmConfig,
     PrsAllocation,
+    ScenarioError,
     apply_channel,
     bistatic_delay,
     build_grid,
@@ -17,7 +19,7 @@ from isacloc.phy_channel import noise_variance_from_snr
 from isacloc.prs_grid import ResourceGrid
 from isacloc.ranging import estimate_range, extract_and_divide, range_profile
 from isacloc.constants import SPEED_OF_LIGHT
-from phy_reference import batched_comb_profiles, scatter_blocks
+from phy_reference import batched_comb_profiles, dense_grid, scatter_blocks
 
 
 def dense_pairs(blocks, grids, config):
@@ -27,8 +29,9 @@ def dense_pairs(blocks, grids, config):
     profiles = np.zeros((len(grids), len(received), window))
     ranges = np.zeros((len(grids), len(received)))
     for s, grid in enumerate(grids):
+        tx = dense_grid(grid, config)
         for k, rx in enumerate(received):
-            profile = range_profile(extract_and_divide(rx, grid), config)
+            profile = range_profile(extract_and_divide(rx, tx), config)
             profiles[s, k] = profile[:window]
             ranges[s, k] = estimate_range(profile, config)
     return profiles, ranges
@@ -36,9 +39,9 @@ def dense_pairs(blocks, grids, config):
 
 class TestExtractAndDivide:
     def test_identity(self, small_config):
-        grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
-        g = extract_and_divide(grid.symbols, grid)
-        support = np.abs(grid.symbols) > 0
+        tx = dense_grid(build_grid(small_config, PrsAllocation(0, sequence_seed=1)), small_config)
+        g = extract_and_divide(tx, tx)
+        support = np.abs(tx) > 0
         assert np.allclose(g[support], 1.0, atol=1e-12)
         assert (g[~support] == 0).all()
 
@@ -50,19 +53,20 @@ class TestExtractAndDivide:
 
     def test_single_path_gives_channel_ramp(self, small_config):
         delay = 200e-9
-        grid = build_grid(small_config, PrsAllocation(0, 1, sequence_seed=2))
+        grid = build_grid(small_config, PrsAllocation(1, sequence_seed=2))
         [rx] = scatter_blocks(apply_channel([grid], [[delay]], small_config), [grid],
                               small_config)
-        g = extract_and_divide(rx, grid)
+        tx = dense_grid(grid, small_config)
+        g = extract_and_divide(rx, tx)
         m = np.arange(small_config.num_subcarriers)[:, None]
         ramp = np.exp(-2j * np.pi * m * small_config.subcarrier_spacing * delay)
-        support = np.abs(grid.symbols) > 0
+        support = np.abs(tx) > 0
         assert np.allclose(g[support], np.broadcast_to(ramp, g.shape)[support], atol=1e-12)
 
     def test_shape_mismatch_rejected(self, small_config):
-        grid = build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))
+        tx = dense_grid(build_grid(small_config, PrsAllocation(0, sequence_seed=1)), small_config)
         with pytest.raises(ValueError):
-            extract_and_divide(np.zeros((4, 4), dtype=complex), grid)
+            extract_and_divide(np.zeros((4, 4), dtype=complex), tx)
 
 
 class TestRangeProfile:
@@ -111,13 +115,14 @@ class TestRangeProfile:
         spreads = []
         for n_symbols in (2, 8, 32):
             config = OfdmConfig(120e3, 48, num_symbols=n_symbols, comb_size=2)
-            grid = build_grid(config, PrsAllocation(0, 0, sequence_seed=1))
+            grid = build_grid(config, PrsAllocation(0, sequence_seed=1))
+            tx = dense_grid(grid, config)
             samples = []
             for seed in range(64):
                 blocks = apply_channel([grid], [[0.0]], config,
                                        NoiseSpec(variance=0.5, rng_seed=seed))
                 [rx] = scatter_blocks(blocks, [grid], config)
-                profile = range_profile(extract_and_divide(rx, grid), config)
+                profile = range_profile(extract_and_divide(rx, tx), config)
                 samples.append(profile[5])  # off-peak bin (peak is at 0)
             spreads.append(np.var(samples))
         assert spreads[0] > spreads[1] > spreads[2]
@@ -164,9 +169,9 @@ class TestEstimateRange:
     def test_full_pipeline_quantization_bound(self, fr2_config):
         true_range = 100.0
         delay = true_range / SPEED_OF_LIGHT
-        grid = build_grid(fr2_config, PrsAllocation(0, 0, sequence_seed=1))
+        grid = build_grid(fr2_config, PrsAllocation(0, sequence_seed=1))
         [rx] = scatter_blocks(apply_channel([grid], [[delay]], fr2_config), [grid], fr2_config)
-        profile = range_profile(extract_and_divide(rx, grid), fr2_config)
+        profile = range_profile(extract_and_divide(rx, dense_grid(grid, fr2_config)), fr2_config)
         estimate = estimate_range(profile, fr2_config)
         assert abs(estimate - true_range) <= fr2_config.range_resolution / 2
 
@@ -177,7 +182,7 @@ class TestCombDomainRanging:
     @pytest.mark.parametrize("snr_db", [10.0, None])
     def test_random_6x6_geometries_match_per_pair_path(self, fr2_config, snr_db):
         variance = 0.0 if snr_db is None else noise_variance_from_snr(snr_db)
-        grids = [build_grid(fr2_config, PrsAllocation(s, s, sequence_seed=1 + s))
+        grids = [build_grid(fr2_config, PrsAllocation(s, sequence_seed=1 + s))
                  for s in range(6)]
         for seed in range(8):
             sc = sample_scenario(6, 6, gnb_region=60.0, ue_region=60.0, target_region=30.0,
@@ -197,9 +202,9 @@ class TestCombDomainRanging:
         window = m_count // small_config.comb_size
         q = 5
         tone = np.exp(-2j * np.pi * np.arange(m_count) * q / m_count)[:, None]
-        grids = [build_grid(small_config, PrsAllocation(c, c, sequence_seed=3 + c))
+        grids = [build_grid(small_config, PrsAllocation(c, sequence_seed=3 + c))
                  for c in range(small_config.comb_size)]
-        received = [np.stack([(tone * grid.symbols)[c::small_config.comb_size]
+        received = [np.stack([(tone * dense_grid(grid, small_config))[c::small_config.comb_size]
                               for c, grid in enumerate(grids)])]
         profiles, ranges = dense_pairs(received, grids, small_config)
         comb = comb_profiles(received, grids, small_config)
@@ -209,7 +214,7 @@ class TestCombDomainRanging:
         assert np.array_equal(estimate_ranges(received, grids, small_config), ranges)
 
     def test_all_zero_received_grid_raises(self, small_config):
-        grids = [build_grid(small_config, PrsAllocation(0, 1, sequence_seed=1))]
+        grids = [build_grid(small_config, PrsAllocation(1, sequence_seed=1))]
         window = small_config.num_subcarriers // small_config.comb_size
         received = [np.zeros((1, window, small_config.num_symbols), complex)]
         assert (comb_profiles(received, grids, small_config) == 0).all()
@@ -217,7 +222,7 @@ class TestCombDomainRanging:
             estimate_ranges(received, grids, small_config)
 
     def test_received_shape_mismatch_rejected(self, small_config):
-        grids = [build_grid(small_config, PrsAllocation(0, 0, sequence_seed=1))]
+        grids = [build_grid(small_config, PrsAllocation(0, sequence_seed=1))]
         with pytest.raises(ValueError):
             comb_profiles([np.zeros((4, 4), complex)], grids, small_config)
 
@@ -228,7 +233,7 @@ class TestCombDomainRanging:
         config = OfdmConfig(120e3, 12 * int(rng.integers(1, 70)), int(rng.integers(1, 15)), comb)
         num_tx, num_rx = int(rng.integers(1, comb + 1)), int(rng.integers(1, 7))
         offsets = rng.permutation(comb)[:num_tx]
-        grids = [build_grid(config, PrsAllocation(s, int(offsets[s]), int(rng.integers(1, 2**31))))
+        grids = [build_grid(config, PrsAllocation(int(offsets[s]), int(rng.integers(1, 2**31))))
                  for s in range(num_tx)]
         delays = rng.uniform(0.0, 0.99 / config.subcarrier_spacing, (num_tx, num_rx))
         noise = NoiseSpec(variance=0.0 if trial % 8 < 4 else 0.1, rng_seed=trial)
@@ -238,12 +243,15 @@ class TestCombDomainRanging:
                                                     grids, config))
 
     def test_energy_off_the_comb_rejected(self, small_config):
-        grid = build_grid(small_config, PrsAllocation(0, 1, sequence_seed=1))
-        symbols = grid.symbols.copy()
+        grid = build_grid(small_config, PrsAllocation(1, sequence_seed=1))
+        symbols = dense_grid(grid, small_config)
         symbols[2] = 1.0  # row 2 is on comb offset 2, not 1
-        stray = ResourceGrid(symbols=symbols, allocation=grid.allocation)
+        with pytest.raises(ConfigurationError, match="unit-modulus entries"):
+            ResourceGrid(symbols=symbols, allocation=grid.allocation)
+        # Comb rows claimed for an offset past the comb are refused by the ranging.
+        stray = ResourceGrid(symbols=grid.symbols, allocation=PrsAllocation(4, sequence_seed=1))
         window = small_config.num_subcarriers // small_config.comb_size
         received = [np.zeros((1, window, small_config.num_symbols), complex)]
         for ranging in (comb_profiles, estimate_ranges):
-            with pytest.raises(ValueError, match="must fill every entry of their comb rows"):
+            with pytest.raises(ScenarioError, match="distinct offsets below 4"):
                 ranging(received, [stray], small_config)
