@@ -148,6 +148,17 @@ class TestBuildGrid:
         grid = build_grid(OfdmConfig(), PrsAllocation(comb_offset=0, sequence_seed=1))
         assert grid.symbols.shape == (66, 14)
 
+    def test_comb12_occupancy(self, fr2_config):
+        grid = build_grid(fr2_config, PrsAllocation(comb_offset=0, sequence_seed=1))
+        nonzero_per_column = np.count_nonzero(dense_grid(grid, fr2_config), axis=0)
+        assert (nonzero_per_column == 66).all()
+
+    def test_disjoint_supports(self, fr2_config):
+        g0 = build_grid(fr2_config, PrsAllocation(0, sequence_seed=1))
+        g1 = build_grid(fr2_config, PrsAllocation(1, sequence_seed=2))
+        overlap = (np.abs(dense_grid(g0, fr2_config)) > 0) & (np.abs(dense_grid(g1, fr2_config)) > 0)
+        assert not overlap.any()
+
     @pytest.mark.parametrize("comb", [2, 4, 6, 12])
     def test_comb_rows_lay_out_as_the_dense_grid(self, comb):
         # Every offset's rows, scattered to their subcarriers, give bit for
