@@ -1,7 +1,8 @@
 """Multistatic OFDM sensing simulator and robust passive-target localization.
 
 The package covers the full chain: comb-structured reference-signal grids,
-a symbol-domain multistatic echo channel, periodogram bistatic ranging,
+a symbol-domain multistatic echo channel on comb blocks, periodogram
+bistatic ranging in three stages (divide, profile, peak) on those blocks,
 random scenario synthesis with blocked-link range biases, least-squares /
 reweighted / pair-differencing position solvers with fusion, and a Monte
 Carlo harness that aggregates error statistics.
@@ -26,8 +27,8 @@ from .harness import (
     run_sweep,
 )
 from .phy_channel import NoiseSpec, apply_channel, bistatic_delay
-from .prs_grid import OfdmConfig, PrsAllocation, build_grid
-from .ranging import comb_profiles, estimate_ranges
+from .prs_grid import OfdmConfig, PrsAllocation, build_grid, comb_symbols
+from .ranging import estimate_range, extract_and_divide, range_profile
 from .scenario import (
     Scenario,
     sample_scenario,

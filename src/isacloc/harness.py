@@ -325,7 +325,7 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
 
 
 def _sweep_points(config: ExperimentConfig):
-    """Expand sweep lists into (label, scalar config) points."""
+    """Expand sweep lists into (label, scalar config) points with distinct labels."""
     gnb_list = isinstance(config.num_gnbs, tuple)
     ue_list = isinstance(config.num_ues, tuple)
     out_list = isinstance(config.outlier_max, tuple)
@@ -351,6 +351,11 @@ def _sweep_points(config: ExperimentConfig):
             points.append((label, replace(config, num_gnbs=int(s), num_ues=int(k))))
     else:
         raise ConfigurationError("config has no sweep list; use run_experiment")
+    # Each point's reports go into a directory named by its label.
+    labels = [label for label, _ in points]
+    if len(set(labels)) != len(labels):
+        shared = sorted({label for label in labels if labels.count(label) > 1})
+        raise ConfigurationError(f"sweep points must have distinct labels; {shared} repeat")
     return points
 
 

@@ -1,19 +1,13 @@
-"""Periodogram bistatic range estimation from received symbols.
+"""Periodogram bistatic range estimation on comb blocks.
 
-The receiver divides its grid entrywise by a transmitter's symbols
-(defined as zero off the transmit comb), takes an M-point IFFT of every
-symbol column, averages the magnitudes over columns, and reads the
-bistatic range off the location of the profile peak.  Because only every
-comb_size-th subcarrier carries energy, the profile repeats with period
-W = M/comb_size and the peak search is restricted to that unambiguous
-window.
-
-`extract_and_divide`, `range_profile` and `estimate_range` do this for
-one pair on dense M x N matrices.  `comb_profiles` and `estimate_ranges`
-do it for every transmitter-receiver pair on the (S, W, N) comb blocks
-that `apply_channel` returns, one receiver at a time: each block is
-divided by the transmitters' comb rows and transformed with W-point IFFTs.  For
-a divided grid g that is zero off the rows c + comb*i,
+A receiver's (S, W, N) block from `apply_channel` is divided entrywise by
+the (S, W, N) stack of the transmitters' comb rows (`prs_grid.comb_symbols`),
+each divided comb is transformed with a W-point IFFT along subcarriers, the
+magnitudes are averaged over symbols, and the bistatic range is read off
+the location of the profile peak.  Because only every comb_size-th
+subcarrier carries energy, the dense M-point profile of a pair repeats
+with period W = M/comb_size, and the W-point profile is that unambiguous
+window: for a divided grid g that is zero off the rows c + comb*i,
 
     |sum_m g[m] e^{2 pi j m q / M}| = |sum_i g[c + comb*i] e^{2 pi j i q / W}|
 
@@ -27,85 +21,41 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoDetectionError
-from .prs_grid import OfdmConfig, comb_symbols
+from .prs_grid import OfdmConfig
 
 
-def extract_and_divide(received, transmit) -> np.ndarray:
-    """Remove the known transmit symbols by point-wise division.
+def extract_and_divide(block, transmit) -> np.ndarray:
+    """Remove the known transmit symbols from one receiver's comb block.
 
-    Both are M x N matrices.  Entries where the transmit matrix is zero are
-    defined as zero, so the result carries the per-path channel response on
-    the transmit comb and nothing elsewhere.
+    Both are (S, W, N): the block `apply_channel` returns and the
+    `comb_symbols` stack of its transmit grids.  The stack holds only
+    unit-modulus symbols, so the entrywise quotient needs no zero mask.
     """
-    v_rx = np.asarray(received)
-    v_tx = np.asarray(transmit)
-    if v_rx.shape != v_tx.shape:
-        raise ValueError(f"shape mismatch: received {v_rx.shape} vs transmit {v_tx.shape}")
-    out = np.zeros(v_rx.shape, dtype=np.complex128)
-    np.divide(v_rx, v_tx, out=out, where=(v_tx != 0))
-    return out
+    if block.shape != transmit.shape:
+        raise ValueError(f"received block shape {block.shape} does not match {transmit.shape}")
+    return block / transmit
 
 
-def range_profile(g: np.ndarray, config: OfdmConfig) -> np.ndarray:
-    """Average the per-column IFFT magnitudes of the divided grid.
+def range_profile(divided, config: OfdmConfig) -> np.ndarray:
+    """Per-transmitter profiles over the W delay bins of the comb window.
 
-    Returns the M delay-bin values, read-only.  The inverse DFT is
-    unnormalized; only relative magnitudes matter for the peak search.
+    Averages over symbols the magnitudes of the unnormalized W-point
+    inverse DFT along subcarriers; only relative magnitudes matter for the
+    peak search.  (S, W, N) in, (S, W) out.
     """
-    g = np.asarray(g)
-    if g.ndim != 2 or g.shape[0] != config.num_subcarriers:
-        raise ValueError("g must have one row per subcarrier")
-    spectra = np.fft.ifft(g, axis=0) * g.shape[0]
-    values = np.abs(spectra).mean(axis=1)
-    values.setflags(write=False)
-    return values
+    window = config.num_subcarriers // config.comb_size
+    if divided.shape[-2:-1] != (window,):
+        raise ValueError(f"divided block shape {divided.shape} needs {window} comb rows")
+    return np.abs(np.fft.ifft(divided, axis=-2, norm="forward")).mean(axis=-1)
 
 
-def estimate_range(profile: np.ndarray, config: OfdmConfig) -> float:
-    """Bistatic range in meters at the peak of a `range_profile`.
+def estimate_range(profiles, config: OfdmConfig) -> np.ndarray:
+    """Bistatic range in meters at the peak of each `range_profile` profile.
 
-    The argmax is taken over bins [0, M/comb_size); ties resolve to the
-    lowest index, whose bin index times the bin width is the range.
-    Raises NoDetectionError on an all-zero profile.
+    The argmax runs over the last axis, ties resolving to the lowest bin,
+    whose index times the bin width is the range.  Raises NoDetectionError
+    if any profile is all zero.
     """
-    values = profile[:config.num_subcarriers // config.comb_size]
-    if values.size == 0 or float(values.max(initial=0.0)) <= 0.0:
-        raise NoDetectionError("range profile has no nonzero peak")
-    return int(np.argmax(values)) * config.range_resolution
-
-
-def comb_profiles(received, transmit, config: OfdmConfig) -> np.ndarray:
-    """Range profiles of every transmitter-receiver pair over bins [0, W).
-
-    `received` holds the K (S, W, N) comb blocks `apply_channel` returns
-    for the S `transmit` grids, which must be comb rows of `config` on
-    distinct offsets (`prs_grid.comb_symbols` raises ScenarioError
-    otherwise).  Entry [s, k] equals `range_profile(extract_and_divide(rx,
-    tx), config)[:W]` up to rounding, rx and tx being block k and
-    transmit[s] laid out as M x N matrices, zero off their comb rows.
-
-    Returns a float array of shape (S, K, W).
-    """
-    v_tx = comb_symbols(transmit, config)
-    profiles = np.empty((len(transmit), len(received), v_tx.shape[1]))
-    # One receiver at a time keeps each (S, W, N) temporary small.
-    for k, block in enumerate(received):
-        if block.shape != v_tx.shape:
-            raise ValueError(f"received block shape {block.shape} does not match {v_tx.shape}")
-        # Unnormalized inverse DFT along subcarriers, as range_profile takes it.
-        spectra = np.fft.ifft(block / v_tx, axis=1, norm="forward")
-        profiles[:, k] = np.abs(spectra).mean(axis=2)
-    return profiles
-
-
-def estimate_ranges(received, transmit, config: OfdmConfig) -> np.ndarray:
-    """Bistatic range of every transmitter-receiver pair, in meters.
-
-    Peak of each `comb_profiles` profile, lowest index on ties, times the
-    bin width: entry [s, k] is `estimate_range(...)` of that pair.
-    Raises NoDetectionError if any profile is all zero.
-    """
-    profiles = comb_profiles(received, transmit, config)
     if (profiles.max(axis=-1) <= 0.0).any():
         raise NoDetectionError("range profile has no nonzero peak")
     return np.argmax(profiles, axis=-1) * config.range_resolution

@@ -20,10 +20,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ScenarioError, check_finite, check_integer
 from .phy_channel import NoiseSpec, apply_channel, bistatic_delay
-from .prs_grid import OfdmConfig, PrsAllocation, build_grid
-# The per-pair names are unused here but stay importable: perfbench's
-# tracer wraps them in this module, and a layer that does not run reads 0.
-from .ranging import estimate_range, estimate_ranges, extract_and_divide, range_profile  # noqa: F401
+from .prs_grid import OfdmConfig, PrsAllocation, build_grid, comb_symbols
+from .ranging import estimate_range, extract_and_divide, range_profile
 
 MIN_NODE_SEPARATION = 1.0  # meters between target and any node
 _MAX_TARGET_REDRAWS = 1000
@@ -190,9 +188,9 @@ def synthesize_measurements_phy(
 
     Builds one comb-offset grid per transmitter (offset = transmitter
     index, seed = _BASE_SEQUENCE_SEED + index), applies the echo channel
-    for every pair, and estimates all bistatic ranges with the comb-domain
-    periodogram.  All true path lengths must stay below the unambiguous
-    range of the configuration.
+    for every pair, and ranges each receiver's comb block with the
+    periodogram stages of `ranging`.  All true path lengths must stay
+    below the unambiguous range of the configuration.
     """
     num_gnbs = scenario.num_gnbs
     if num_gnbs > config.comb_size:
@@ -211,4 +209,7 @@ def synthesize_measurements_phy(
         for s in range(num_gnbs)
     ]
     received = apply_channel(grids, delays, config, noise)
-    return MeasurementSet(ranges=estimate_ranges(received, grids, config))
+    transmit = comb_symbols(grids, config)
+    # One receiver at a time keeps each (S, W, N) temporary small.
+    profiles = [range_profile(extract_and_divide(block, transmit), config) for block in received]
+    return MeasurementSet(ranges=estimate_range(np.stack(profiles, axis=1), config))

@@ -5,9 +5,15 @@ zero off its comb.  `dense_channel` multiply-accumulates every path over
 those grids and `batched_comb_profiles` ranges the received grids in one
 batched comb-domain pass.  Together they are the pipeline the library's
 comb-block channel and ranging must reproduce bit for bit.
+
+`dense_divide`, `dense_profile` and `dense_range` range one pair on dense
+M x N matrices, zero off the comb, with an M-point IFFT: the per-pair
+periodogram that the library's W-point comb stages must agree with.
 """
 
 import numpy as np
+
+from isacloc import NoDetectionError
 
 
 def dense_grid(grid, config):
@@ -79,3 +85,47 @@ def scatter_blocks(blocks, grids, config):
             rx[grid.allocation.comb_offset::config.comb_size] = block[s]
         out.append(rx)
     return out
+
+
+def dense_divide(received, transmit):
+    """Remove the known transmit symbols by point-wise division.
+
+    Both are M x N matrices.  Entries where the transmit matrix is zero are
+    defined as zero, so the result carries the per-path channel response on
+    the transmit comb and nothing elsewhere.
+    """
+    v_rx = np.asarray(received)
+    v_tx = np.asarray(transmit)
+    if v_rx.shape != v_tx.shape:
+        raise ValueError(f"shape mismatch: received {v_rx.shape} vs transmit {v_tx.shape}")
+    out = np.zeros(v_rx.shape, dtype=np.complex128)
+    np.divide(v_rx, v_tx, out=out, where=(v_tx != 0))
+    return out
+
+
+def dense_profile(g, config):
+    """Average the per-column IFFT magnitudes of the divided grid.
+
+    Returns the M delay-bin values, read-only.  The inverse DFT is
+    unnormalized; only relative magnitudes matter for the peak search.
+    """
+    g = np.asarray(g)
+    if g.ndim != 2 or g.shape[0] != config.num_subcarriers:
+        raise ValueError("g must have one row per subcarrier")
+    spectra = np.fft.ifft(g, axis=0) * g.shape[0]
+    values = np.abs(spectra).mean(axis=1)
+    values.setflags(write=False)
+    return values
+
+
+def dense_range(profile, config):
+    """Bistatic range in meters at the peak of a `dense_profile`.
+
+    The argmax is taken over bins [0, M/comb_size); ties resolve to the
+    lowest index, whose bin index times the bin width is the range.
+    Raises NoDetectionError on an all-zero profile.
+    """
+    values = profile[:config.num_subcarriers // config.comb_size]
+    if values.size == 0 or float(values.max(initial=0.0)) <= 0.0:
+        raise NoDetectionError("range profile has no nonzero peak")
+    return int(np.argmax(values)) * config.range_resolution

@@ -222,6 +222,19 @@ class TestSweep:
         lines = open(paths[-2]).read().splitlines()
         assert len(lines) == 3  # header + 2 points
 
+    @pytest.mark.parametrize("sweep", [
+        dict(outlier_max=(4.0, 4.0000001)),
+        dict(num_gnbs=(4, 4), num_ues=(5, 5)),
+    ], ids=["outlier", "nodes"])
+    def test_points_sharing_a_label_fail_before_any_trial(self, monkeypatch, sweep):
+        # Both points would write their reports into one directory, the
+        # second replacing the first's files without a word.
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+        with pytest.raises(ConfigurationError, match="distinct labels"):
+            run_sweep(_quick_config(trials=2, **sweep))
+        assert calls == []
+
     def test_empty_sweep_list_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(outlier_max=[])

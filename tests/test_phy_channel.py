@@ -20,10 +20,17 @@ from isacloc import (
 from isacloc.harness import _trial_seed
 from isacloc.phy_channel import noise_variance_from_snr
 from isacloc.prs_grid import ResourceGrid
-from isacloc.ranging import estimate_range, extract_and_divide, range_profile
 from isacloc.constants import SPEED_OF_LIGHT
 from isacloc.scenario import true_bistatic_ranges
-from phy_reference import batched_comb_profiles, dense_channel, dense_grid, scatter_blocks
+from phy_reference import (
+    batched_comb_profiles,
+    dense_channel,
+    dense_divide,
+    dense_grid,
+    dense_profile,
+    dense_range,
+    scatter_blocks,
+)
 
 
 def channel(grids, delays, config, noise=NoiseSpec()):
@@ -279,8 +286,7 @@ def test_phy_synthesis_matches_per_pair_pipeline(fr2_config, snr_db):
         noise = NoiseSpec(variance, seed)
         delays = np.array([[pair_delay(sc, s, k) for k in range(6)] for s in range(6)])
         received = dense_channel(grids, delays, fr2_config, noise)
-        expected = [[estimate_range(range_profile(extract_and_divide(rx, tx), fr2_config),
-                                    fr2_config)
+        expected = [[dense_range(dense_profile(dense_divide(rx, tx), fr2_config), fr2_config)
                      for rx in received] for tx in transmit]
         ranges = synthesize_measurements_phy(sc, fr2_config, noise).ranges
         assert np.array_equal(ranges, expected)

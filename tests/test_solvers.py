@@ -470,6 +470,13 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
 
 
+def _link_jacobian(sc):
+    """(S*K, 2) gradients of the bistatic ranges at the true target, s-major."""
+    to_g, to_u = sc.target - sc.gnb_positions, sc.target - sc.ue_positions
+    return ((to_g / np.linalg.norm(to_g, axis=1)[:, None])[:, None, :]
+            + (to_u / np.linalg.norm(to_u, axis=1)[:, None])[None, :, :]).reshape(-1, 2)
+
+
 def test_ls_error_matches_linearized_bound():
     """Without outliers the LS error follows the linearized covariance.
 
@@ -493,11 +500,52 @@ def test_ls_error_matches_linearized_bound():
         ms = synthesize_measurements_model(sc, ofdm, np.random.default_rng([seed, 1]))
         g, u = sc.gnb_positions, sc.ue_positions
         result = solve_ls(ms, g, u, config, ls_grid_init(ms, g, u, 75.0))
-        to_g, to_u = sc.target - g, sc.target - u
-        jac = ((to_g / np.linalg.norm(to_g, axis=1)[:, None])[:, None, :]
-               + (to_u / np.linalg.norm(to_u, axis=1)[:, None])[None, :, :]).reshape(-1, 2)
+        jac = _link_jacobian(sc)
         error = result.estimate - sc.target
         ratios.append(error @ error / (variance * np.trace(np.linalg.inv(jac.T @ jac))))
+    assert abs(np.mean(ratios) - 1.0) <= 4.0 * math.sqrt(2.0 / len(ratios))
+
+
+def _difference_map(num_gnbs, num_ues):
+    """D: the S*K range errors (s-major) onto every transmitter and receiver pair difference."""
+    link = np.arange(num_gnbs * num_ues).reshape(num_gnbs, num_ues)
+    rows = ([(link[b, k], link[a, k]) for a in range(num_gnbs) for b in range(a + 1, num_gnbs)
+             for k in range(num_ues)]
+            + [(link[s, a], link[s, b]) for s in range(num_gnbs) for a in range(num_ues)
+               for b in range(a + 1, num_ues)])
+    out = np.zeros((len(rows), link.size))
+    for row, (plus, minus) in enumerate(rows):
+        out[row, plus], out[row, minus] = 1.0, -1.0
+    return out
+
+
+def test_differencing_error_matches_linearized_bound():
+    """Without outliers the differencing error follows its linearized covariance.
+
+    The differencing solve fits D r, the pair differences of the ranges r,
+    with J = D J_r, J_r the per-link Jacobian at the true target.  To first
+    order its estimate is x + A n with A = (J^T J)^-1 J^T D, so each trial's
+    squared error over sigma^2 tr(A A^T) has mean 1, sigma^2 = bin^2 / 12
+    as in the LS test above.  The band is that test's: within 4 standard
+    errors of 1, taking the variance 2.  Dropping either pair family from
+    the solve leaves the band.
+    """
+    from isacloc import OfdmConfig, synthesize_measurements_model
+
+    ofdm = OfdmConfig(120e3, 792)
+    variance = ofdm.range_resolution ** 2 / 12.0
+    config = SolverConfig(proposed_threshold=1e-6)
+    diff = _difference_map(6, 6)
+    ratios = []
+    for seed in range(2000):
+        sc = sample_scenario(6, 6, outlier_max=0.0, rng_seed=seed)
+        ms = synthesize_measurements_model(sc, ofdm, np.random.default_rng([seed, 1]))
+        g, u = sc.gnb_positions, sc.ue_positions
+        result = solve_proposed(ms, g, u, config, difference_grid_init(ms, g, u, 75.0))
+        jac = diff @ _link_jacobian(sc)
+        gain = np.linalg.solve(jac.T @ jac, jac.T @ diff)
+        error = result.estimate - sc.target
+        ratios.append(error @ error / (variance * np.trace(gain @ gain.T)))
     assert abs(np.mean(ratios) - 1.0) <= 4.0 * math.sqrt(2.0 / len(ratios))
 
 
