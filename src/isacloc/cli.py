@@ -53,9 +53,13 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigurationError(str(exc)) from exc
 
 
-def _load_config(path: str, overrides: dict) -> ExperimentConfig:
+def _load_config(args) -> tuple:
+    """Build the config from the file and the overrides; returns it and its sweep lists.
+
+    The config holds each list's first point, so a default the sweep replaces is not checked.
+    """
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
@@ -63,22 +67,23 @@ def _load_config(path: str, overrides: dict) -> ExperimentConfig:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigurationError("config file must contain a JSON object")
-    payload.update({k: v for k, v in overrides.items() if v is not None})
-    return experiment_config_from_dict(payload)
-
-
-def _experiment_config(args) -> ExperimentConfig:
     overrides = {
         "output_dir": args.output,
         "trials": args.trials,
         "base_seed": args.seed,
         "workers": args.workers,
     }
-    return _load_config(args.config, overrides)
+    payload.update({k: v for k, v in overrides.items() if v is not None})
+    lists = {k: payload.pop(k) for k in ("num_gnbs", "num_ues", "outlier_max")
+             if isinstance(payload.get(k), list)}
+    payload.update({k: v[0] for k, v in lists.items() if v})
+    return experiment_config_from_dict(payload), lists
 
 
 def _cmd_run(args) -> int:
-    config = _experiment_config(args)
+    config, lists = _load_config(args)
+    if lists:
+        raise ConfigurationError("config contains sweep lists; use isacloc sweep")
     report = run_experiment(config)
     paths = emit_report(report, config.output_dir)
     for method, mean in sorted(report.mean_error.items()):
@@ -89,8 +94,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _experiment_config(args)
-    results = run_sweep(config)
+    config, lists = _load_config(args)
+    results = run_sweep(config, **lists)
     paths = emit_sweep(results, config.output_dir)
     for label, report in results:
         means = ", ".join(f"{m} {report.mean_error[m]:.3f}" for m in sorted(report.mean_error))

@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 
 class ConfigurationError(ValueError):
     """Invalid numerology, allocation, or experiment configuration."""
@@ -34,3 +36,10 @@ def check_finite(name: str, value) -> None:
     """Reject a config value that is not a finite real number; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+
+
+def store_python_numbers(config) -> None:
+    """Store each numpy scalar field of a frozen config as the equal Python number."""
+    for name, value in list(vars(config).items()):
+        if isinstance(value, np.number):
+            object.__setattr__(config, name, value.item())

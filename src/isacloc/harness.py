@@ -7,7 +7,8 @@ base_seed XOR trial index, so results are independent of execution order
 and the whole experiment is reproducible byte for byte.  It also means that
 base seeds 0 and 1 run the same trials in another order, and any two base
 seeds that differ only in bits below the trial count share trials; ROADMAP
-item 5 replaces the rule.
+item 5 replaces the rule.  An `ExperimentConfig` is one experiment; `run_sweep`
+runs one per value of `outlier_max` or per pair of node counts, given as lists.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, check_finite, check_integer
+from .errors import ConfigurationError, check_finite, check_integer, store_python_numbers
 from .phy_channel import NoiseSpec, noise_variance_from_snr
 from .prs_grid import OfdmConfig
 from .scenario import (
@@ -53,16 +54,16 @@ _CHECK_TARGET_REGION = 40.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Experiment parameters.
+    """Parameters of one experiment, all checked at construction.
 
-    `num_gnbs`, `num_ues`, and `outlier_max` may be lists, in which case
-    the config describes a sweep and must be run through `run_sweep`.
+    A numpy scalar is stored as the equal Python number.  A sweep is not a
+    config: pass its lists to `run_sweep`.
     """
 
     trials: int = 2000
-    num_gnbs: int | tuple = 6
-    num_ues: int | tuple = 6
-    outlier_max: float | tuple = 10.0
+    num_gnbs: int = 6
+    num_ues: int = 6
+    outlier_max: float = 10.0
     mode: str = "model"
     quantization_error: bool = True
     snr_db: float | None = 10.0
@@ -76,25 +77,13 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        # Normalize sweep lists to tuples so the config stays hashable/picklable.
-        for name in ("num_gnbs", "num_ues", "outlier_max"):
-            value = getattr(self, name)
-            if isinstance(value, (list, tuple)):
-                if len(value) == 0:
-                    raise ConfigurationError(f"{name} sweep list must be nonempty")
-                object.__setattr__(self, name, tuple(value))
-        # Value types are checked here for every sweep point, before any trial runs.
-        for name in ("trials", "base_seed", "workers"):
+        store_python_numbers(self)
+        for name in ("trials", "base_seed", "workers", "num_gnbs", "num_ues"):
             check_integer(name, getattr(self, name))
-        for name in ("gnb_region", "ue_region", "target_region"):
+        for name in ("gnb_region", "ue_region", "target_region", "outlier_max"):
             check_finite(name, getattr(self, name))
         if self.snr_db is not None:
             noise_variance_from_snr(self.snr_db)  # rejects a variance that is not finite
-        for name, check in (("num_gnbs", check_integer), ("num_ues", check_integer),
-                            ("outlier_max", check_finite)):
-            value = getattr(self, name)
-            for point in value if isinstance(value, tuple) else (value,):
-                check(name, point)
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.mode not in ("model", "phy"):
@@ -117,12 +106,7 @@ class ExperimentConfig:
             raise ConfigurationError("workers must be >= 1")
         if min(self.gnb_region, self.ue_region, self.target_region) <= 0:
             raise ConfigurationError("region sizes must be positive")
-        # A sweep's geometry is checked point by point when _sweep_points builds it.
-        if not self.is_sweep:
-            self._check_geometry()
-
-    def _check_geometry(self):
-        """Reject node counts, outliers and phy geometries that would fail in a trial."""
+        # Node counts, outliers and phy geometries that would fail in a trial.
         if self.num_gnbs < 2 or self.num_ues < 2:
             raise ConfigurationError(
                 "num_gnbs and num_ues must be >= 2: pair differencing needs both"
@@ -147,13 +131,6 @@ class ExperimentConfig:
                 f"worst-case bistatic range {worst:.1f} m reaches the unambiguous window "
                 f"({self.ofdm.unambiguous_range:.1f} m); shrink the regions or outlier_max"
             )
-
-    @property
-    def is_sweep(self) -> bool:
-        return any(
-            isinstance(getattr(self, name), tuple)
-            for name in ("num_gnbs", "num_ues", "outlier_max")
-        )
 
 
 @dataclass
@@ -239,8 +216,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     and because every trial derives its own seed the aggregated report is
     identical to a serial run.
     """
-    if config.is_sweep:
-        raise ConfigurationError("config contains sweep lists; use run_sweep")
     seeds = [_trial_seed(config.base_seed, t) for t in range(config.trials)]
     if config.workers > 1:
         # Imported here: a serial run does not load concurrent.futures or multiprocessing.
@@ -324,31 +299,32 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
     return [summary_path, trials_path, cdf_path]
 
 
-def _sweep_points(config: ExperimentConfig):
-    """Expand sweep lists into (label, scalar config) points with distinct labels."""
-    gnb_list = isinstance(config.num_gnbs, tuple)
-    ue_list = isinstance(config.num_ues, tuple)
-    out_list = isinstance(config.outlier_max, tuple)
-    if out_list and (gnb_list or ue_list):
+def _sweep_points(config: ExperimentConfig, num_gnbs=None, num_ues=None, outlier_max=None):
+    """Expand sweep lists into (label, config) points, all built before any trial runs."""
+    for name, values in (("num_gnbs", num_gnbs), ("num_ues", num_ues),
+                         ("outlier_max", outlier_max)):
+        if values is not None and len(values) == 0:
+            raise ConfigurationError(f"{name} sweep list must be nonempty")
+    nodes = num_gnbs is not None or num_ues is not None
+    if outlier_max is not None and nodes:
         raise ConfigurationError("sweep either node counts or outlier_max, not both")
 
-    points = []
-    if out_list:
-        for value in config.outlier_max:
-            label = f"outlier_{value:g}"
-            points.append((label, replace(config, outlier_max=float(value))))
-    elif gnb_list or ue_list:
-        gnbs = config.num_gnbs if gnb_list else (config.num_gnbs,)
-        ues = config.num_ues if ue_list else (config.num_ues,)
-        if len(gnbs) == 1 and len(ues) > 1:
+    if outlier_max is not None:
+        for value in outlier_max:
+            check_finite("outlier_max", value)  # before float(), which takes True and "4"
+        points = [(f"outlier_{value:g}", replace(config, outlier_max=float(value)))
+                  for value in outlier_max]
+    elif nodes:
+        gnbs = list(num_gnbs) if num_gnbs is not None else [config.num_gnbs]
+        ues = list(num_ues) if num_ues is not None else [config.num_ues]
+        if len(gnbs) == 1:
             gnbs = gnbs * len(ues)
-        if len(ues) == 1 and len(gnbs) > 1:
+        if len(ues) == 1:
             ues = ues * len(gnbs)
         if len(gnbs) != len(ues):
             raise ConfigurationError("node-count sweep lists must have equal length")
-        for s, k in zip(gnbs, ues):
-            label = f"nodes_{s}x{k}"
-            points.append((label, replace(config, num_gnbs=int(s), num_ues=int(k))))
+        points = [(f"nodes_{s}x{k}", replace(config, num_gnbs=s, num_ues=k))
+                  for s, k in zip(gnbs, ues)]
     else:
         raise ConfigurationError("config has no sweep list; use run_experiment")
     # Each point's reports go into a directory named by its label.
@@ -359,9 +335,15 @@ def _sweep_points(config: ExperimentConfig):
     return points
 
 
-def run_sweep(config: ExperimentConfig) -> list:
-    """Run one experiment per sweep point; returns (label, report) pairs."""
-    return [(label, run_experiment(point)) for label, point in _sweep_points(config)]
+def run_sweep(config: ExperimentConfig, *, num_gnbs=None, num_ues=None,
+              outlier_max=None) -> list:
+    """Run `config` with each swept value in turn; returns (label, report) pairs.
+
+    Sweep `outlier_max` or the node counts.  Node-count lists pair up, and a
+    one-element list or a count left to `config` is broadcast.
+    """
+    points = _sweep_points(config, num_gnbs, num_ues, outlier_max)
+    return [(label, run_experiment(point)) for label, point in points]
 
 
 def emit_sweep(results, out_dir) -> list:
@@ -373,13 +355,8 @@ def emit_sweep(results, out_dir) -> list:
 
     summary_csv = os.path.join(out_dir, "sweep_summary.csv")
     with open(summary_csv, "w") as fh:
-        fh.write(
-            "point,"
-            + ",".join(f"mean_{m}" for m in METHODS)
-            + ","
-            + ",".join(f"p90_{m}" for m in METHODS)
-            + "\n"
-        )
+        columns = [f"mean_{m}" for m in METHODS] + [f"p90_{m}" for m in METHODS]
+        fh.write("point," + ",".join(columns) + "\n")
         for label, report in results:
             means = ",".join(repr(report.mean_error[m]) for m in METHODS)
             p90s = ",".join(repr(report.p90_error[m]) for m in METHODS)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigurationError, ScenarioError, check_finite, check_integer
+from .errors import (ConfigurationError, ScenarioError, check_finite, check_integer,
+                     store_python_numbers)
 
 _REGISTER_LENGTH = 31
 _FAST_FORWARD = 1600  # discarded warm-up outputs of the combined sequence
@@ -44,6 +45,7 @@ class OfdmConfig:
     comb_size: int = 12
 
     def __post_init__(self):
+        store_python_numbers(self)
         for name in ("num_subcarriers", "num_symbols", "comb_size"):
             check_integer(name, getattr(self, name))
         check_finite("subcarrier_spacing", self.subcarrier_spacing)

@@ -55,6 +55,7 @@ from .errors import (
     UnderdeterminedError,
     check_finite,
     check_integer,
+    store_python_numbers,
 )
 
 _SINGULARITY_GUARD = 1e-9  # below this node distance the unit vector is zeroed
@@ -85,6 +86,7 @@ class SolverConfig:
     fusion_weight_irls: float = 0.5
 
     def __post_init__(self):
+        store_python_numbers(self)
         check_integer("max_iterations", self.max_iterations)
         for f in fields(self):
             if f.name != "max_iterations":

@@ -92,13 +92,8 @@ def test_criterion_2_p90_reproduction(table_run):
 
 
 def test_criterion_3_outlier_sensitivity_trend():
-    config = ExperimentConfig(
-        trials=2000,
-        outlier_max=(4.0, 8.0, 12.0, 16.0, 18.0),
-        base_seed=0,
-        workers=WORKERS,
-    )
-    results = run_sweep(config)
+    config = ExperimentConfig(trials=2000, base_seed=0, workers=WORKERS)
+    results = run_sweep(config, outlier_max=(4.0, 8.0, 12.0, 16.0, 18.0))
     means = {label: report.mean_error for label, report in results}
     proposed_le_irls = all(m["proposed"] <= m["irls"] for m in means.values())
     improvements = [
@@ -118,15 +113,8 @@ def test_criterion_3_outlier_sensitivity_trend():
 
 
 def test_criterion_4_node_count_trend():
-    config = ExperimentConfig(
-        trials=2000,
-        num_gnbs=(4, 5, 6, 7, 8),
-        num_ues=(4, 5, 6, 7, 8),
-        outlier_max=14.0,
-        base_seed=0,
-        workers=WORKERS,
-    )
-    results = run_sweep(config)
+    config = ExperimentConfig(trials=2000, outlier_max=14.0, base_seed=0, workers=WORKERS)
+    results = run_sweep(config, num_gnbs=(4, 5, 6, 7, 8), num_ues=(4, 5, 6, 7, 8))
     proposed = [report.mean_error["proposed"] for _, report in results]
     beats_both = all(
         report.mean_error["proposed"] < report.mean_error["ls"]

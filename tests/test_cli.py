@@ -113,6 +113,7 @@ class TestRunCommand:
     def test_sweep_config_in_run_exits_one(self, tmp_path, capsys):
         config_path = _write_config(tmp_path / "config.json", outlier_max=[4.0, 8.0])
         assert main(["run", "--config", str(config_path)]) == 1
+        assert "use isacloc sweep" in capsys.readouterr().err
 
 
 class TestValueTypesFailValidation:
@@ -227,6 +228,21 @@ class TestSweepCommand:
         assert (out_dir / "sweep_summary.json").exists()
         assert (out_dir / "outlier_4" / "summary.json").exists()
         assert (out_dir / "outlier_8" / "summary.json").exists()
+
+    def test_broadcast_node_sweep(self, tmp_path):
+        config_path = _write_config(tmp_path / "config.json", trials=2, num_gnbs=[4, 5], num_ues=6)
+        assert main(["sweep", "--config", str(config_path)]) == 0
+        out_dir = tmp_path / "results"
+        assert (out_dir / "nodes_4x6" / "summary.json").exists()
+        assert (out_dir / "nodes_5x6" / "summary.json").exists()
+
+    def test_swept_counts_replace_a_default_that_would_fail(self, tmp_path):
+        # Six transmitters, the default, exceed the 4 comb offsets; the swept counts do not.
+        config_path = _write_config(tmp_path / "config.json", trials=2, num_gnbs=[2, 3],
+                                    mode="phy", gnb_region=60.0, ue_region=60.0,
+                                    target_region=30.0, ofdm={"comb_size": 4})
+        assert main(["sweep", "--config", str(config_path)]) == 0
+        assert (tmp_path / "results" / "nodes_3x4" / "summary.json").exists()
 
     def test_scalar_config_exits_one(self, tmp_path):
         config_path = _write_config(tmp_path / "config.json")

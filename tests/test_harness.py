@@ -185,36 +185,43 @@ class TestEmitReport:
         for p1, p2 in zip(first, second):
             assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_numpy_scalar_config_writes_the_python_config_summary(self, tmp_path):
+        typed = ExperimentConfig(trials=np.int64(2), num_gnbs=np.int64(4), snr_db=np.float32(10.0),
+                                 ofdm=OfdmConfig(num_symbols=np.int64(14)),
+                                 solver=SolverConfig(e_max=np.float32(7.0)))
+        plain = ExperimentConfig(trials=2, num_gnbs=4, snr_db=10.0,
+                                 ofdm=OfdmConfig(num_symbols=14), solver=SolverConfig(e_max=7.0))
+        typed_paths = emit_report(run_experiment(typed), tmp_path / "typed")
+        plain_paths = emit_report(run_experiment(plain), tmp_path / "plain")
+        for p1, p2 in zip(typed_paths, plain_paths):
+            assert open(p1, "rb").read() == open(p2, "rb").read()
+
 
 
 class TestSweep:
     def test_outlier_sweep_points(self):
-        config = _quick_config(outlier_max=(4.0, 8.0))
-        points = _sweep_points(config)
+        points = _sweep_points(_quick_config(), outlier_max=(4.0, 8.0))
         assert [label for label, _ in points] == ["outlier_4", "outlier_8"]
-        assert all(not cfg.is_sweep for _, cfg in points)
+        assert [cfg.outlier_max for _, cfg in points] == [4.0, 8.0]
 
     def test_node_sweep_points_pair_up(self):
-        config = _quick_config(num_gnbs=(4, 5), num_ues=(4, 5))
-        points = _sweep_points(config)
+        points = _sweep_points(_quick_config(), num_gnbs=(4, 5), num_ues=(4, 5))
         assert [label for label, _ in points] == ["nodes_4x4", "nodes_5x5"]
 
     def test_node_sweep_broadcasts_scalar_side(self):
-        config = _quick_config(num_gnbs=(4, 5), num_ues=6)
-        points = _sweep_points(config)
+        points = _sweep_points(_quick_config(num_ues=6), num_gnbs=(4, 5))
         assert [(c.num_gnbs, c.num_ues) for _, c in points] == [(4, 6), (5, 6)]
 
     def test_mixed_sweep_rejected(self):
         with pytest.raises(ConfigurationError):
-            _sweep_points(_quick_config(num_gnbs=(4, 5), num_ues=(4, 5), outlier_max=(4.0,)))
+            _sweep_points(_quick_config(), num_gnbs=(4, 5), num_ues=(4, 5), outlier_max=(4.0,))
 
     def test_no_sweep_rejected(self):
         with pytest.raises(ConfigurationError):
             _sweep_points(_quick_config())
 
     def test_run_and_emit(self, tmp_path):
-        config = _quick_config(trials=6, outlier_max=(4.0, 8.0))
-        results = run_sweep(config)
+        results = run_sweep(_quick_config(trials=6), outlier_max=(4.0, 8.0))
         assert len(results) == 2
         paths = emit_sweep(results, tmp_path / "sweep")
         assert (tmp_path / "sweep" / "outlier_4" / "summary.json").exists()
@@ -232,12 +239,45 @@ class TestSweep:
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
         with pytest.raises(ConfigurationError, match="distinct labels"):
-            run_sweep(_quick_config(trials=2, **sweep))
+            run_sweep(_quick_config(trials=2), **sweep)
         assert calls == []
 
     def test_empty_sweep_list_rejected(self):
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(outlier_max=[])
+            run_sweep(ExperimentConfig(), outlier_max=[])
+
+    # What the config constructor checked while it held the lists.
+    @pytest.mark.parametrize("sweep, message", [
+        (dict(num_ues=[]), "num_ues sweep list must be nonempty"),
+        (dict(num_gnbs=[4, 5], outlier_max=[4.0]), "not both"),
+        (dict(num_gnbs=[4, 4.5]), "num_gnbs must be an integer"),
+        (dict(num_ues=[4, True]), "num_ues must be an integer"),
+        (dict(outlier_max=[4.0, float("nan")]), "outlier_max must be a finite number"),
+        (dict(outlier_max=[4.0, True]), "outlier_max must be a finite number"),
+        (dict(outlier_max=[4.0, "8"]), "outlier_max must be a finite number"),
+    ], ids=str)
+    def test_bad_sweep_fails_before_any_trial(self, monkeypatch, sweep, message):
+        def run_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        with pytest.raises(ConfigurationError, match=message):
+            run_sweep(_quick_config(trials=2), **sweep)
+
+    @pytest.mark.parametrize("sweep, replaced", [
+        (dict(outlier_max=[4, 8.0]), dict(outlier_max=4.0)),
+        (dict(num_gnbs=[np.int64(4), 5]), dict(num_gnbs=4)),
+    ], ids=["outlier", "broadcast-nodes"])
+    def test_sweep_point_is_the_scalar_experiment(self, sweep, replaced):
+        config = _quick_config(trials=6, num_ues=6)
+        (_, point), _ = run_sweep(config, **sweep)
+        alone = run_experiment(dataclasses.replace(config, **replaced))
+        assert point.errors == alone.errors
+        assert point.converged == alone.converged
+        assert point.config == alone.config
+        # A JSON 4 echoes as 4.0, and a node count as a Python int.
+        name, value = next(iter(replaced.items()))
+        assert type(point.config[name]) is type(value)
 
 
 class TestRangingCheck:
@@ -298,9 +338,11 @@ class TestGeometryValidation:
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(harness, "run_trial", run_trial)
+        sweep = {n: v for n, v in nodes.items() if isinstance(v, list)}
+        scalars = {n: v for n, v in nodes.items() if n not in sweep}
         with pytest.raises(ConfigurationError, match="num_gnbs and num_ues must be >= 2"):
-            config = ExperimentConfig(trials=2, **nodes)
-            (run_sweep if config.is_sweep else run_experiment)(config)
+            config = ExperimentConfig(trials=2, **scalars)
+            run_sweep(config, **sweep) if sweep else run_experiment(config)
 
     def test_phy_default_regions_rejected(self):
         # Worst case 656.4 m against the 208.2 m window.
@@ -344,15 +386,16 @@ class TestGeometryValidation:
 
         monkeypatch.setattr(harness, "run_trial", run_trial)
         with pytest.raises(ConfigurationError, match=message):
-            config = _quick_config(trials=2, **{field: value})
-            (run_sweep if config.is_sweep else run_experiment)(config)
+            if isinstance(value, tuple):
+                run_sweep(_quick_config(trials=2), **{field: value})
+            else:
+                run_experiment(_quick_config(trials=2, **{field: value}))
 
     def test_invalid_sweep_point_fails_before_any_trial(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
-        config = _quick_config(trials=2, num_gnbs=(4, 1), num_ues=(4, 4))
         with pytest.raises(ConfigurationError):
-            run_sweep(config)
+            run_sweep(_quick_config(trials=2), num_gnbs=(4, 1), num_ues=(4, 4))
         assert calls == []
 
 
