@@ -296,7 +296,8 @@ def test_phy_6x6_ranges_match_dense_reference_pipeline():
     # 200 phy-6x6 trials, alternately noise-free and at 10 dB, with the
     # scenario and NoiseSpec seeds that run_trial gives them: the ranges of
     # synthesize_measurements_phy equal, bit for bit, those of the dense
-    # M x N channel ranged by the batched comb-domain reference.
+    # M x N channel over per-pair delays, ranged by the batched comb-domain
+    # reference.  No library code computes the reference's delays.
     config = ExperimentConfig(trials=200, mode="phy", gnb_region=60.0, ue_region=60.0,
                               target_region=30.0, snr_db=10.0)
     ofdm = config.ofdm
@@ -307,7 +308,9 @@ def test_phy_6x6_ranges_match_dense_reference_pipeline():
                              ue_region=config.ue_region, target_region=config.target_region,
                              outlier_max=config.outlier_max, rng_seed=seed)
         noise = NoiseSpec(0.0 if trial % 2 else noise_variance_from_snr(config.snr_db), seed)
-        received = dense_channel(grids, bistatic_delay(sc), ofdm, noise)
+        delays = np.array([[pair_delay(sc, s, k) for k in range(sc.num_ues)]
+                           for s in range(sc.num_gnbs)])
+        received = dense_channel(grids, delays, ofdm, noise)
         profiles = batched_comb_profiles(received, grids, ofdm)
         expected = np.argmax(profiles, axis=-1) * ofdm.range_resolution
         ranges = synthesize_measurements_phy(sc, ofdm, noise).ranges
