@@ -26,11 +26,12 @@ from .harness import (
     run_experiment,
     run_sweep,
 )
-from .phy_channel import NoiseSpec, apply_channel, bistatic_delay
+from .phy_channel import NoiseSpec, apply_channel
 from .prs_grid import OfdmConfig, PrsAllocation, build_grid, comb_symbols
 from .ranging import estimate_range, extract_and_divide, range_profile
 from .scenario import (
     Scenario,
+    bistatic_delay,
     sample_scenario,
     synthesize_measurements_model,
     synthesize_measurements_phy,

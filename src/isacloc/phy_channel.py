@@ -6,6 +6,8 @@ phase ramp of the path delay, plus complex white Gaussian noise, as one
 (S, W, N) block: the rows ranging reads and no others.  Paths carry no
 gain and no Doppler (the target is static); no time-domain waveform is
 synthesized, the blocks are the post-FFT view of the received signal.
+The channel knows no geometry: the caller hands it the (S, K) path
+delays, which `scenario.bistatic_delay` computes for a scenario.
 """
 
 from __future__ import annotations
@@ -13,16 +15,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
 from .errors import ConfigurationError, ScenarioError, check_finite
 from .prs_grid import OfdmConfig, ResourceGrid, comb_symbols
-
-if TYPE_CHECKING:
-    from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -110,20 +108,3 @@ def apply_channel(
             draws *= sigma
             block += draws.view(np.complex128)[..., 0].transpose(1, 0, 2)[ranks]
     return received
-
-
-def bistatic_delay(scenario: "Scenario") -> np.ndarray:
-    """(S, K) delays of every transmitter -> target -> receiver path in seconds.
-
-    Entry [s, k] is (|x0 - g_s| + |x0 - u_k| + excess_s + excess_k) / c,
-    the line-of-sight path length plus the excesses of its blocked links.
-    """
-    x0 = scenario.target
-    # One 1-D norm per node and this summation order round exactly as
-    # summing one pair at a time does (`pair_delay` in the channel tests);
-    # `norm(..., axis=1)`, `np.hypot` and `true_bistatic_ranges(...).ranges / c`
-    # differ in the last bit on some pairs, which changes the received grids.
-    d_g = np.array([np.linalg.norm(x0 - g) for g in scenario.gnb_positions])
-    d_u = np.array([np.linalg.norm(x0 - u) for u in scenario.ue_positions])
-    e_g, e_u = scenario.link_excess_gnb, scenario.link_excess_ue
-    return ((d_g[:, None] + d_u) + (e_g[:, None] + e_u)) / SPEED_OF_LIGHT

@@ -6,10 +6,11 @@ target, and a nonnegative excess path length per target-to-node link
 measurement traversing that link by the same amount, which is the
 additive structure the pair-differencing solver exploits.
 
-Measurements come in two flavors: a fast model-level synthesis that adds
-a uniform half-bin range-quantization error directly to the geometric
-ranges, and a full physical-layer synthesis that runs grids through the
-echo channel and the periodogram estimator.
+Both measurement flavors start from one set of true path lengths,
+`true_bistatic_ranges`: a fast model-level synthesis adds a uniform
+half-bin range-quantization error to them directly, and a full
+physical-layer synthesis divides them by c (`bistatic_delay`) and runs
+grids through the echo channel and the periodogram estimator.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import SPEED_OF_LIGHT
 from .errors import ConfigurationError, ScenarioError, check_finite, check_integer
-from .phy_channel import NoiseSpec, apply_channel, bistatic_delay
+from .phy_channel import NoiseSpec, apply_channel
 from .prs_grid import OfdmConfig, PrsAllocation, build_grid, comb_symbols
 from .ranging import estimate_range, extract_and_divide, range_profile
 
@@ -157,6 +159,15 @@ def true_bistatic_ranges(scenario: Scenario) -> MeasurementSet:
     geometric = dist_g[:, None] + dist_u[None, :]
     entries = geometric + scenario.link_excess_gnb[:, None] + scenario.link_excess_ue[None, :]
     return MeasurementSet(ranges=entries)
+
+
+def bistatic_delay(scenario: Scenario) -> np.ndarray:
+    """(S, K) delays of every transmitter -> target -> receiver path in seconds.
+
+    The true path lengths of `true_bistatic_ranges` over c, so phy mode
+    starts from the floats model mode perturbs.
+    """
+    return true_bistatic_ranges(scenario).ranges / SPEED_OF_LIGHT
 
 
 def synthesize_measurements_model(

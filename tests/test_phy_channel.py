@@ -261,16 +261,18 @@ class TestBistaticDelay:
                     ) / SPEED_OF_LIGHT
                     assert delays[s, k] == pytest.approx(expected, rel=1e-12)
 
-    def test_matrix_equals_per_pair_formula_bit_for_bit(self, rng):
-        # The received floats depend on every bit of the delays, so the
-        # matrix must round exactly as the per-pair sum does.
+    def test_matrix_is_the_true_ranges_over_c_bit_for_bit(self, rng):
+        # Phy mode starts from the very floats of true_bistatic_ranges; the
+        # per-pair sum rounds in another order, so it agrees to the last bits.
         for seed in range(300):
             num_gnbs, num_ues = (6, 6) if seed % 2 else tuple(rng.integers(1, 9, 2))
             sc = sample_scenario(int(num_gnbs), int(num_ues), gnb_region=60.0, ue_region=60.0,
                                  target_region=30.0, outlier_max=10.0, rng_seed=seed)
+            delays = bistatic_delay(sc)
+            assert np.array_equal(delays, true_bistatic_ranges(sc).ranges / SPEED_OF_LIGHT)
             expected = [[pair_delay(sc, s, k) for k in range(sc.num_ues)]
                         for s in range(sc.num_gnbs)]
-            assert np.array_equal(bistatic_delay(sc), expected)
+            np.testing.assert_allclose(delays, expected, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("snr_db", [10.0, None])

@@ -213,17 +213,21 @@ class TestPhySynthesis:
             synthesize_measurements_phy(sc, fr2_config)
 
     def test_path_lengths_come_from_the_channel_delays(self, fr2_config, monkeypatch):
-        # The window check reads the same delay matrix the channel gets.
+        # The window check and the channel read one delay matrix, made from
+        # one computation of the true path lengths.
         sc = self._small_scenario(6, num_gnbs=6, num_ues=6, outlier_max=10.0)
         noise = NoiseSpec(variance=0.05, rng_seed=6)
         expected = synthesize_measurements_phy(sc, fr2_config, noise).ranges
+        original, calls = scenario_module.true_bistatic_ranges, []
 
         def true_bistatic_ranges(scenario):
-            raise AssertionError("path lengths computed twice")
+            calls.append(scenario)
+            return original(scenario)
 
         monkeypatch.setattr(scenario_module, "true_bistatic_ranges", true_bistatic_ranges)
         assert np.array_equal(synthesize_measurements_phy(sc, fr2_config, noise).ranges,
                               expected)
+        assert len(calls) == 1 and calls[0] is sc
 
     def test_out_of_window_geometry_rejected(self, fr2_config):
         sc = sample_scenario(2, 2, gnb_region=800, ue_region=800, target_region=100,
