@@ -24,6 +24,7 @@ from isacloc import (
     range_profile,
 )
 from isacloc.constants import SPEED_OF_LIGHT
+from isacloc.phy_channel import noise_variance_from_snr
 
 config = OfdmConfig()
 grid = build_grid(config, PrsAllocation(comb_offset=0, sequence_seed=1))
@@ -51,7 +52,7 @@ print(f"{'SNR (dB)':>9} {'mean |error| (m)':>17} {'worst |error| (m)':>18}")
 true_range = 100.0
 delay = true_range / SPEED_OF_LIGHT
 for snr_db in (20.0, 10.0, 0.0):
-    variance = 0.5 * 10 ** (-snr_db / 10)
+    variance = noise_variance_from_snr(snr_db)
     errors = [abs(measure(delay, NoiseSpec(variance=variance, rng_seed=seed)) - true_range)
               for seed in range(20)]
     print(f"{snr_db:>9.0f} {np.mean(errors):>17.3f} {np.max(errors):>18.3f}")

@@ -95,6 +95,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config, lists = _load_config(args)
+    if not lists:
+        raise ConfigurationError("config has no sweep list; use isacloc run")
     results = run_sweep(config, **lists)
     paths = emit_sweep(results, config.output_dir)
     for label, report in results:

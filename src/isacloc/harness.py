@@ -398,6 +398,7 @@ def ranging_check(
         raise ConfigurationError("trials must be >= 1")
     if base_seed < 0:
         raise ConfigurationError("base_seed must be >= 0")
+    trials = int(trials)  # echoed in the JSON result, so a Python int
     variance = 0.0 if snr_db is None else noise_variance_from_snr(snr_db)
     config = config if config is not None else OfdmConfig()
     half_bin = config.range_resolution / 2.0

@@ -244,9 +244,10 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config_path)]) == 0
         assert (tmp_path / "results" / "nodes_3x4" / "summary.json").exists()
 
-    def test_scalar_config_exits_one(self, tmp_path):
+    def test_scalar_config_exits_one(self, tmp_path, capsys):
         config_path = _write_config(tmp_path / "config.json")
         assert main(["sweep", "--config", str(config_path)]) == 1
+        assert "use isacloc run" in capsys.readouterr().err
 
 
 class TestRangingCheckCommand:

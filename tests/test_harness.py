@@ -288,6 +288,11 @@ class TestRangingCheck:
         assert result["within_half_bin"] == 25
         assert result["max_abs_error_m"] <= result["half_bin_m"]
 
+    def test_numpy_integer_arguments_give_a_json_result(self):
+        result = ranging_check(trials=np.int64(2), base_seed=np.uint32(3))
+        assert type(result["trials"]) is int
+        assert json.loads(json.dumps(result)) == result
+
     @pytest.mark.parametrize("kwargs", [{"trials": 2.5}, {"trials": True}, {"trials": "5"},
                                         {"base_seed": 1.0}, {"snr_db": float("nan")}])
     def test_bad_value_type_rejected_before_any_trial(self, kwargs):
