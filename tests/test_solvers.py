@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -572,12 +573,12 @@ def test_measurement_set_and_array_inputs_agree():
 
 
 # ---------------------------------------------------------------------------
-# Exactness oracle: the hand-written fixed-step IRLS loop and the
-# per-objective value/gradient functions that the single driver replaced.
-# The IRLS solve must reproduce its loop's estimates, flags, iteration
-# counts, weights and traces bit for bit.  The least-squares and
-# differencing solves take Gauss-Newton steps instead and are held to the
-# minimum of their objective (stationarity oracle below).
+# Exactness oracle: the hand-written fixed-step IRLS and damped Gauss-Newton
+# loops and the per-objective value/gradient functions that the single
+# driver replaced.  Every solve must reproduce its loop's estimates, flags,
+# iteration counts, weights and traces bit for bit.  The least-squares and
+# differencing solves are also held to the minimum of their objective
+# (stationarity oracle below).
 # ---------------------------------------------------------------------------
 
 def _ref_distances_and_units(x, nodes):
@@ -663,8 +664,89 @@ def _ref_irls(ranges, gnbs, ues, config, x0, trace, iterates=None):
     return best_x, False, iterations, best_w
 
 
+def _ref_gram(method, num_gnbs, num_ues):
+    """design^T design for the residuals data - design @ d over the S+K node distances d.
+
+    Least squares has one design row per (s, k), +1 at s and at k; differencing
+    one per transmitter pair s < s' and receiver k (+1 at s', -1 at s) and one
+    per transmitter s and receiver pair k < k' (+1 at k, -1 at k').  The
+    entries are small integers, exact in any summation order.
+    """
+    size = num_gnbs + num_ues
+    rows = []
+    if method == "ls":
+        for s in range(num_gnbs):
+            for k in range(num_ues):
+                rows.append({s: 1.0, num_gnbs + k: 1.0})
+    else:
+        for a in range(num_gnbs):
+            for b in range(a + 1, num_gnbs):
+                rows.extend({b: 1.0, a: -1.0} for _ in range(num_ues))
+        for _ in range(num_gnbs):
+            for a in range(num_ues):
+                for b in range(a + 1, num_ues):
+                    rows.append({num_gnbs + a: 1.0, num_gnbs + b: -1.0})
+    design = np.zeros((len(rows), size))
+    for i, row in enumerate(rows):
+        for j, entry in row.items():
+            design[i, j] = entry
+    return design.T @ design
+
+
+def _ref_gauss_newton(method, ranges, gnbs, ues, config, x0, trace):
+    """The damped Gauss-Newton loop with step halving, on the reference objectives.
+
+    J^T J is units^T gram units; the 2 x 2 system (J^T J) delta = -grad / 2 is
+    solved in closed form, with the gradient step -grad / (2 tr(J^T J)) when
+    J^T J is near singular.  delta is halved, at most 52 times, until the
+    objective does not rise; a zero J^T J or a rise that no halving stops is a
+    stationary point, reported as converged.
+    """
+    if method == "ls":
+        value_grad, threshold = _ref_ls_value_grad, config.irls_threshold
+    else:
+        value_grad, threshold = _ref_difference_value_grad, config.proposed_threshold
+    gram = _ref_gram(method, *ranges.shape)
+    nodes = np.vstack([gnbs, ues])
+    x = np.array(x0, dtype=float)
+    value, grad = value_grad(x, ranges, gnbs, ues)
+    best_val, best_x = np.inf, x.copy()
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        trace.append(value)
+        if value < best_val:
+            best_val, best_x = value, x.copy()
+        units = _ref_distances_and_units(x, nodes)[1]
+        (a, b), (_, d) = units.T.dot(gram.dot(units)).tolist()
+        g0, g1 = (-0.5 * grad).tolist()
+        det, tr = a * d - b * b, a + d
+        if det > 1e-12 * tr * tr:
+            delta = np.array([(d * g0 - b * g1) / det, (a * g1 - b * g0) / det])
+        elif tr == 0.0:
+            return x, True, iterations, None
+        else:
+            delta = np.array([g0 / tr, g1 / tr])
+        for _ in range(52):
+            x_new = x + delta
+            new_value, new_grad = value_grad(x_new, ranges, gnbs, ues)
+            if not new_value > value:
+                break
+            delta = 0.5 * delta
+        else:
+            return x, True, iterations, None
+        if not np.isfinite(x_new).all() or np.linalg.norm(x_new) > 1e6:
+            break
+        move = np.linalg.norm(x_new - x)
+        x, value, grad = x_new, new_value, new_grad
+        if move <= threshold:
+            return x, True, iterations, None
+    return best_x, False, iterations, None
+
+
 _SOLVES = {"ls": solve_ls, "irls": solve_irls, "proposed": solve_proposed}
 _FIXED_STEP = ["irls"]  # the solves that still take a fixed gradient step
+_REF_LOOPS = {"ls": functools.partial(_ref_gauss_newton, "ls"), "irls": _ref_irls,
+              "proposed": functools.partial(_ref_gauss_newton, "proposed")}
 
 
 def _random_problem(seed):
@@ -679,20 +761,25 @@ def _random_problem(seed):
     return rng, ms.ranges, sc.gnb_positions, sc.ue_positions
 
 
-def _assert_matches_reference(ranges, g, u, config, x0):
-    """The IRLS solve reproduces `_ref_irls` bit for bit, traced and untraced.
+def _assert_matches_reference(method, ranges, g, u, config, x0):
+    """The solve reproduces its reference loop bit for bit, traced and untraced.
 
-    Untraced, the solve computes objective values only for the best-iterate
-    fallback of a solve that does not converge, so both runs are compared.
+    Untraced, the solve computes objective values only where its step or the
+    best-iterate fallback of a solve that does not converge reads them, so
+    both runs are compared.
     """
     trace, ref_trace = [], []
-    ref_est, ref_conv, ref_iter, ref_w = _ref_irls(ranges, g, u, config, x0, ref_trace)
-    for result in (solve_irls(ranges, g, u, config, init=x0, trace=trace),
-                   solve_irls(ranges, g, u, config, init=x0)):
+    ref_est, ref_conv, ref_iter, ref_w = _REF_LOOPS[method](ranges, g, u, config, x0, ref_trace)
+    solve = _SOLVES[method]
+    for result in (solve(ranges, g, u, config, init=x0, trace=trace),
+                   solve(ranges, g, u, config, init=x0)):
         assert np.array_equal(result.estimate, ref_est)
         assert result.converged == ref_conv
         assert result.iterations == ref_iter
-        assert np.array_equal(result.ue_weights, ref_w)
+        if ref_w is None:
+            assert result.ue_weights is None
+        else:
+            assert np.array_equal(result.ue_weights, ref_w)
     assert np.array_equal(np.asarray(trace), np.asarray(ref_trace), equal_nan=True)
     return result
 
@@ -739,8 +826,9 @@ def _assert_reaches_minimum(method, ranges, g, u, config, x0):
 
 
 def _check_solve(method, ranges, g, u, config, x0):
+    result = _assert_matches_reference(method, ranges, g, u, config, x0)
     if method in _FIXED_STEP:
-        return _assert_matches_reference(ranges, g, u, config, x0)
+        return result
     return _assert_reaches_minimum(method, ranges, g, u, config, x0)
 
 
@@ -804,7 +892,7 @@ class TestDriverMatchesReferenceLoops:
         config = SolverConfig(irls_step=1e4, max_iterations=200)
         for seed in range(20):
             _, ranges, g, u = _random_problem(seed)
-            result = _assert_matches_reference(ranges, g, u, config, centroid_init(g, u))
+            result = _assert_matches_reference(method, ranges, g, u, config, centroid_init(g, u))
             assert not result.converged
 
     @pytest.mark.parametrize("method", sorted(_SOLVES))
@@ -814,11 +902,10 @@ class TestDriverMatchesReferenceLoops:
             ranges = ranges.copy()
             ranges[0, 1] = np.nan
             x0 = centroid_init(g, u)
-            if method in _FIXED_STEP:
-                result = _assert_matches_reference(ranges, g, u, self.CONFIG, x0)
-            else:
+            result = _assert_matches_reference(method, ranges, g, u, self.CONFIG, x0)
+            if method not in _FIXED_STEP:
                 trace = []
-                result = _SOLVES[method](ranges, g, u, self.CONFIG, init=x0, trace=trace)
+                _SOLVES[method](ranges, g, u, self.CONFIG, init=x0, trace=trace)
                 assert np.array_equal(result.estimate, x0)
                 assert len(trace) == 1 and math.isnan(trace[0])
             assert not result.converged and result.iterations == 1
@@ -832,8 +919,7 @@ class TestDriverMatchesReferenceLoops:
         u = np.array([[-30.0, 0.0], [70.0, 0.0]])
         target = np.array([10.0, 0.0])
         ranges = np.abs(g[:, :1] - target[0]) + np.abs(u[:, 0] - target[0])
-        result = _assert_reaches_minimum(method, ranges, g, u, self.CONFIG,
-                                         np.array([0.0, 0.0]))
+        result = _check_solve(method, ranges, g, u, self.CONFIG, np.array([0.0, 0.0]))
         assert result.converged
         assert result.estimate[1] == 0.0
         assert abs(result.estimate[0] - target[0]) < 1e-6
@@ -844,7 +930,8 @@ class TestDriverMatchesReferenceLoops:
         # row of the differencing Jacobian, and with it J^T J, is zero.
         g = np.array([[-60.0, 0.0], [40.0, 0.0]])
         u = np.array([[-30.0, 0.0], [70.0, 0.0]])
-        result = solve_proposed(np.full((2, 2), 100.0), g, u, self.CONFIG, init=[100.0, 0.0])
+        result = _assert_matches_reference("proposed", np.full((2, 2), 100.0), g, u, self.CONFIG,
+                                           np.array([100.0, 0.0]))
         assert result.converged and result.iterations == 1
         assert np.array_equal(result.estimate, [100.0, 0.0])
 
@@ -852,7 +939,7 @@ class TestDriverMatchesReferenceLoops:
         config = SolverConfig(e_max=1e-9)
         for seed in range(20):
             _, ranges, g, u = _random_problem(seed)
-            result = _assert_matches_reference(ranges, g, u, config, centroid_init(g, u))
+            result = _assert_matches_reference("irls", ranges, g, u, config, centroid_init(g, u))
             assert not result.converged and result.iterations == 1
             assert np.array_equal(result.ue_weights, np.full(len(u), 1.0 / len(u)))
 
@@ -879,7 +966,7 @@ class TestCappedIrls:
 
     def test_matches_reference_at_the_cap(self):
         ranges, g, u, x0 = self._problem()
-        result = _assert_matches_reference(ranges, g, u, self.CONFIG, x0)
+        result = _assert_matches_reference("irls", ranges, g, u, self.CONFIG, x0)
         assert not result.converged and result.iterations == self.CONFIG.max_iterations
 
     def test_trace_counts_only_this_solve(self):
