@@ -9,24 +9,19 @@ transmitter and one receiver.  Three estimators are provided:
   redescending Andrews sine function, so receivers behind large biases
   lose influence;
 * a pair-differencing solver that fits differences of measurements
-  sharing a receiver (transmitter pairs) or sharing a transmitter
-  (receiver pairs).  A constant bias on a receiver link cancels exactly
-  in every transmitter-pair difference, and a transmitter-link bias in
-  every receiver-pair difference, so each residual sees at most one
-  side's biases.
+  sharing a receiver (transmitter pairs) or a transmitter (receiver
+  pairs).  A receiver-link bias cancels exactly in every transmitter-pair
+  difference, and a transmitter-link bias in every receiver-pair
+  difference, so each residual sees at most one side's biases.
 
-All three run through one descent driver.  Each solve builds one evaluator
-for its objective, which computes the distances to the stacked (S+K, 2)
-nodes once per iterate and builds the residuals that value, gradient and
-the reweighting hook read.  The pair differences of distances and unit
-vectors come from one constant ±1 matrix per (S, K), exactly.  The
-evaluators and the IRLS reweight write into buffers made once per solve,
-so an evaluation holds only until the next one; estimates and weights are
-returned as arrays of their own.  The driver computes the
-gradient at every iterate and the objective value only where something
-reads it: the trace, a Gauss-Newton step, or the best-iterate fallback of
-a solve that did not converge, which evaluates the recorded iterates again
-and gets the same floats.
+All three run through one descent driver, whose iterates are pairs of
+Python floats: the steps and norms do the IEEE operations numpy does
+elementwise.  Each solve builds one objective, whose evaluator computes the
+distances to the stacked (S+K, 2) nodes once per iterate and the residuals
+that value, gradient and the IRLS reweight read; the reweight computes the
+Andrews weights in Python floats.  Evaluators and gradients write into
+buffers made once per solve; estimates and weights are arrays of their own.
+Every result says why its descent stopped and how many evaluations it made.
 
 Least squares and differencing take damped Gauss-Newton steps, the
 Taylor-series positioning iteration (Foy, IEEE TAES 1976) with step halving
@@ -65,6 +60,13 @@ _GN_HALVINGS = 52          # a step halved this often no longer moves a double
 _GRID_POINTS = 20          # grid-start points per axis
 
 
+def _check_positive(name, value):
+    """ConfigurationError unless value is a finite positive number."""
+    check_finite(name, value)
+    if value <= 0:
+        raise ConfigurationError(f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """IRLS step size, stopping thresholds, and the IRLS fusion weight.
@@ -91,15 +93,8 @@ class SolverConfig:
         for f in fields(self):
             if f.name != "max_iterations":
                 check_finite(f.name, getattr(self, f.name))
-        positive = (
-            ("irls_step", self.irls_step),
-            ("irls_threshold", self.irls_threshold),
-            ("proposed_threshold", self.proposed_threshold),
-            ("e_max", self.e_max),
-        )
-        for name, value in positive:
-            if value <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+        for name in ("irls_step", "irls_threshold", "proposed_threshold", "e_max"):
+            _check_positive(name, getattr(self, name))
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
         if not 0.0 <= self.fusion_weight_irls <= 1.0:
@@ -111,7 +106,12 @@ class LocalizationResult:
     """Solver output: estimate, convergence flag, and diagnostics.
 
     A non-converged result carries the lowest-objective iterate seen
-    during the descent as a best-effort estimate.
+    during the descent as a best-effort estimate.  `stop_reason` is one of
+    STOP_REASONS: "converged" (a short update) and "stationary" (no descent
+    step) are converged; "max_iterations", "diverged" (an iterate beyond 1e6
+    m), "non_finite" and "weights_collapsed" (all IRLS weights zero) are
+    not.  `evaluations` counts objective evaluations, step-halving trials
+    and fallback ones included.  A fused result has no stop reason.
     """
 
     estimate: np.ndarray
@@ -119,6 +119,12 @@ class LocalizationResult:
     iterations: int
     method: str
     ue_weights: np.ndarray | None = None
+    stop_reason: str | None = None
+    evaluations: int = 0
+
+
+STOP_REASONS = ("converged", "stationary", "max_iterations", "diverged", "non_finite",
+                "weights_collapsed")
 
 
 def _ranges_of(measurements) -> np.ndarray:
@@ -142,16 +148,18 @@ def _problem(measurements, gnbs, ues):
 def _node_geometry(nodes):
     """Per-solve node geometry in buffers: returns (locate, dist, units).
 
-    `locate(x)` writes the distances from x to each node into the (S+K,)
-    buffer `dist` and the unit vectors toward x into the (S+K, 2) buffer
-    `units`, zero for a node within _SINGULARITY_GUARD of x.  The buffers
-    and their views are made once, so each call overwrites the last.
+    `locate(x0, x1)` writes the distances from x = (x0, x1) to each node into
+    the (S+K,) buffer `dist` and the unit vectors toward x into the (S+K, 2)
+    buffer `units`, zero for a node within _SINGULARITY_GUARD of x.  Each
+    call overwrites the last.
     """
-    delta, units, dist = np.empty(nodes.shape), np.empty(nodes.shape), np.empty(len(nodes))
+    point, delta, units = np.empty(2), np.empty(nodes.shape), np.empty(nodes.shape)
+    dist = np.empty(len(nodes))
     dx, dy, dist_col = delta[:, 0], delta[:, 1], dist[:, None]
 
-    def locate(x):
-        np.subtract(x, nodes, out=delta)
+    def locate(x0, x1):
+        point[0], point[1] = x0, x1
+        np.subtract(point, nodes, out=delta)
         np.hypot(dx, dy, out=dist)
         values = dist.tolist()
         # min and sum of a short list cost less than a numpy reduction; a NaN
@@ -274,9 +282,7 @@ def _grid_argmin(objective, data, ranges, nodes, half_extent):
     of squares, far below the gap between the best and second-best grid
     point (at least 1.4e-9 of it on the benchmark geometries).
     """
-    check_finite("half_extent", half_extent)
-    if half_extent <= 0:
-        raise ConfigurationError("half_extent must be positive")
+    _check_positive("half_extent", half_extent)
     design, gram = _grid_design(objective, *ranges.shape)
     pts, dist = _grid_distances(nodes, half_extent)
     values = np.einsum("pn,pn->p", dist @ gram, dist) - 2.0 * (dist @ (data @ design))
@@ -301,26 +307,38 @@ def difference_grid_init(measurements, gnbs, ues, half_extent: float) -> np.ndar
 # Objectives and gradients
 # ---------------------------------------------------------------------------
 
-def _ls_evaluator(ranges, nodes):
-    """Per-solve evaluator: x -> range residuals (S, K) and node unit vectors (S+K, 2).
+def _ls_objective(ranges, nodes):
+    """Per-solve least-squares objective: (evaluate, value, grad).
 
-    Every evaluation is written into buffers made once per solve, with the
-    floats of a fresh computation, and each call returns the same
-    (res, units) tuple: the next call overwrites it.
+    `evaluate(x0, x1)` returns the range residuals (S, K) and node unit
+    vectors (S+K, 2) as one tuple of per-solve buffers, which the next call
+    overwrites.  The gradient, two floats, sums into buffers too.
     """
-    num_gnbs = ranges.shape[0]
+    num_gnbs, num_ues = ranges.shape
     locate, dist, units = _node_geometry(nodes)
-    res = np.empty(ranges.shape)
+    res, tx, rx = np.empty(ranges.shape), np.empty(num_gnbs), np.empty(num_ues)
     dist_g, dist_u = dist[:num_gnbs, None], dist[num_gnbs:]
+    units_g, units_u = units[:num_gnbs], units[num_gnbs:]
     evaluation = res, units
 
-    def evaluate(x):
-        locate(x)
+    def evaluate(x0, x1):
+        locate(x0, x1)
         np.add(dist_g, dist_u, out=res)
         np.subtract(ranges, res, out=res)
         return evaluation
 
-    return evaluate
+    def grad(evaluation, weights=None):
+        """Gradient of `_ls_value`: -2 (transmitter part + receiver part)."""
+        res = evaluation[0]
+        if weights is None:
+            np.add.reduce(res, 1, out=tx)
+            np.add.reduce(res, 0, out=rx)
+        else:
+            np.dot(res, weights, out=tx)
+            np.multiply(weights, np.add.reduce(res, 0, out=rx), out=rx)
+        return _sum_times_minus_two(tx.dot(units_g), rx.dot(units_u))
+
+    return evaluate, _ls_value, grad
 
 
 def _ls_value(evaluation, weights=None):
@@ -331,96 +349,91 @@ def _ls_value(evaluation, weights=None):
     return float(weights.dot(np.add.reduce(res * res, 0)))
 
 
-def _ls_grad(evaluation, weights=None):
-    """Gradient of `_ls_value` as two floats: -2 (transmitter part + receiver part)."""
-    res, units = evaluation
-    num_gnbs = res.shape[0]
-    if weights is None:
-        tx, rx = np.add.reduce(res, 1), np.add.reduce(res, 0)
-    else:
-        tx, rx = res.dot(weights), weights * np.add.reduce(res, 0)
-    return _sum_times_minus_two(tx.dot(units[:num_gnbs]), rx.dot(units[num_gnbs:]))
-
-
 def _sum_times_minus_two(a, b):
     """-2 (a + b) for two 2-vectors, in floats: the IEEE operations numpy does elementwise."""
     (a0, a1), (b0, b1) = a.tolist(), b.tolist()
     return -2.0 * (a0 + b0), -2.0 * (a1 + b1)
 
 
-def _mean_abs_residual(res, abs_res, out, count):
-    """Per-receiver mean of |res| over the S transmitters, written into `out`.
-
-    `abs_res` is an (S, K) buffer and `count` is S as a 0-d float array; the
-    floats are those of np.abs(res).mean(axis=0).
-    """
-    np.abs(res, out=abs_res)
-    np.add.reduce(abs_res, 0, out=out)
-    return np.divide(out, count, out=out)
+def _value_grad(objective, x, weights=None):
+    evaluate, value_of, grad_of = objective
+    evaluation = evaluate(*np.asarray(x, float).tolist())
+    return value_of(evaluation, weights), np.array(grad_of(evaluation, weights))
 
 
 def ls_value_grad(x, measurements, gnbs, ues, weights=None):
     """Sum of squared range residuals at position x and its gradient.
 
-    With `weights` (one per receiver) the squares are receiver-weighted,
-    which is the objective each reweighted iteration descends.
+    With `weights` (one per receiver, else ValueError) the squares are
+    receiver-weighted, which is the objective each reweighted iteration descends.
     """
-    evaluation = _ls_evaluator(*_problem(measurements, gnbs, ues))(np.asarray(x, float))
-    weights = None if weights is None else np.asarray(weights, float)
-    return _ls_value(evaluation, weights), np.array(_ls_grad(evaluation, weights))
+    ranges, nodes = _problem(measurements, gnbs, ues)
+    if weights is not None:
+        weights = np.asarray(weights, float)
+        if weights.shape != (ranges.shape[1],):
+            raise ValueError(f"weights shape {weights.shape} does not match "
+                             f"{ranges.shape[1]} receivers")
+    return _value_grad(_ls_objective(ranges, nodes), x, weights)
+
+
+def _andrews(e, e_max):
+    """The Andrews sine weight of one residual e, in Python floats."""
+    # Division rounds monotonically, and the quotient of the next float above
+    # e_max rounds above 1, so t > 1 exactly when e > e_max.
+    t = e / e_max
+    if 0.0 < t <= 1.0:
+        return math.sin(t) / t
+    return 1.0 if t == 0.0 and e >= 0.0 else 0.0  # also an e / e_max that underflows to 0
 
 
 def andrews_weight(residual, e_max: float, out=None):
     """Redescending Andrews sine weight, before normalization.
 
     Equals sin(e/e_max)/(e/e_max) for 0 < e <= e_max (so 1 in the limit
-    e -> 0 and sin(1) at e = e_max) and exactly 0 beyond e_max.  With
-    `out`, a float array of the residual's shape, the weights are written
-    there and it is returned.
+    e -> 0 and sin(1) at e = e_max) and exactly 0 beyond e_max or for a
+    negative or NaN e.  With `out`, a float array of the residual's shape,
+    the weights are written there and it is returned.  ConfigurationError
+    unless e_max is finite and positive.
     """
-    e = np.asarray(residual, dtype=float)
-    t = e / e_max
+    _check_positive("e_max", e_max)
+    e, e_max = np.asarray(residual, dtype=float), float(e_max)
     w = np.empty(e.shape) if out is None else out
-    # Python's min and sum on a short list cost less than two numpy
-    # reductions; a NaN or inf anywhere makes the sum non-finite.
-    values = t.ravel().tolist()
-    if values and 0.0 < min(values) and math.isfinite(sum(values)):
-        np.sin(t, out=w)
-        np.divide(w, t, out=w)
-        # Division rounds monotonically, and the quotient of the next float
-        # above e_max rounds above 1, so t > 1 exactly when e > e_max.
-        flat = w.ravel()
-        for k, value in enumerate(values):
-            if value > 1.0:
-                flat[k] = 0.0
-    else:  # a zero, negative, NaN or infinite mean, or an e / e_max that underflows to 0
-        w.fill(0.0)
-        inside = (t > 0) & (e <= e_max)
-        w[inside] = np.sin(t[inside]) / t[inside]
-        w[(t == 0) & (e >= 0)] = 1.0
-    if w.ndim == 0:
-        return float(w)
-    return w
+    w[...] = np.reshape([_andrews(v, e_max) for v in e.ravel().tolist()], e.shape)
+    return float(w) if w.ndim == 0 else w
 
 
-def _difference_evaluator(ranges, nodes):
-    """Per-solve evaluator: x -> pair residuals, pair unit-vector differences, node units.
+def _difference_objective(ranges, nodes):
+    """Per-solve differencing objective: (evaluate, value, grad).
 
-    The residuals are (Pg, K) for the transmitter pairs and (S, Pu) for the
-    receiver pairs; the unit-vector differences are (Pg, 2) and (Pu, 2) and
-    the node unit vectors (S+K, 2), a buffer that the next call overwrites.
+    `evaluate(x0, x1)` returns the transmitter-pair (Pg, K) and receiver-pair
+    (S, Pu) residuals and the node unit vectors (S+K, 2) as one tuple of
+    per-solve buffers.  The gradient forms the pair unit-vector differences.
     """
     pairs, data_g, data_u = _difference_setup(ranges)
     num_pg = data_g.shape[0]
     locate, dist, units = _node_geometry(nodes)
+    model, model_units = np.empty(len(pairs)), np.empty((len(pairs), 2))
+    # In the memory order of the data (data_u is column-major), which the sums follow.
+    res_g, res_u = np.empty_like(data_g), np.empty_like(data_u)
+    sum_g, sum_u = np.empty(num_pg), np.empty(data_u.shape[1])
+    model_g, model_u = model[:num_pg, None], model[num_pg:]
+    units_g, units_u = model_units[:num_pg], model_units[num_pg:]
+    evaluation = res_g, res_u, units
 
-    def evaluate(x):
-        locate(x)
-        model, model_units = pairs.dot(dist), pairs.dot(units)
-        return (data_g - model[:num_pg, None], data_u - model[num_pg:],
-                model_units[:num_pg], model_units[num_pg:], units)
+    def evaluate(x0, x1):
+        locate(x0, x1)
+        np.dot(pairs, dist, out=model)
+        np.subtract(data_g, model_g, out=res_g)
+        np.subtract(data_u, model_u, out=res_u)
+        return evaluation
 
-    return evaluate
+    def grad(evaluation, weights=None):
+        """Gradient of `_difference_value`."""
+        np.dot(pairs, evaluation[2], out=model_units)
+        return _sum_times_minus_two(np.add.reduce(evaluation[0], 1, out=sum_g).dot(units_g),
+                                    np.add.reduce(evaluation[1], 0, out=sum_u).dot(units_u))
+
+    return evaluate, _difference_value, grad
 
 
 def _difference_value(evaluation, weights=None):
@@ -429,17 +442,9 @@ def _difference_value(evaluation, weights=None):
     return float(np.add.reduce(res_g * res_g, None) + np.add.reduce(res_u * res_u, None))
 
 
-def _difference_grad(evaluation, weights=None):
-    """Gradient of `_difference_value`."""
-    res_g, res_u, units_g, units_u, _ = evaluation
-    return _sum_times_minus_two(np.add.reduce(res_g, 1).dot(units_g),
-                                np.add.reduce(res_u, 0).dot(units_u))
-
-
 def difference_value_grad(x, measurements, gnbs, ues):
     """Sum of squared pair-difference residuals at position x and its gradient."""
-    evaluation = _difference_evaluator(*_problem(measurements, gnbs, ues))(np.asarray(x, float))
-    return _difference_value(evaluation), np.array(_difference_grad(evaluation))
+    return _value_grad(_difference_objective(*_problem(measurements, gnbs, ues)), x)
 
 
 # ---------------------------------------------------------------------------
@@ -449,31 +454,28 @@ def difference_value_grad(x, measurements, gnbs, ues):
 def _fixed_step(rate):
     """Step rule x - rate * gradient; the driver evaluates the new iterate."""
 
-    def step(x, evaluation, value, grad):
-        x0, x1 = x.tolist()
-        return np.array([x0 - rate * grad[0], x1 - rate * grad[1]]), None, None, None
+    def step(objective, x0, x1, evaluation, value, grad):
+        return x0 - rate * grad[0], x1 - rate * grad[1], None, None, None
 
     return step
 
 
-def _gauss_newton_step(evaluate, objective, gram):
+def _gauss_newton_step(method, num_gnbs, num_ues):
     """Damped Gauss-Newton step rule for an objective with residuals data - design @ d.
 
-    The Jacobian of the model is J = design @ units, so J^T J is
-    units^T gram units with the objective's constant gram = design^T design,
-    and -grad / 2 is J^T r.  The 2 x 2 system (J^T J) delta = -grad / 2 is
-    solved in closed form; a near-singular J^T J falls back to the gradient
-    step -grad / (2 tr(J^T J)).  delta is halved until the objective does
-    not rise, and the new iterate is returned with its evaluation, value
-    and gradient; a rejected trial costs no gradient.  When J^T J is zero
-    (then so is the gradient J^T r) or no halving stops the rise, x is a
-    floating-point stationary point and all None is returned.  A NaN
-    objective or trace is accepted, so the driver's divergence check stops
-    the solve.
+    The Jacobian of the model is J = design @ units, so J^T J is units^T gram
+    units with the constant gram = design^T design, and -grad / 2 is J^T r.
+    (J^T J) delta = -grad / 2 is solved in closed form, or delta is
+    -grad / (2 tr(J^T J)) when J^T J is near singular.  delta is halved until
+    the objective does not rise; a rejected trial costs no gradient.  When
+    J^T J is zero (so is J^T r) or no halving stops the rise, x is a
+    floating-point stationary point and None is returned.  A NaN objective
+    or trace is accepted, so the driver's divergence check stops the solve.
     """
-    value_of, grad_of = objective
+    gram = _grid_design(method, num_gnbs, num_ues)[1]
 
-    def step(x, evaluation, value, grad):
+    def step(objective, x0, x1, evaluation, value, grad):
+        evaluate, value_of, grad_of = objective
         units = evaluation[-1]
         (a, b), (_, d) = units.T.dot(gram.dot(units)).tolist()
         if value is None:  # the start, untraced; read before a trial overwrites it
@@ -481,49 +483,53 @@ def _gauss_newton_step(evaluate, objective, gram):
         g0, g1 = -0.5 * grad[0], -0.5 * grad[1]
         det, trace = a * d - b * b, a + d
         if det > _GN_SINGULAR * trace * trace:
-            delta = np.array([(d * g0 - b * g1) / det, (a * g1 - b * g0) / det])
+            d0, d1 = (d * g0 - b * g1) / det, (a * g1 - b * g0) / det
         elif trace == 0.0:
-            return None, None, None, None
+            return None
         else:
-            delta = np.array([g0 / trace, g1 / trace])
+            d0, d1 = g0 / trace, g1 / trace
         for _ in range(_GN_HALVINGS):
-            x_new = x + delta
-            trial = evaluate(x_new)
+            n0, n1 = x0 + d0, x1 + d1
+            trial = evaluate(n0, n1)
             trial_value = value_of(trial)
             if not trial_value > value:
-                return x_new, trial, trial_value, grad_of(trial)
-            delta = 0.5 * delta
-        return None, None, None, None
+                return n0, n1, trial, trial_value, grad_of(trial)
+            d0, d1 = 0.5 * d0, 0.5 * d1
+        return None
 
     return step
 
 
-def _descend(method, evaluate, objective, x0, step, threshold, max_iterations, trace,
+def _descend(method, objective, x, step, threshold, max_iterations, trace,
              weights=None, reweight=None) -> LocalizationResult:
     """Descent with best-iterate fallback, for all solvers.
 
-    `evaluate(x)` runs once per iterate and may return the same buffers on
-    every call, so an evaluation is read before the next one is made.  The
-    `objective` pair of functions (value, gradient) of (evaluation, weights)
-    reads from it, and a `reweight` hook turns it into the next weights or
-    into None (all zero: stop).  `step(x, evaluation, value, grad)` is the
-    solve's step rule: it returns the next iterate, its evaluation, value
-    and gradient (None for any it did not compute), or all None at a
-    stationary point, which counts as converged.  Converged means an update
-    norm <= threshold.  Otherwise (a divergent or NaN iterate, all weights
-    zero, or `max_iterations` steps run) the lowest-objective iterate and
-    its weights are returned with the iterations that ran.
-
-    The gradient is computed at every iterate and the value only when read:
-    for the trace, by the step (Gauss-Newton), or by the fallback, which
-    evaluates the recorded (x, weights) of each iterate whose value was not
-    needed and so gets the floats the loop would have had.
+    The iterate is a pair of Python floats; an array is made only for the
+    estimate.  `objective` is (evaluate, value, grad): `evaluate(x0, x1)`
+    may return the same buffers on every call, so an evaluation is read
+    before the next one; value and gradient take (evaluation, weights), and
+    a `reweight` hook turns it into the next weights (None: all zero).
+    `step(objective, x0, x1, evaluation, value, grad)` returns the next x0,
+    x1, evaluation, value and gradient (None for any not computed), or None
+    at a stationary point.  Converged means an update norm <= threshold or a
+    stationary point; otherwise the lowest-objective iterate is returned,
+    its value computed again where the loop did not need it, to the same
+    floats.  Every `evaluate` call counts in `evaluations`.
     """
-    value_of, grad_of = objective
-    x = np.array(x0, dtype=float)
-    evaluation = evaluate(x)
-    visited = []  # (x, weights, value or None) per iteration; never modified in place
+    evaluate, value_of, grad_of = objective
+    evaluations = 0
+
+    def counted(x0, x1):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate(x0, x1)
+
+    objective = counted, value_of, grad_of
+    x0, x1 = np.asarray(x, dtype=float).tolist()
+    evaluation = counted(x0, x1)
+    visited = []  # (x0, x1, weights, value or None) per iteration; never modified in place
     value = grad = None
+    reason = "max_iterations"
     for iteration in range(1, max_iterations + 1):
         if grad is None:
             grad = grad_of(evaluation, weights)
@@ -531,30 +537,37 @@ def _descend(method, evaluate, objective, x0, step, threshold, max_iterations, t
             if value is None:
                 value = value_of(evaluation, weights)
             trace.append(value)
-        visited.append((x, weights, value))
-        x_new, evaluation, value, grad = step(x, evaluation, value, grad)
-        if x_new is None:
-            return LocalizationResult(x, True, iteration, method, weights)
-        # Also true for a NaN or infinite iterate; same floats as np.linalg.norm.
-        if not math.sqrt(x_new.dot(x_new)) <= _DIVERGENCE_NORM:
+        visited.append((x0, x1, weights, value))
+        taken = step(objective, x0, x1, evaluation, value, grad)
+        if taken is None:
+            reason = "stationary"
+            break
+        n0, n1, evaluation, value, grad = taken
+        if not math.hypot(n0, n1) <= _DIVERGENCE_NORM:  # also true for a NaN iterate
+            reason = "diverged" if math.isfinite(n0) and math.isfinite(n1) else "non_finite"
             break
         if evaluation is None:
-            evaluation = evaluate(x_new)
+            evaluation = counted(n0, n1)
         if reweight is not None:
             weights = reweight(evaluation)
             if weights is None:
+                reason = "weights_collapsed"
                 break
-        move = x_new - x
-        x = x_new
-        if math.sqrt(move.dot(move)) <= threshold:
-            return LocalizationResult(x, True, iteration, method, weights)
-    best_val, (best_x, best_w, _) = math.inf, visited[0]
-    for x, weights, value in visited:
-        if value is None:
-            value = value_of(evaluate(x), weights)
-        if value < best_val:
-            best_val, best_x, best_w = value, x, weights
-    return LocalizationResult(best_x, False, iteration, method, best_w)
+        move = math.hypot(n0 - x0, n1 - x1)
+        x0, x1 = n0, n1
+        if move <= threshold:
+            reason = "converged"
+            break
+    converged = reason in ("converged", "stationary")
+    if not converged:
+        best_val, (x0, x1, weights, _) = math.inf, visited[0]
+        for v0, v1, w, value in visited:
+            if value is None:
+                value = value_of(counted(v0, v1), w)
+            if value < best_val:
+                best_val, x0, x1, weights = value, v0, v1, w
+    return LocalizationResult(np.array([x0, x1]), converged, iteration, method, weights,
+                              reason, evaluations)
 
 
 def _prepare(measurements, gnbs, ues, config, init):
@@ -564,15 +577,6 @@ def _prepare(measurements, gnbs, ues, config, init):
     if init is not None and not np.isfinite(x0).all():
         raise ValueError(f"init must be finite, got {x0}")
     return ranges, nodes, config, x0
-
-
-def _solve_gauss_newton(method, evaluator, objective, ranges, nodes, x0, threshold,
-                        max_iterations, trace) -> LocalizationResult:
-    evaluate = evaluator(ranges, nodes)
-    gram = _grid_design(method, *ranges.shape)[1]
-    return _descend(method, evaluate, objective, x0,
-                    _gauss_newton_step(evaluate, objective, gram),
-                    threshold, max_iterations, trace)
 
 
 def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
@@ -593,27 +597,28 @@ def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> Loc
     ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
     if ranges.size < 3:
         raise UnderdeterminedError("need at least 3 measurements for a 2-D fit")
-    return _solve_gauss_newton("ls", _ls_evaluator, (_ls_value, _ls_grad), ranges, nodes, x0,
-                               config.irls_threshold, config.max_iterations, trace)
+    return _descend("ls", _ls_objective(ranges, nodes), x0,
+                    _gauss_newton_step("ls", *ranges.shape), config.irls_threshold,
+                    config.max_iterations, trace)
 
 
 def _andrews_reweight(num_gnbs, num_ues, e_max):
     """Per-solve IRLS reweight: evaluation -> normalized Andrews weights, or None.
 
-    The `andrews_weight` of each receiver's mean absolute residual, divided
-    by their sum; None when they sum to 0 (every receiver rejected).  The
-    intermediate arrays are buffers made once per solve and the returned
-    weights a fresh array.
+    The Andrews weight of each receiver's mean absolute residual, in Python
+    floats, divided by their numpy sum (Python's `sum` rounds differently);
+    None when they sum to 0 (every receiver rejected).  The returned weights
+    are a fresh array.
     """
-    count, limit = np.array(float(num_gnbs)), np.array(float(e_max))
-    abs_res = np.empty((num_gnbs, num_ues))
-    mean, raw = np.empty(num_ues), np.empty(num_ues)
+    count, e_max = float(num_gnbs), float(e_max)
+    abs_res, sums = np.empty((num_gnbs, num_ues)), np.empty(num_ues)
 
     def reweight(evaluation):
-        weights = andrews_weight(_mean_abs_residual(evaluation[0], abs_res, mean, count),
-                                 limit, out=raw)
+        np.abs(evaluation[0], out=abs_res)
+        weights = np.array([_andrews(m / count, e_max)
+                            for m in np.add.reduce(abs_res, 0, out=sums).tolist()])
         total = np.add.reduce(weights)
-        return None if total <= 0.0 else weights / total
+        return None if total <= 0.0 else np.divide(weights, total, out=weights)
 
     return reweight
 
@@ -621,13 +626,12 @@ def _andrews_reweight(num_gnbs, num_ues, e_max):
 def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
     """Iteratively reweighted least-squares fit with Andrews sine weights.
 
-    Receiver weights start uniform.  Each iteration takes one gradient
-    step of the weighted objective, recomputes per-receiver mean absolute
-    residuals at the new position, maps them through the Andrews sine
-    function (hard zero beyond e_max), and renormalizes the weights to
-    sum to one.  Stops when the position update norm drops below the
-    threshold.  All weights vanishing, a NaN, or iteration exhaustion is
-    reported as non-convergence.
+    Receiver weights start uniform.  Each iteration takes one gradient step
+    of the weighted objective and maps each receiver's mean absolute residual
+    at the new position through the Andrews sine function (hard zero beyond
+    e_max) into weights that sum to one.  Stops when the position update
+    norm drops below the threshold; all weights vanishing, a NaN, or
+    iteration exhaustion is reported as non-convergence.
     """
     ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
     if ranges.size < 3:
@@ -636,8 +640,8 @@ def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> L
     if num_ues < 2:
         raise InsufficientGeometryError("receiver reweighting needs >= 2 receivers")
     return _descend(
-        "irls", _ls_evaluator(ranges, nodes), (_ls_value, _ls_grad),
-        x0, _fixed_step(config.irls_step), config.irls_threshold, config.max_iterations, trace,
+        "irls", _ls_objective(ranges, nodes), x0, _fixed_step(config.irls_step),
+        config.irls_threshold, config.max_iterations, trace,
         np.full(num_ues, 1.0 / num_ues), _andrews_reweight(num_gnbs, num_ues, config.e_max),
     )
 
@@ -652,10 +656,9 @@ def solve_proposed(measurements, gnbs, ues, config=None, init=None, trace=None) 
     local minimum only.
     """
     ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
-    return _solve_gauss_newton("proposed", _difference_evaluator,
-                               (_difference_value, _difference_grad),
-                               ranges, nodes, x0, config.proposed_threshold,
-                               config.max_iterations, trace)
+    return _descend("proposed", _difference_objective(ranges, nodes), x0,
+                    _gauss_newton_step("proposed", *ranges.shape), config.proposed_threshold,
+                    config.max_iterations, trace)
 
 
 def fuse(irls_result: LocalizationResult, proposed_result: LocalizationResult,
@@ -672,10 +675,7 @@ def fuse(irls_result: LocalizationResult, proposed_result: LocalizationResult,
     else:
         estimate = proposed_result.estimate.copy()
     return LocalizationResult(
-        estimate=estimate,
-        converged=irls_result.converged or proposed_result.converged,
-        iterations=irls_result.iterations + proposed_result.iterations,
-        method="fused",
-        ue_weights=irls_result.ue_weights,
-    )
+        estimate, irls_result.converged or proposed_result.converged,
+        irls_result.iterations + proposed_result.iterations, "fused", irls_result.ue_weights,
+        evaluations=irls_result.evaluations + proposed_result.evaluations)
 

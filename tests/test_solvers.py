@@ -22,10 +22,10 @@ from isacloc import (
 )
 from isacloc.scenario import MeasurementSet, true_bistatic_ranges
 from isacloc.solvers import (
+    STOP_REASONS,
     _andrews_reweight,
     _grid_distances,
-    _ls_evaluator,
-    _mean_abs_residual,
+    _ls_objective,
     andrews_weight,
     centroid_init,
 )
@@ -63,9 +63,8 @@ def grid_search_init(objective, half_extent, points=20):
 def _residuals(ranges, gnbs, ues, x):
     """Per-receiver mean absolute range residual at x, as the reweighting reads it."""
     ranges = np.asarray(ranges, float)
-    res = _ls_evaluator(ranges, np.vstack([gnbs, ues]))(np.asarray(x, float))[0]
-    return _mean_abs_residual(res, np.empty(ranges.shape), np.empty(ranges.shape[1]),
-                              np.array(float(ranges.shape[0])))
+    res = _ls_objective(ranges, np.vstack([gnbs, ues]))[0](*np.asarray(x, float).tolist())[0]
+    return np.add.reduce(np.abs(res), 0) / ranges.shape[0]
 
 
 class TestResiduals:
@@ -120,8 +119,9 @@ class TestAndrewsWeight:
 
     E_MAX = 7.0
     # 5e-324 and 1e-323 are positive, but e / E_MAX underflows to 0.
+    # -5e-324 / E_MAX underflows to -0.0, which is not a weight of 1.
     EDGES = (0.0, 5e-324, 1e-323, 1e-300, E_MAX, float(np.nextafter(E_MAX, np.inf)),
-             np.nan, np.inf)
+             np.nan, np.inf, -5e-324, -1.0, -np.inf)
 
     @staticmethod
     def _assert_same_bits(e, e_max):
@@ -157,6 +157,14 @@ class TestAndrewsWeight:
             self._assert_same_bits(rng.uniform(1e-6, 2.0 * self.E_MAX, (3, 4)), self.E_MAX)
         self._assert_same_bits(np.float64(3.0), self.E_MAX)
         self._assert_same_bits(np.array([]), self.E_MAX)
+
+    @pytest.mark.parametrize("e_max", [0.0, -7.0, math.nan, math.inf])
+    def test_bad_e_max_rejected(self, e_max):
+        from isacloc import ConfigurationError
+
+        for residual in (1.0, np.array([0.5, 1.0])):
+            with pytest.raises(ConfigurationError, match="e_max"):
+                andrews_weight(residual, e_max)
 
 
 class TestDifferencing:
@@ -256,6 +264,13 @@ class TestGradients:
             analytic = difference_value_grad(x, ranges, g, u)[1]
             numeric = _fd_gradient(lambda p: difference_value_grad(p, ranges, g, u)[0], x)
             assert np.linalg.norm(analytic - numeric) <= 1e-5 * np.linalg.norm(analytic)
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0], np.ones((2, 2))])
+def test_ls_value_grad_needs_one_weight_per_receiver(weights):
+    sc, ranges = _problem(seed=8, num_gnbs=2, num_ues=2)
+    with pytest.raises(ValueError, match="weights shape"):
+        ls_value_grad([0.0, 0.0], ranges, sc.gnb_positions, sc.ue_positions, weights)
 
 
 class TestSolveLs:
@@ -360,8 +375,15 @@ class TestFusion:
 
         irls = LocalizationResult(np.array([0.0, 0.0]), converged_irls, 10, "irls",
                                   np.full(4, 0.25))
-        prop = LocalizationResult(np.array([2.0, 2.0]), True, 20, "proposed")
+        prop = LocalizationResult(np.array([2.0, 2.0]), True, 20, "proposed",
+                                  stop_reason="stationary", evaluations=23)
+        irls.stop_reason, irls.evaluations = "converged", 11
         return irls, prop
+
+    def test_sums_iterations_and_evaluations(self):
+        for converged in (True, False):
+            fused = fuse(*self._results(converged), SolverConfig())
+            assert (fused.iterations, fused.evaluations, fused.stop_reason) == (30, 34, None)
 
     def test_even_weights_average(self):
         irls, prop = self._results(True)
@@ -976,6 +998,90 @@ class TestCappedIrls:
         fresh = []
         solve_irls(ranges, g, u, self.CONFIG, init=x0, trace=fresh)
         assert trace == [-1.0] + fresh and len(fresh) == self.CONFIG.max_iterations
+
+
+class TestStopReasons:
+    """Each exit of the descent driver names its stop reason and counts its evaluations."""
+
+    @staticmethod
+    def _solve(method, config, x0=None, ranges=None, seed=3):
+        _, problem_ranges, g, u = _random_problem(seed)
+        ranges = problem_ranges if ranges is None else ranges
+        x0 = ls_grid_init(problem_ranges, g, u, 75.0) if x0 is None else x0
+        return _SOLVES[method](ranges, g, u, config, init=x0)
+
+    @pytest.mark.parametrize("method", sorted(_SOLVES))
+    def test_converged(self, method):
+        result = self._solve(method, SolverConfig())
+        assert result.converged and result.stop_reason == "converged"
+        if method in _FIXED_STEP:  # the start and one evaluation per step
+            assert result.evaluations == result.iterations + 1
+        else:  # the start and at least one trial per step
+            assert result.evaluations >= result.iterations + 1
+
+    @pytest.mark.parametrize("method", sorted(_SOLVES))
+    def test_max_iterations(self, method):
+        result = self._solve(method, SolverConfig(max_iterations=1), x0=np.array([40.0, -30.0]))
+        assert not result.converged and result.stop_reason == "max_iterations"
+        assert result.iterations == 1
+
+    def test_max_iterations_counts_fallback_evaluations(self):
+        config = SolverConfig(max_iterations=5)
+        for traced in (False, True):
+            _, ranges, g, u = _random_problem(3)
+            result = solve_irls(ranges, g, u, config, init=np.array([40.0, -30.0]),
+                                trace=[] if traced else None)
+            assert result.stop_reason == "max_iterations"
+            # The start, one evaluation per step, and untraced one per fallback iterate.
+            assert result.evaluations == 1 + 5 + (0 if traced else 5)
+
+    def test_weights_collapsed(self):
+        result = self._solve("irls", SolverConfig(e_max=1e-9))
+        assert not result.converged and result.stop_reason == "weights_collapsed"
+        assert result.iterations == 1
+
+    def test_diverged(self):
+        result = self._solve("irls", SolverConfig(), x0=np.array([1e7, 0.0]))
+        assert not result.converged and result.stop_reason == "diverged"
+        assert np.array_equal(result.estimate, [1e7, 0.0])
+
+    @pytest.mark.parametrize("method", sorted(_SOLVES))
+    def test_non_finite(self, method):
+        _, ranges, _, _ = _random_problem(3)
+        ranges = ranges.copy()
+        ranges[0, 1] = np.nan
+        result = self._solve(method, SolverConfig(), ranges=ranges)
+        assert not result.converged and result.stop_reason == "non_finite"
+
+    def test_stationary(self):
+        g = np.array([[-60.0, 0.0], [40.0, 0.0]])
+        u = np.array([[-30.0, 0.0], [70.0, 0.0]])
+        result = solve_proposed(np.full((2, 2), 100.0), g, u, init=[100.0, 0.0])
+        assert result.converged and result.stop_reason == "stationary"
+        assert (result.iterations, result.evaluations) == (1, 1)
+
+    def test_reason_counts_agree_with_converged_flags(self, monkeypatch):
+        from collections import Counter
+
+        from isacloc import ExperimentConfig, harness, run_experiment
+
+        results = {method: [] for method in _SOLVES}
+        for method, solve in _SOLVES.items():
+            def recording(*args, _solve=solve, _into=results[method]):
+                _into.append(_solve(*args))
+                return _into[-1]
+            monkeypatch.setattr(harness, f"solve_{method}", recording)
+        report = run_experiment(ExperimentConfig(trials=64))
+        converged = {method: [r.stop_reason in ("converged", "stationary") for r in kept]
+                     for method, kept in results.items()}
+        assert converged["ls"] == report.converged["ls"]
+        assert converged["irls"] == report.converged["irls"]
+        assert [a or b for a, b in zip(converged["irls"], converged["proposed"])] \
+            == report.converged["proposed"]
+        for method, kept in results.items():
+            counts = Counter(r.stop_reason for r in kept)
+            assert set(counts) <= set(STOP_REASONS) and sum(counts.values()) == 64
+            assert counts["converged"] + counts["stationary"] == sum(r.converged for r in kept)
 
 
 class TestAndrewsReweight:
