@@ -316,7 +316,7 @@ def _ls_objective(ranges, nodes):
     """
     num_gnbs, num_ues = ranges.shape
     locate, dist, units = _node_geometry(nodes)
-    res, tx, rx = np.empty(ranges.shape), np.empty(num_gnbs), np.empty(num_ues)
+    res, tx_sum, rx_sum = np.empty(ranges.shape), np.empty(num_gnbs), np.empty(num_ues)
     dist_g, dist_u = dist[:num_gnbs, None], dist[num_gnbs:]
     units_g, units_u = units[:num_gnbs], units[num_gnbs:]
     evaluation = res, units
@@ -331,11 +331,10 @@ def _ls_objective(ranges, nodes):
         """Gradient of `_ls_value`: -2 (transmitter part + receiver part)."""
         res = evaluation[0]
         if weights is None:
-            np.add.reduce(res, 1, out=tx)
-            np.add.reduce(res, 0, out=rx)
-        else:
-            np.dot(res, weights, out=tx)
-            np.multiply(weights, np.add.reduce(res, 0, out=rx), out=rx)
+            tx, rx = np.add.reduce(res, 1, out=tx_sum), np.add.reduce(res, 0, out=rx_sum)
+        else:  # a matrix-vector product costs less without out=
+            tx = res.dot(weights)
+            rx = np.multiply(weights, np.add.reduce(res, 0, out=rx_sum), out=rx_sum)
         return _sum_times_minus_two(tx.dot(units_g), rx.dot(units_u))
 
     return evaluate, _ls_value, grad
@@ -371,8 +370,7 @@ def ls_value_grad(x, measurements, gnbs, ues, weights=None):
     if weights is not None:
         weights = np.asarray(weights, float)
         if weights.shape != (ranges.shape[1],):
-            raise ValueError(f"weights shape {weights.shape} does not match "
-                             f"{ranges.shape[1]} receivers")
+            raise ValueError(f"weights shape {weights.shape}: need one per receiver")
     return _value_grad(_ls_objective(ranges, nodes), x, weights)
 
 
@@ -605,20 +603,22 @@ def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> Loc
 def _andrews_reweight(num_gnbs, num_ues, e_max):
     """Per-solve IRLS reweight: evaluation -> normalized Andrews weights, or None.
 
-    The Andrews weight of each receiver's mean absolute residual, in Python
-    floats, divided by their numpy sum (Python's `sum` rounds differently);
-    None when they sum to 0 (every receiver rejected).  The returned weights
-    are a fresh array.
+    Each receiver's Andrews weight comes from its mean absolute residual in
+    Python floats; the fresh weights array is divided by its numpy sum
+    (Python's `sum` rounds differently), or None means all are zero.
     """
     count, e_max = float(num_gnbs), float(e_max)
     abs_res, sums = np.empty((num_gnbs, num_ues)), np.empty(num_ues)
 
     def reweight(evaluation):
         np.abs(evaluation[0], out=abs_res)
-        weights = np.array([_andrews(m / count, e_max)
-                            for m in np.add.reduce(abs_res, 0, out=sums).tolist()])
+        weights = []
+        for m in np.add.reduce(abs_res, 0, out=sums).tolist():
+            t = m / count / e_max  # _andrews, inlined: m >= 0 or NaN
+            weights.append(math.sin(t) / t if 0.0 < t <= 1.0 else float(t == 0.0))
+        weights = np.array(weights)
         total = np.add.reduce(weights)
-        return None if total <= 0.0 else np.divide(weights, total, out=weights)
+        return None if total <= 0.0 else weights / total
 
     return reweight
 

@@ -1004,8 +1004,8 @@ class TestStopReasons:
     """Each exit of the descent driver names its stop reason and counts its evaluations."""
 
     @staticmethod
-    def _solve(method, config, x0=None, ranges=None, seed=3):
-        _, problem_ranges, g, u = _random_problem(seed)
+    def _solve(method, config, x0=None, ranges=None):
+        _, problem_ranges, g, u = _random_problem(3)
         ranges = problem_ranges if ranges is None else ranges
         x0 = ls_grid_init(problem_ranges, g, u, 75.0) if x0 is None else x0
         return _SOLVES[method](ranges, g, u, config, init=x0)
