@@ -24,6 +24,7 @@ from isacloc.scenario import MeasurementSet, true_bistatic_ranges
 from isacloc.solvers import (
     STOP_REASONS,
     _andrews_reweight,
+    _grid_design,
     _grid_distances,
     _ls_objective,
     andrews_weight,
@@ -686,13 +687,12 @@ def _ref_irls(ranges, gnbs, ues, config, x0, trace, iterates=None):
     return best_x, False, iterations, best_w
 
 
-def _ref_gram(method, num_gnbs, num_ues):
-    """design^T design for the residuals data - design @ d over the S+K node distances d.
+def _ref_design(method, num_gnbs, num_ues):
+    """The design of the residuals data - design @ d over the S+K node distances d.
 
     Least squares has one design row per (s, k), +1 at s and at k; differencing
     one per transmitter pair s < s' and receiver k (+1 at s', -1 at s) and one
-    per transmitter s and receiver pair k < k' (+1 at k, -1 at k').  The
-    entries are small integers, exact in any summation order.
+    per transmitter s and receiver pair k < k' (+1 at k, -1 at k').
     """
     size = num_gnbs + num_ues
     rows = []
@@ -712,6 +712,12 @@ def _ref_gram(method, num_gnbs, num_ues):
     for i, row in enumerate(rows):
         for j, entry in row.items():
             design[i, j] = entry
+    return design
+
+
+def _ref_gram(method, num_gnbs, num_ues):
+    """design^T design; the entries are small integers, exact in any summation order."""
+    design = _ref_design(method, num_gnbs, num_ues)
     return design.T @ design
 
 
@@ -763,6 +769,29 @@ def _ref_gauss_newton(method, ranges, gnbs, ues, config, x0, trace):
         if move <= threshold:
             return x, True, iterations, None
     return best_x, False, iterations, None
+
+
+@pytest.mark.parametrize("num_gnbs", range(1, 9))
+def test_ls_design_product_equals_broadcast_residual(num_gnbs):
+    """ranges - design @ d rounds to the (S, K) broadcast residual, bit for bit.
+
+    Each LS design row has exactly two +1 entries and exact zeros elsewhere,
+    so the product rounds once, to the float of d[s] + d[S+k], in any
+    summation order.  The reweighted solve reads the product as an S x K
+    table, and its floats rest on this.
+    """
+    rng = np.random.default_rng(40 + num_gnbs)
+    for num_ues in range(1, 9):
+        design = _grid_design("ls", num_gnbs, num_ues)[0]
+        assert np.array_equal(design, _ref_design("ls", num_gnbs, num_ues))
+        for _ in range(250):
+            dist = rng.uniform(0.0, 300.0, num_gnbs + num_ues) * 10.0 ** rng.uniform(-3, 3)
+            link_sums = dist[:num_gnbs, None] + dist[num_gnbs:]
+            # Data near the model as well as far from it, so the subtraction cancels.
+            for ranges in (rng.uniform(0.0, 600.0, link_sums.shape),
+                           link_sums + rng.uniform(-1.0, 1.0, link_sums.shape)):
+                product = ranges.ravel() - design @ dist
+                assert product.tobytes() == (ranges - link_sums).tobytes()
 
 
 _SOLVES = {"ls": solve_ls, "irls": solve_irls, "proposed": solve_proposed}
