@@ -14,14 +14,20 @@ transmitter and one receiver.  Three estimators are provided:
   difference, and a transmitter-link bias in every receiver-pair
   difference, so each residual sees at most one side's biases.
 
+Every residual, of every method, is r = data - design @ d: a datum minus a
++-1 combination of the distances d from the position to the stacked (S+K, 2)
+nodes.  `_rows` builds each method's data, design and Gram matrix, and one
+evaluator computes r per iterate for the solves, both grid starts and both
+value/gradient functions.  Least squares and differencing take the value
+r . r and the gradient -2 units^T (design^T r); IRLS reads the LS residuals
+as an S x K view, with receiver-weighted sums, and its reweight computes the
+Andrews weights in Python floats.
+
 All three run through one descent driver, whose iterates are pairs of
 Python floats: the steps and norms do the IEEE operations numpy does
-elementwise.  Each solve builds one objective, whose evaluator computes the
-distances to the stacked (S+K, 2) nodes once per iterate and the residuals
-that value, gradient and the IRLS reweight read; the reweight computes the
-Andrews weights in Python floats.  Evaluators and gradients write into
-buffers made once per solve; estimates and weights are arrays of their own.
-Every result says why its descent stopped and how many evaluations it made.
+elementwise.  Evaluators and gradients write into buffers made once per
+solve; estimates and weights are arrays of their own.  Every result says
+why its descent stopped and how many evaluations it made.
 
 Least squares and differencing take damped Gauss-Newton steps, the
 Taylor-series positioning iteration (Foy, IEEE TAES 1976) with step halving
@@ -31,7 +37,7 @@ Gauss-Newton fixed point of the reweighted objective is a different
 estimate, and the fused estimate would inherit the difference.
 
 Every entry point that takes (measurements, gnbs, ues) raises ValueError
-unless the range matrix is S x K.  A fusion rule averages the reweighted
+unless the range matrix is S x K and every node position is finite.  A fusion rule averages the reweighted
 and differencing estimates with weights w and 1 - w, and falls back to the
 differencing estimate when the reweighted iteration fails to converge.
 """
@@ -137,12 +143,15 @@ def _stack_nodes(gnbs, ues) -> np.ndarray:
 
 
 def _problem(measurements, gnbs, ues):
-    """The (S, K) range matrix and the stacked nodes; ValueError if they do not match."""
+    """The (S, K) range matrix and the stacked finite nodes, else ValueError."""
     ranges = _ranges_of(measurements)
     if ranges.shape != (len(gnbs), len(ues)):
         raise ValueError(f"ranges shape {ranges.shape} does not match "
                          f"{len(gnbs)} transmitters x {len(ues)} receivers")
-    return ranges, _stack_nodes(gnbs, ues)
+    nodes = _stack_nodes(gnbs, ues)
+    if not np.isfinite(nodes).all():
+        raise ValueError("node positions must be finite")
+    return ranges, nodes
 
 
 def _node_geometry(nodes):
@@ -179,38 +188,53 @@ def centroid_init(gnbs, ues) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pair differences
+# Residual rows: data - design @ d
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _pair_matrix(num_gnbs, num_ues):
-    """Pair indices (ig, jg, iu, ju) and the ±1 pair-difference matrix, read-only.
+def _layout(method, num_gnbs, num_ues):
+    """One method's residual rows: (plus, minus, design, gram), read-only.
 
-    The matrix has one row per transmitter pair s < s' and then per
-    receiver pair k < k', in `np.triu_indices` order, and one column per
-    stacked node: +1 at s' and -1 at s, +1 at k and -1 at k'.  Each entry
-    of `pairs @ v` has two exact products, +v[i] and -v[j], and exact zeros
-    for the rest, so any summation order or fused multiply-add rounds once,
-    to the float of the plain difference v[s'] - v[s] (or v[k] - v[k']).
+    Every residual is a datum minus a +-1 combination of the S+K distances d
+    from x to the stacked nodes, one design row each.  Least squares ("ls")
+    has one row per link (s, k), s-major: the datum ranges[s, k], +1 at s and
+    at S+k.  Differencing has one row per transmitter pair s < s' and
+    receiver k, then per transmitter s and receiver pair k < k' (pairs in
+    `np.triu_indices` order); each is link (s', k) minus link (s, k), or
+    (s, k) minus (s, k'), in data and design alike, so +1 at s' and -1 at s,
+    or +1 at S+k and -1 at S+k'.  `plus` and `minus` are those links' flat
+    indices (None for LS).  A row holds two exact +-1 products and exact
+    zeros, so any summation order or fused multiply-add rounds design @ d
+    once, to the float of d[s] + d[S+k] or of the plain difference.  The
+    Gauss-Newton steps read gram = design^T design.
     """
-    (ig, jg), (iu, ju) = np.triu_indices(num_gnbs, k=1), np.triu_indices(num_ues, k=1)
-    rows = np.arange(len(ig) + len(iu))
-    pairs = np.zeros((rows.size, num_gnbs + num_ues))
-    pairs[rows, np.concatenate([jg, iu + num_gnbs])] = 1.0
-    pairs[rows, np.concatenate([ig, ju + num_gnbs])] = -1.0
-    for a in (ig, jg, iu, ju, pairs):
-        a.flags.writeable = False
-    return ig, jg, iu, ju, pairs
+    links = np.arange(num_gnbs * num_ues)
+    s, k = np.divmod(links, num_ues)
+    design = np.zeros((links.size, num_gnbs + num_ues))
+    design[links, s] = design[links, k + num_gnbs] = 1.0
+    plus = minus = None
+    if method != "ls":
+        (ig, jg), (iu, ju) = np.triu_indices(num_gnbs, k=1), np.triu_indices(num_ues, k=1)
+        link = links.reshape(num_gnbs, num_ues)
+        plus = np.concatenate([link[jg].ravel(), link[:, iu].ravel()])
+        minus = np.concatenate([link[ig].ravel(), link[:, ju].ravel()])
+        design = design[plus] - design[minus]
+    gram = design.T @ design
+    for a in (plus, minus, design, gram):
+        if a is not None:
+            a.flags.writeable = False
+    return plus, minus, design, gram
 
 
-def _difference_setup(ranges):
-    """The ±1 pair matrix and the measured transmitter-pair and receiver-pair differences."""
+def _rows(method, ranges):
+    """The data, design and Gram matrix of one method's residuals data - design @ d."""
     num_gnbs, num_ues = ranges.shape
-    if num_gnbs < 2 or num_ues < 2:
+    if method != "ls" and (num_gnbs < 2 or num_ues < 2):
         raise InsufficientGeometryError(
             f"pair differencing needs >= 2 transmitters and receivers, got {num_gnbs} x {num_ues}")
-    ig, jg, iu, ju, pairs = _pair_matrix(num_gnbs, num_ues)
-    return pairs, ranges[jg, :] - ranges[ig, :], ranges[:, iu] - ranges[:, ju]
+    plus, minus, design, gram = _layout(method, num_gnbs, num_ues)
+    flat = ranges.ravel()
+    return (flat if plus is None else flat[plus] - flat[minus]), design, gram
 
 
 def pair_differences(measurements):
@@ -222,7 +246,11 @@ def pair_differences(measurements):
     data_u[s, p] = ranges[s, k] - ranges[s, k'] for the p-th receiver pair
     k < k', so a constant on one transmitter cancels exactly.
     """
-    return _difference_setup(_ranges_of(measurements))[1:]
+    ranges = _ranges_of(measurements)
+    num_gnbs, num_ues = ranges.shape
+    data = _rows("proposed", ranges)[0]
+    split = num_gnbs * (num_gnbs - 1) // 2 * num_ues
+    return data[:split].reshape(-1, num_ues), data[split:].reshape(num_gnbs, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,50 +268,32 @@ def _grid_points(half_extent):
 
 
 def _grid_distances(nodes, half_extent):
-    """Grid points (P, 2) and their distances (P, S+K) to every node."""
-    pts = _grid_points(half_extent)
-    dx, dy = pts[:, :1] - nodes[:, 0], pts[:, 1:] - nodes[:, 1]
-    return pts, np.sqrt(dx * dx + dy * dy)
+    """Grid points (P, 2) and their distances (P, S+K) to every node.
 
-
-@functools.lru_cache(maxsize=None)
-def _grid_design(objective, num_gnbs, num_ues):
-    """One objective's residuals as data - design @ d over the S+K node distances d.
-
-    Least squares ("ls"): one row per (s, k), +1 at s and at k.  Differencing:
-    the pair-matrix rows, each transmitter pair repeated for the K receivers
-    and the receiver pairs tiled over the S transmitters, in the order of the
-    flattened residuals.  Returns the design and its Gram matrix, read-only;
-    the Gauss-Newton solves read the Gram matrix.
+    Point i * _GRID_POINTS + j is (axis[i], axis[j]), so its squared offsets
+    to the nodes are sums of per-axis squares: _GRID_POINTS x-offsets and as
+    many y-offsets per node, the floats of the point-by-point form.
     """
-    if objective == "ls":
-        s, k = np.divmod(np.arange(num_gnbs * num_ues), num_ues)
-        design = np.zeros((s.size, num_gnbs + num_ues))
-        design[np.arange(s.size), s] = design[np.arange(s.size), k + num_gnbs] = 1.0
-    else:
-        pairs, num_pg = _pair_matrix(num_gnbs, num_ues)[4], num_gnbs * (num_gnbs - 1) // 2
-        design = np.vstack([np.repeat(pairs[:num_pg], num_ues, axis=0),
-                            np.tile(pairs[num_pg:], (num_gnbs, 1))])
-    gram = design.T @ design
-    design.flags.writeable = gram.flags.writeable = False
-    return design, gram
+    pts = _grid_points(half_extent)
+    axis = pts[::_GRID_POINTS, :1]
+    dx, dy = axis - nodes[:, 0], axis - nodes[:, 1]
+    squares = (dx * dx)[:, None, :] + (dy * dy)[None, :, :]
+    return pts, np.sqrt(squares, out=squares).reshape(len(pts), len(nodes))
 
 
-def _grid_argmin(objective, data, ranges, nodes, half_extent):
-    """Grid point minimizing the sum of squares of data - design @ d.
+def _grid_argmin(method, ranges, nodes, half_extent):
+    """Grid point minimizing the method's sum of squares of data - design @ d.
 
-    Every residual of both objectives is a datum minus a +-1 combination of
-    the node distances d, one design row each.  Expanded, the sum of squares
-    is |data|^2 - 2 (data @ design) . d + d . gram d with the constant
-    gram = design.T @ design.  The constant |data|^2 cannot move the argmin
-    and is dropped, so the grid needs its (P, S+K) distances and two small
-    matrix products, not a (P, S, K) residual tensor.  The values round
-    differently from the residual form, by at most about 1e-14 of the sum
-    of squares, far below the gap between the best and second-best grid
-    point (at least 1.4e-9 of it on the benchmark geometries).
+    Expanded, the sum of squares is |data|^2 - 2 (data @ design) . d +
+    d . gram d.  The constant |data|^2 cannot move the argmin and is
+    dropped, so the grid needs its (P, S+K) distances and two small matrix
+    products, not a (P, S, K) residual tensor.  The values round differently
+    from the residual form, by at most about 1e-14 of the sum of squares, far
+    below the gap between the best and second-best grid point (at least
+    1.4e-9 of it on the benchmark geometries).
     """
     _check_positive("half_extent", half_extent)
-    design, gram = _grid_design(objective, *ranges.shape)
+    data, design, gram = _rows(method, ranges)
     pts, dist = _grid_distances(nodes, half_extent)
     values = np.einsum("pn,pn->p", dist @ gram, dist) - 2.0 * (dist @ (data @ design))
     return pts[int(np.argmin(values))].copy()
@@ -291,67 +301,82 @@ def _grid_argmin(objective, data, ranges, nodes, half_extent):
 
 def ls_grid_init(measurements, gnbs, ues, half_extent: float) -> np.ndarray:
     """Grid minimum of the least-squares objective, evaluated in one batch."""
-    ranges, nodes = _problem(measurements, gnbs, ues)
-    return _grid_argmin("ls", ranges.ravel(), ranges, nodes, half_extent)
+    return _grid_argmin("ls", *_problem(measurements, gnbs, ues), half_extent)
 
 
 def difference_grid_init(measurements, gnbs, ues, half_extent: float) -> np.ndarray:
     """Grid minimum of the pair-differencing objective, evaluated in one batch."""
-    ranges, nodes = _problem(measurements, gnbs, ues)
-    _, data_g, data_u = _difference_setup(ranges)
-    data = np.concatenate([data_g.ravel(), data_u.ravel()])
-    return _grid_argmin("proposed", data, ranges, nodes, half_extent)
+    return _grid_argmin("proposed", *_problem(measurements, gnbs, ues), half_extent)
 
 
 # ---------------------------------------------------------------------------
 # Objectives and gradients
 # ---------------------------------------------------------------------------
 
-def _ls_objective(ranges, nodes):
-    """Per-solve least-squares objective: (evaluate, value, grad).
+def _evaluator(data, design, nodes, shape):
+    """Per-solve residual evaluator: returns (evaluate, evaluation).
 
-    `evaluate(x0, x1)` returns the range residuals (S, K) and node unit
-    vectors (S+K, 2) as one tuple of per-solve buffers, which the next call
-    overwrites.  The gradient, two floats, sums into buffers too.
+    `evaluate(x0, x1)` writes r = data - design @ d, read as an array of
+    `shape`, and the unit vectors (S+K, 2) toward x into the buffers of the
+    tuple `evaluation` = (r, units) and returns it; each call overwrites the last.
     """
-    num_gnbs, num_ues = ranges.shape
     locate, dist, units = _node_geometry(nodes)
-    res, tx_sum, rx_sum = np.empty(ranges.shape), np.empty(num_gnbs), np.empty(num_ues)
-    dist_g, dist_u = dist[:num_gnbs, None], dist[num_gnbs:]
-    units_g, units_u = units[:num_gnbs], units[num_gnbs:]
-    evaluation = res, units
+    res = np.empty(len(data))
+    evaluation = res.reshape(shape), units
 
     def evaluate(x0, x1):
         locate(x0, x1)
-        np.add(dist_g, dist_u, out=res)
-        np.subtract(ranges, res, out=res)
+        np.dot(design, dist, out=res)
+        np.subtract(data, res, out=res)
         return evaluation
 
-    def grad(evaluation, weights=None):
-        """Gradient of `_ls_value`: -2 (transmitter part + receiver part)."""
+    return evaluate, evaluation
+
+
+def _objective(data, design, nodes):
+    """Per-solve objective r . r of the residuals r = data - design @ d: (evaluate, value, grad).
+
+    The gradient is -2 units^T (design^T r), two floats; neither reads weights.
+    """
+    evaluate, _ = _evaluator(data, design, nodes, data.shape)
+
+    def value(evaluation, weights=None):
         res = evaluation[0]
-        if weights is None:
-            tx, rx = np.add.reduce(res, 1, out=tx_sum), np.add.reduce(res, 0, out=rx_sum)
-        else:  # a matrix-vector product costs less without out=
-            tx = res.dot(weights)
-            rx = np.multiply(weights, np.add.reduce(res, 0, out=rx_sum), out=rx_sum)
-        return _sum_times_minus_two(tx.dot(units_g), rx.dot(units_u))
+        return float(res.dot(res))
 
-    return evaluate, _ls_value, grad
+    def grad(evaluation, weights=None):
+        res, units = evaluation
+        g0, g1 = res.dot(design).dot(units).tolist()
+        return -2.0 * g0, -2.0 * g1
 
-
-def _ls_value(evaluation, weights=None):
-    """Weighted sum of squared residuals; uniform weights give LS."""
-    res = evaluation[0]
-    if weights is None:
-        return float(np.add.reduce(res * res, None))
-    return float(weights.dot(np.add.reduce(res * res, 0)))
+    return evaluate, value, grad
 
 
-def _sum_times_minus_two(a, b):
-    """-2 (a + b) for two 2-vectors, in floats: the IEEE operations numpy does elementwise."""
-    (a0, a1), (b0, b1) = a.tolist(), b.tolist()
-    return -2.0 * (a0 + b0), -2.0 * (a1 + b1)
+def _weighted_objective(ranges, nodes):
+    """Per-solve receiver-weighted least squares: (evaluate, value, grad).
+
+    The LS residuals are read as an (S, K) view; value and gradient take one
+    weight per receiver and sum by transmitter and receiver into buffers.
+    """
+    num_gnbs, num_ues = ranges.shape
+    data, design, _ = _rows("ls", ranges)
+    evaluate, (_, units) = _evaluator(data, design, nodes, ranges.shape)
+    rx_sum = np.empty(num_ues)
+    units_g, units_u = units[:num_gnbs], units[num_gnbs:]
+
+    def value(evaluation, weights):
+        res = evaluation[0]
+        return float(weights.dot(np.add.reduce(res * res, 0)))
+
+    def grad(evaluation, weights):
+        """-2 (transmitter part + receiver part), in floats."""
+        res = evaluation[0]
+        tx = res.dot(weights)  # a matrix-vector product costs less without out=
+        rx = np.multiply(weights, np.add.reduce(res, 0, out=rx_sum), out=rx_sum)
+        (a0, a1), (b0, b1) = tx.dot(units_g).tolist(), rx.dot(units_u).tolist()
+        return -2.0 * (a0 + b0), -2.0 * (a1 + b1)
+
+    return evaluate, value, grad
 
 
 def _value_grad(objective, x, weights=None):
@@ -367,11 +392,18 @@ def ls_value_grad(x, measurements, gnbs, ues, weights=None):
     receiver-weighted, which is the objective each reweighted iteration descends.
     """
     ranges, nodes = _problem(measurements, gnbs, ues)
-    if weights is not None:
-        weights = np.asarray(weights, float)
-        if weights.shape != (ranges.shape[1],):
-            raise ValueError(f"weights shape {weights.shape}: need one per receiver")
-    return _value_grad(_ls_objective(ranges, nodes), x, weights)
+    if weights is None:
+        return _value_grad(_objective(*_rows("ls", ranges)[:2], nodes), x)
+    weights = np.asarray(weights, float)
+    if weights.shape != (ranges.shape[1],):
+        raise ValueError(f"weights shape {weights.shape}: need one per receiver")
+    return _value_grad(_weighted_objective(ranges, nodes), x, weights)
+
+
+def difference_value_grad(x, measurements, gnbs, ues):
+    """Sum of squared pair-difference residuals at position x and its gradient."""
+    ranges, nodes = _problem(measurements, gnbs, ues)
+    return _value_grad(_objective(*_rows("proposed", ranges)[:2], nodes), x)
 
 
 def _andrews(e, e_max):
@@ -400,51 +432,6 @@ def andrews_weight(residual, e_max: float, out=None):
     return float(w) if w.ndim == 0 else w
 
 
-def _difference_objective(ranges, nodes):
-    """Per-solve differencing objective: (evaluate, value, grad).
-
-    `evaluate(x0, x1)` returns the transmitter-pair (Pg, K) and receiver-pair
-    (S, Pu) residuals and the node unit vectors (S+K, 2) as one tuple of
-    per-solve buffers.  The gradient forms the pair unit-vector differences.
-    """
-    pairs, data_g, data_u = _difference_setup(ranges)
-    num_pg = data_g.shape[0]
-    locate, dist, units = _node_geometry(nodes)
-    model, model_units = np.empty(len(pairs)), np.empty((len(pairs), 2))
-    # In the memory order of the data (data_u is column-major), which the sums follow.
-    res_g, res_u = np.empty_like(data_g), np.empty_like(data_u)
-    sum_g, sum_u = np.empty(num_pg), np.empty(data_u.shape[1])
-    model_g, model_u = model[:num_pg, None], model[num_pg:]
-    units_g, units_u = model_units[:num_pg], model_units[num_pg:]
-    evaluation = res_g, res_u, units
-
-    def evaluate(x0, x1):
-        locate(x0, x1)
-        np.dot(pairs, dist, out=model)
-        np.subtract(data_g, model_g, out=res_g)
-        np.subtract(data_u, model_u, out=res_u)
-        return evaluation
-
-    def grad(evaluation, weights=None):
-        """Gradient of `_difference_value`."""
-        np.dot(pairs, evaluation[2], out=model_units)
-        return _sum_times_minus_two(np.add.reduce(evaluation[0], 1, out=sum_g).dot(units_g),
-                                    np.add.reduce(evaluation[1], 0, out=sum_u).dot(units_u))
-
-    return evaluate, _difference_value, grad
-
-
-def _difference_value(evaluation, weights=None):
-    """Value of the differencing objective; it takes no weights."""
-    res_g, res_u = evaluation[:2]
-    return float(np.add.reduce(res_g * res_g, None) + np.add.reduce(res_u * res_u, None))
-
-
-def difference_value_grad(x, measurements, gnbs, ues):
-    """Sum of squared pair-difference residuals at position x and its gradient."""
-    return _value_grad(_difference_objective(*_problem(measurements, gnbs, ues)), x)
-
-
 # ---------------------------------------------------------------------------
 # Descent driver
 # ---------------------------------------------------------------------------
@@ -458,7 +445,7 @@ def _fixed_step(rate):
     return step
 
 
-def _gauss_newton_step(method, num_gnbs, num_ues):
+def _gauss_newton_step(gram):
     """Damped Gauss-Newton step rule for an objective with residuals data - design @ d.
 
     The Jacobian of the model is J = design @ units, so J^T J is units^T gram
@@ -470,8 +457,6 @@ def _gauss_newton_step(method, num_gnbs, num_ues):
     floating-point stationary point and None is returned.  A NaN objective
     or trace is accepted, so the driver's divergence check stops the solve.
     """
-    gram = _grid_design(method, num_gnbs, num_ues)[1]
-
     def step(objective, x0, x1, evaluation, value, grad):
         evaluate, value_of, grad_of = objective
         units = evaluation[-1]
@@ -571,10 +556,16 @@ def _descend(method, objective, x, step, threshold, max_iterations, trace,
 def _prepare(measurements, gnbs, ues, config, init):
     ranges, nodes = _problem(measurements, gnbs, ues)
     config = config if config is not None else SolverConfig()
-    x0 = centroid_init(gnbs, ues) if init is None else np.asarray(init, dtype=float)
+    x0 = nodes.mean(axis=0) if init is None else np.asarray(init, dtype=float)
     if init is not None and not np.isfinite(x0).all():
         raise ValueError(f"init must be finite, got {x0}")
     return ranges, nodes, config, x0
+
+
+def _gauss_newton_solve(method, ranges, nodes, x0, threshold, config, trace):
+    data, design, gram = _rows(method, ranges)
+    return _descend(method, _objective(data, design, nodes), x0, _gauss_newton_step(gram),
+                    threshold, config.max_iterations, trace)
 
 
 def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
@@ -595,9 +586,7 @@ def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> Loc
     ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
     if ranges.size < 3:
         raise UnderdeterminedError("need at least 3 measurements for a 2-D fit")
-    return _descend("ls", _ls_objective(ranges, nodes), x0,
-                    _gauss_newton_step("ls", *ranges.shape), config.irls_threshold,
-                    config.max_iterations, trace)
+    return _gauss_newton_solve("ls", ranges, nodes, x0, config.irls_threshold, config, trace)
 
 
 def _andrews_reweight(num_gnbs, num_ues, e_max):
@@ -640,7 +629,7 @@ def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> L
     if num_ues < 2:
         raise InsufficientGeometryError("receiver reweighting needs >= 2 receivers")
     return _descend(
-        "irls", _ls_objective(ranges, nodes), x0, _fixed_step(config.irls_step),
+        "irls", _weighted_objective(ranges, nodes), x0, _fixed_step(config.irls_step),
         config.irls_threshold, config.max_iterations, trace,
         np.full(num_ues, 1.0 / num_ues), _andrews_reweight(num_gnbs, num_ues, config.e_max),
     )
@@ -656,9 +645,8 @@ def solve_proposed(measurements, gnbs, ues, config=None, init=None, trace=None) 
     local minimum only.
     """
     ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
-    return _descend("proposed", _difference_objective(ranges, nodes), x0,
-                    _gauss_newton_step("proposed", *ranges.shape), config.proposed_threshold,
-                    config.max_iterations, trace)
+    return _gauss_newton_solve("proposed", ranges, nodes, x0, config.proposed_threshold, config,
+                               trace)
 
 
 def fuse(irls_result: LocalizationResult, proposed_result: LocalizationResult,
