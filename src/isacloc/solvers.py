@@ -37,9 +37,10 @@ Gauss-Newton fixed point of the reweighted objective is a different
 estimate, and the fused estimate would inherit the difference.
 
 Every entry point that takes (measurements, gnbs, ues) raises ValueError
-unless the range matrix is S x K and every node position is finite.  A fusion rule averages the reweighted
-and differencing estimates with weights w and 1 - w, and falls back to the
-differencing estimate when the reweighted iteration fails to converge.
+unless the range matrix is S x K and every node position is finite.  A
+fusion rule averages the reweighted and differencing estimates with weights
+w and 1 - w, and falls back to the differencing estimate when the
+reweighted iteration fails to converge.
 """
 
 from __future__ import annotations

@@ -946,9 +946,9 @@ class TestDriverMatchesReferenceLoops:
                 outcomes.add((method, result.converged))
             x = rng.uniform(-75.0, 75.0, 2)
             w = rng.uniform(0.1, 1.0, len(u))
-            value_grad, ref = ls_value_grad(x, ranges, g, u, w), _ref_ls_value_grad(x, ranges, g, u, w)
-            assert value_grad[0] == ref[0]
-            assert np.array_equal(value_grad[1], ref[1])
+            value, grad = ls_value_grad(x, ranges, g, u, w)
+            ref = _ref_ls_value_grad(x, ranges, g, u, w)
+            assert value == ref[0] and np.array_equal(grad, ref[1])
             for value_grad, ref in (
                 (ls_value_grad(x, ranges, g, u), _ref_ls_value_grad(x, ranges, g, u)),
                 (difference_value_grad(x, ranges, g, u), _ref_difference_value_grad(x, ranges, g, u)),
