@@ -38,6 +38,13 @@ def check_finite(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
 
 
+def check_positive(name: str, value) -> None:
+    """Reject a config value that is not a finite positive number."""
+    check_finite(name, value)
+    if value <= 0:
+        raise ConfigurationError(f"{name} must be positive")
+
+
 def store_python_numbers(config) -> None:
     """Store each numpy scalar field of a frozen config as the equal Python number."""
     for name, value in list(vars(config).items()):

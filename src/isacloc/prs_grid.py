@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import (ConfigurationError, ScenarioError, check_finite, check_integer,
+from .errors import (ConfigurationError, ScenarioError, check_integer, check_positive,
                      store_python_numbers)
 
 _REGISTER_LENGTH = 31
@@ -48,9 +48,7 @@ class OfdmConfig:
         store_python_numbers(self)
         for name in ("num_subcarriers", "num_symbols", "comb_size"):
             check_integer(name, getattr(self, name))
-        check_finite("subcarrier_spacing", self.subcarrier_spacing)
-        if self.subcarrier_spacing <= 0:
-            raise ConfigurationError("subcarrier_spacing must be positive")
+        check_positive("subcarrier_spacing", self.subcarrier_spacing)
         if self.num_subcarriers < 12 or self.num_subcarriers % 12 != 0:
             raise ConfigurationError("num_subcarriers must be a positive multiple of 12")
         if self.num_symbols < 1:

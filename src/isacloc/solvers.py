@@ -20,8 +20,9 @@ nodes.  `_rows` builds each method's data, design and Gram matrix, and one
 evaluator computes r per iterate for the solves, both grid starts and both
 value/gradient functions.  Least squares and differencing take the value
 r . r and the gradient -2 units^T (design^T r); IRLS reads the LS residuals
-as an S x K view, with receiver-weighted sums, and its reweight computes the
-Andrews weights in Python floats.
+as an S x K view, with receiver-weighted sums.  One Andrews rule, in Python
+floats, weights each receiver's mean absolute residual in the IRLS reweight
+and serves `andrews_weight(residual, e_max)`.
 
 All three run through one descent driver, whose iterates are pairs of
 Python floats: the steps and norms do the IEEE operations numpy does
@@ -57,6 +58,7 @@ from .errors import (
     UnderdeterminedError,
     check_finite,
     check_integer,
+    check_positive,
     store_python_numbers,
 )
 
@@ -65,13 +67,6 @@ _DIVERGENCE_NORM = 1e6     # iterate norm beyond which descent is abandoned
 _GN_SINGULAR = 1e-12       # det / trace^2 of J^T J below which its inverse is not used
 _GN_HALVINGS = 52          # a step halved this often no longer moves a double
 _GRID_POINTS = 20          # grid-start points per axis
-
-
-def _check_positive(name, value):
-    """ConfigurationError unless value is a finite positive number."""
-    check_finite(name, value)
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,7 @@ class SolverConfig:
             if f.name != "max_iterations":
                 check_finite(f.name, getattr(self, f.name))
         for name in ("irls_step", "irls_threshold", "proposed_threshold", "e_max"):
-            _check_positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
         if not 0.0 <= self.fusion_weight_irls <= 1.0:
@@ -153,34 +148,6 @@ def _problem(measurements, gnbs, ues):
     if not np.isfinite(nodes).all():
         raise ValueError("node positions must be finite")
     return ranges, nodes
-
-
-def _node_geometry(nodes):
-    """Per-solve node geometry in buffers: returns (locate, dist, units).
-
-    `locate(x0, x1)` writes the distances from x = (x0, x1) to each node into
-    the (S+K,) buffer `dist` and the unit vectors toward x into the (S+K, 2)
-    buffer `units`, zero for a node within _SINGULARITY_GUARD of x.  Each
-    call overwrites the last.
-    """
-    point, delta, units = np.empty(2), np.empty(nodes.shape), np.empty(nodes.shape)
-    dist = np.empty(len(nodes))
-    dx, dy, dist_col = delta[:, 0], delta[:, 1], dist[:, None]
-
-    def locate(x0, x1):
-        point[0], point[1] = x0, x1
-        np.subtract(point, nodes, out=delta)
-        np.hypot(dx, dy, out=dist)
-        values = dist.tolist()
-        # min and sum of a short list cost less than a numpy reduction; a NaN
-        # distance makes the sum NaN and takes the masked path.
-        if min(values) > _SINGULARITY_GUARD and not math.isnan(sum(values)):
-            np.divide(delta, dist_col, out=units)  # the masked divide gives the same floats
-        else:
-            units.fill(0.0)
-            np.divide(delta, dist_col, out=units, where=dist_col > _SINGULARITY_GUARD)
-
-    return locate, dist, units
 
 
 def centroid_init(gnbs, ues) -> np.ndarray:
@@ -293,7 +260,7 @@ def _grid_argmin(method, ranges, nodes, half_extent):
     below the gap between the best and second-best grid point (at least
     1.4e-9 of it on the benchmark geometries).
     """
-    _check_positive("half_extent", half_extent)
+    check_positive("half_extent", half_extent)
     data, design, gram = _rows(method, ranges)
     pts, dist = _grid_distances(nodes, half_extent)
     values = np.einsum("pn,pn->p", dist @ gram, dist) - 2.0 * (dist @ (data @ design))
@@ -318,15 +285,27 @@ def _evaluator(data, design, nodes, shape):
     """Per-solve residual evaluator: returns (evaluate, evaluation).
 
     `evaluate(x0, x1)` writes r = data - design @ d, read as an array of
-    `shape`, and the unit vectors (S+K, 2) toward x into the buffers of the
-    tuple `evaluation` = (r, units) and returns it; each call overwrites the last.
+    `shape`, and the unit vectors (S+K, 2) toward x, zero for a node within
+    _SINGULARITY_GUARD of x, into the buffers of the tuple `evaluation` =
+    (r, units) and returns it; each call overwrites the last.
     """
-    locate, dist, units = _node_geometry(nodes)
-    res = np.empty(len(data))
+    point, delta, units = np.empty(2), np.empty(nodes.shape), np.empty(nodes.shape)
+    dist, res = np.empty(len(nodes)), np.empty(len(data))
+    dx, dy, dist_col = delta[:, 0], delta[:, 1], dist[:, None]
     evaluation = res.reshape(shape), units
 
     def evaluate(x0, x1):
-        locate(x0, x1)
+        point[0], point[1] = x0, x1
+        np.subtract(point, nodes, out=delta)
+        np.hypot(dx, dy, out=dist)
+        values = dist.tolist()
+        # min and sum of a short list cost less than a numpy reduction; a NaN
+        # distance makes the sum NaN and takes the masked path.
+        if min(values) > _SINGULARITY_GUARD and not math.isnan(sum(values)):
+            np.divide(delta, dist_col, out=units)  # the masked divide gives the same floats
+        else:
+            units.fill(0.0)
+            np.divide(delta, dist_col, out=units, where=dist_col > _SINGULARITY_GUARD)
         np.dot(design, dist, out=res)
         np.subtract(data, res, out=res)
         return evaluation
@@ -417,19 +396,17 @@ def _andrews(e, e_max):
     return 1.0 if t == 0.0 and e >= 0.0 else 0.0  # also an e / e_max that underflows to 0
 
 
-def andrews_weight(residual, e_max: float, out=None):
+def andrews_weight(residual, e_max: float):
     """Redescending Andrews sine weight, before normalization.
 
     Equals sin(e/e_max)/(e/e_max) for 0 < e <= e_max (so 1 in the limit
     e -> 0 and sin(1) at e = e_max) and exactly 0 beyond e_max or for a
-    negative or NaN e.  With `out`, a float array of the residual's shape,
-    the weights are written there and it is returned.  ConfigurationError
-    unless e_max is finite and positive.
+    negative or NaN e.  ConfigurationError unless e_max is finite and
+    positive.
     """
-    _check_positive("e_max", e_max)
+    check_positive("e_max", e_max)
     e, e_max = np.asarray(residual, dtype=float), float(e_max)
-    w = np.empty(e.shape) if out is None else out
-    w[...] = np.reshape([_andrews(v, e_max) for v in e.ravel().tolist()], e.shape)
+    w = np.reshape([_andrews(v, e_max) for v in e.ravel().tolist()], e.shape)
     return float(w) if w.ndim == 0 else w
 
 
@@ -593,20 +570,17 @@ def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> Loc
 def _andrews_reweight(num_gnbs, num_ues, e_max):
     """Per-solve IRLS reweight: evaluation -> normalized Andrews weights, or None.
 
-    Each receiver's Andrews weight comes from its mean absolute residual in
-    Python floats; the fresh weights array is divided by its numpy sum
-    (Python's `sum` rounds differently), or None means all are zero.
+    Each receiver's Andrews weight is `_andrews` of its mean absolute
+    residual, in Python floats; the fresh weights array is divided by its
+    numpy sum (Python's `sum` rounds differently), or None means all are zero.
     """
     count, e_max = float(num_gnbs), float(e_max)
     abs_res, sums = np.empty((num_gnbs, num_ues)), np.empty(num_ues)
 
     def reweight(evaluation):
         np.abs(evaluation[0], out=abs_res)
-        weights = []
-        for m in np.add.reduce(abs_res, 0, out=sums).tolist():
-            t = m / count / e_max  # _andrews, inlined: m >= 0 or NaN
-            weights.append(math.sin(t) / t if 0.0 < t <= 1.0 else float(t == 0.0))
-        weights = np.array(weights)
+        sums_list = np.add.reduce(abs_res, 0, out=sums).tolist()
+        weights = np.array([_andrews(m / count, e_max) for m in sums_list])
         total = np.add.reduce(weights)
         return None if total <= 0.0 else weights / total
 

@@ -110,6 +110,15 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_output_that_is_a_file_exits_two(self, tmp_path, capsys):
+        # The reports need a directory; a regular file in its place is not a config error.
+        config_path = _write_config(tmp_path / "config.json", trials=2)
+        occupied = tmp_path / "occupied"
+        occupied.write_text("keep")
+        assert main(["run", "--config", str(config_path), "--output", str(occupied)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert occupied.read_text() == "keep"
+
     def test_sweep_config_in_run_exits_one(self, tmp_path, capsys):
         config_path = _write_config(tmp_path / "config.json", outlier_max=[4.0, 8.0])
         assert main(["run", "--config", str(config_path)]) == 1
@@ -258,6 +267,11 @@ class TestRangingCheckCommand:
         assert "PASS" in capsys.readouterr().out
         payload = json.load(open(out))
         assert payload["all_within_half_bin"] is True
+
+    def test_fails_below_the_noise_threshold(self, capsys):
+        # At -40 dB the noise swamps the peak: few estimates stay within half a bin.
+        assert main(["ranging-check", "--trials", "20", "--snr-db", "-40"]) == 2
+        assert "FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_non_positive_trials_exit_one(self, capsys, trials):

@@ -255,6 +255,7 @@ class TestSweep:
         (dict(outlier_max=[4.0, float("nan")]), "outlier_max must be a finite number"),
         (dict(outlier_max=[4.0, True]), "outlier_max must be a finite number"),
         (dict(outlier_max=[4.0, "8"]), "outlier_max must be a finite number"),
+        (dict(num_gnbs=[4, 5], num_ues=[4, 5, 6]), "must have equal length"),
     ], ids=str)
     def test_bad_sweep_fails_before_any_trial(self, monkeypatch, sweep, message):
         def run_trial(*args):

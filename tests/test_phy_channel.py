@@ -140,6 +140,10 @@ class TestApplyChannel:
         with pytest.raises(ScenarioError, match="rng_seed must be an integer"):
             NoiseSpec(0.1, seed)
 
+    def test_noise_seed_must_be_nonnegative(self):
+        with pytest.raises(ScenarioError, match="rng_seed must be >= 0"):
+            NoiseSpec(0.1, -1)
+
     def test_noise_seed_may_be_a_numpy_integer(self, small_config):
         grid = build_grid(small_config, PrsAllocation(0, sequence_seed=1))
         [a] = apply_channel([grid], [[0.0]], small_config, NoiseSpec(0.1, np.int64(5)))

@@ -192,6 +192,15 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError, match="must be an integer"):
             PrsAllocation(*fields)
 
+    @pytest.mark.parametrize("fields, message", [
+        ((-1, 1), "comb_offset must be >= 0"),
+        ((0, 0), "sequence_seed must be a nonzero 31-bit integer"),
+        ((0, 2**31), "sequence_seed must be a nonzero 31-bit integer"),
+    ], ids=["negative offset", "zero seed", "seed beyond 31 bits"])
+    def test_allocation_rejects_out_of_range_fields(self, fields, message):
+        with pytest.raises(ConfigurationError, match=message):
+            PrsAllocation(*fields)
+
     def test_allocation_takes_only_offset_and_seed(self):
         with pytest.raises(TypeError):
             PrsAllocation(0, 0, 1)

@@ -99,6 +99,11 @@ class TestSampleScenario:
         with pytest.raises(ConfigurationError):
             sample_scenario(**kwargs)
 
+    def test_target_with_no_room_away_from_the_nodes_raises(self):
+        # Every region is 1 mm wide, so no draw lies 1 m from all four nodes.
+        with pytest.raises(ScenarioError, match="could not place target"):
+            sample_scenario(2, 2, gnb_region=1e-3, ue_region=1e-3, target_region=1e-3)
+
 
 class TestTrueBistaticRanges:
     def test_three_four_five(self):
