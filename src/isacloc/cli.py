@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .errors import ConfigurationError
@@ -80,10 +81,19 @@ def _load_config(args) -> tuple:
     return experiment_config_from_dict(payload), lists
 
 
+def _make_output_dir(path) -> None:
+    """Create the report directory before any trial runs; a path that cannot be one exits 1."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory: {exc}") from exc
+
+
 def _cmd_run(args) -> int:
     config, lists = _load_config(args)
     if lists:
         raise ConfigurationError("config contains sweep lists; use isacloc sweep")
+    _make_output_dir(config.output_dir)
     report = run_experiment(config)
     paths = emit_report(report, config.output_dir)
     for method, mean in sorted(report.mean_error.items()):
@@ -97,6 +107,7 @@ def _cmd_sweep(args) -> int:
     config, lists = _load_config(args)
     if not lists:
         raise ConfigurationError("config has no sweep list; use isacloc run")
+    _make_output_dir(config.output_dir)
     results = run_sweep(config, **lists)
     paths = emit_sweep(results, config.output_dir)
     for label, report in results:

@@ -26,10 +26,12 @@ class InsufficientGeometryError(ValueError):
     """Not enough transmitters or receivers for the requested operation."""
 
 
-def check_integer(name: str, value) -> None:
-    """Reject a config value that is not an integer; a bool is not one."""
+def check_integer(name: str, value, minimum=None) -> None:
+    """Reject a config value that is not an integer, or is below `minimum`; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}")
 
 
 def check_finite(name: str, value) -> None:

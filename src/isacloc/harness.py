@@ -25,6 +25,7 @@ from .errors import ConfigurationError, check_finite, check_integer, store_pytho
 from .phy_channel import NoiseSpec, noise_variance_from_snr
 from .prs_grid import OfdmConfig
 from .scenario import (
+    check_geometry,
     sample_scenario,
     synthesize_measurements_model,
     synthesize_measurements_phy,
@@ -78,14 +79,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         store_python_numbers(self)
-        for name in ("trials", "base_seed", "workers", "num_gnbs", "num_ues"):
-            check_integer(name, getattr(self, name))
-        for name in ("gnb_region", "ue_region", "target_region", "outlier_max"):
-            check_finite(name, getattr(self, name))
+        check_integer("trials", self.trials, minimum=1)
+        check_integer("base_seed", self.base_seed, minimum=0)
+        check_integer("workers", self.workers, minimum=1)
         if self.snr_db is not None:
             noise_variance_from_snr(self.snr_db)  # rejects a variance that is not finite
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
         if self.mode not in ("model", "phy"):
             raise ConfigurationError("mode must be 'model' or 'phy'")
         for name, kind in (("ofdm", OfdmConfig), ("solver", SolverConfig)):
@@ -100,19 +98,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"output_dir must be a nonempty string, got {self.output_dir!r}"
             )
-        if self.base_seed < 0:
-            raise ConfigurationError("base_seed must be >= 0")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if min(self.gnb_region, self.ue_region, self.target_region) <= 0:
-            raise ConfigurationError("region sizes must be positive")
-        # Node counts, outliers and phy geometries that would fail in a trial.
-        if self.num_gnbs < 2 or self.num_ues < 2:
-            raise ConfigurationError(
-                "num_gnbs and num_ues must be >= 2: pair differencing needs both"
-            )
-        if self.outlier_max < 0:
-            raise ConfigurationError("outlier_max must be >= 0")
+        # Geometries that would fail in a trial; pair differencing needs both counts >= 2.
+        check_geometry(self.num_gnbs, self.num_ues, self.gnb_region, self.ue_region,
+                       self.target_region, self.outlier_max, min_nodes=2)
         if self.mode != "phy":
             return
         if self.num_gnbs > self.ofdm.comb_size:
@@ -392,12 +380,8 @@ def ranging_check(
     with the geometric truth.  Noise-free estimates must stay within half
     a range bin of the truth.
     """
-    check_integer("trials", trials)
-    check_integer("base_seed", base_seed)
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
-    if base_seed < 0:
-        raise ConfigurationError("base_seed must be >= 0")
+    check_integer("trials", trials, minimum=1)
+    check_integer("base_seed", base_seed, minimum=0)
     trials = int(trials)  # echoed in the JSON result, so a Python int
     variance = 0.0 if snr_db is None else noise_variance_from_snr(snr_db)
     config = config if config is not None else OfdmConfig()

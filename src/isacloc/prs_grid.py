@@ -46,13 +46,12 @@ class OfdmConfig:
 
     def __post_init__(self):
         store_python_numbers(self)
-        for name in ("num_subcarriers", "num_symbols", "comb_size"):
-            check_integer(name, getattr(self, name))
+        check_integer("num_subcarriers", self.num_subcarriers)
+        check_integer("num_symbols", self.num_symbols, minimum=1)
+        check_integer("comb_size", self.comb_size)
         check_positive("subcarrier_spacing", self.subcarrier_spacing)
         if self.num_subcarriers < 12 or self.num_subcarriers % 12 != 0:
             raise ConfigurationError("num_subcarriers must be a positive multiple of 12")
-        if self.num_symbols < 1:
-            raise ConfigurationError("num_symbols must be >= 1")
         if self.comb_size not in _SUPPORTED_COMBS:
             raise ConfigurationError(f"comb_size must be one of {_SUPPORTED_COMBS}")
 
@@ -75,10 +74,8 @@ class PrsAllocation:
     sequence_seed: int
 
     def __post_init__(self):
-        for name in ("comb_offset", "sequence_seed"):
-            check_integer(name, getattr(self, name))
-        if self.comb_offset < 0:
-            raise ConfigurationError("comb_offset must be >= 0")
+        check_integer("comb_offset", self.comb_offset, minimum=0)
+        check_integer("sequence_seed", self.sequence_seed)
         if not 0 < self.sequence_seed < 2**31:
             raise ConfigurationError("sequence_seed must be a nonzero 31-bit integer")
 

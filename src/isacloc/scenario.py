@@ -92,6 +92,22 @@ class MeasurementSet:
         object.__setattr__(self, "ranges", ranges)
 
 
+def check_geometry(num_gnbs, num_ues, gnb_region, ue_region, target_region, outlier_max,
+                   min_nodes=1) -> None:
+    """ConfigurationError unless `sample_scenario` can draw it, with min_nodes or more a side."""
+    check_integer("num_gnbs", num_gnbs)
+    check_integer("num_ues", num_ues)
+    for name, value in (("gnb_region", gnb_region), ("ue_region", ue_region),
+                        ("target_region", target_region), ("outlier_max", outlier_max)):
+        check_finite(name, value)
+    if num_gnbs < min_nodes or num_ues < min_nodes:
+        raise ConfigurationError(f"num_gnbs and num_ues must be >= {min_nodes}")
+    if min(gnb_region, ue_region, target_region) <= 0:
+        raise ConfigurationError("region sizes must be positive")
+    if outlier_max < 0:
+        raise ConfigurationError("outlier_max must be >= 0")
+
+
 def sample_scenario(
     num_gnbs: int,
     num_ues: int,
@@ -111,18 +127,7 @@ def sample_scenario(
     uniformly from (0, outlier_max), all others get zero.  The target is
     redrawn if it lands within 1 m of a node.
     """
-    check_integer("num_gnbs", num_gnbs)
-    check_integer("num_ues", num_ues)
-    for name, value in (("gnb_region", gnb_region), ("ue_region", ue_region),
-                        ("target_region", target_region), ("outlier_max", outlier_max)):
-        check_finite(name, value)
-    if num_gnbs < 1 or num_ues < 1:
-        raise ConfigurationError("num_gnbs and num_ues must be >= 1")
-    if min(gnb_region, ue_region, target_region) <= 0:
-        raise ConfigurationError("region sizes must be positive")
-    if outlier_max < 0:
-        raise ConfigurationError("outlier_max must be >= 0")
-
+    check_geometry(num_gnbs, num_ues, gnb_region, ue_region, target_region, outlier_max)
     rng = np.random.default_rng(rng_seed)
     gnbs = rng.uniform(-gnb_region / 2, gnb_region / 2, size=(num_gnbs, 2))
     ues = rng.uniform(-ue_region / 2, ue_region / 2, size=(num_ues, 2))

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,14 +91,10 @@ class SolverConfig:
 
     def __post_init__(self):
         store_python_numbers(self)
-        check_integer("max_iterations", self.max_iterations)
-        for f in fields(self):
-            if f.name != "max_iterations":
-                check_finite(f.name, getattr(self, f.name))
+        check_integer("max_iterations", self.max_iterations, minimum=1)
+        check_finite("fusion_weight_irls", self.fusion_weight_irls)
         for name in ("irls_step", "irls_threshold", "proposed_threshold", "e_max"):
             check_positive(name, getattr(self, name))
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be >= 1")
         if not 0.0 <= self.fusion_weight_irls <= 1.0:
             raise ConfigurationError("fusion_weight_irls must lie in [0, 1]")
 

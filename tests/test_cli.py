@@ -110,14 +110,19 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
-    def test_output_that_is_a_file_exits_two(self, tmp_path, capsys):
-        # The reports need a directory; a regular file in its place is not a config error.
-        config_path = _write_config(tmp_path / "config.json", trials=2)
+    def test_output_that_is_a_file_exits_one(self, tmp_path, capsys, monkeypatch):
+        # The reports need a directory; a regular file in its place fails before any trial.
+        def run_trial(config, trial_seed):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
         occupied = tmp_path / "occupied"
         occupied.write_text("keep")
-        assert main(["run", "--config", str(config_path), "--output", str(occupied)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert occupied.read_text() == "keep"
+        for command, lists in (("run", {}), ("sweep", {"outlier_max": [4.0, 8.0]})):
+            config_path = _write_config(tmp_path / "config.json", trials=2, **lists)
+            assert main([command, "--config", str(config_path), "--output", str(occupied)]) == 1
+            assert "cannot create output directory" in capsys.readouterr().err
+            assert occupied.read_text() == "keep"
 
     def test_sweep_config_in_run_exits_one(self, tmp_path, capsys):
         config_path = _write_config(tmp_path / "config.json", outlier_max=[4.0, 8.0])

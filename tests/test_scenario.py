@@ -253,3 +253,20 @@ class TestMeasurementSetValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ScenarioError):
             MeasurementSet(ranges=np.array([1.0, 2.0]))
+
+
+class TestScenarioValidation:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"gnb_positions": np.zeros((2, 3))}, "gnb_positions has wrong shape"),
+        ({"target": np.zeros(3)}, "target has wrong shape"),
+        ({"gnb_positions": np.zeros((0, 2)), "link_excess_gnb": np.zeros(0)},
+         "at least one gNB and one UE"),
+        ({"link_excess_gnb": np.zeros(2)}, "one gNB-side excess per gNB"),
+        ({"link_excess_ue": np.array([-1.0])}, "link excesses must be >= 0"),
+    ])
+    def test_rejects_inconsistent_fields(self, overrides, message):
+        fields = {"gnb_positions": np.array([[3.0, 4.0]]), "ue_positions": np.array([[0.0, 5.0]]),
+                  "target": np.zeros(2), "link_excess_gnb": np.zeros(1),
+                  "link_excess_ue": np.zeros(1)}
+        with pytest.raises(ScenarioError, match=message):
+            Scenario(**{**fields, **overrides})

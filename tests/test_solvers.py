@@ -1133,6 +1133,15 @@ class TestStopReasons:
         result = solve_proposed(np.full((2, 2), 100.0), g, u, init=[100.0, 0.0])
         assert result.converged and result.stop_reason == "stationary"
         assert (result.iterations, result.evaluations) == (1, 1)
+        # Collinear nodes and a start 1e-8 m off their axis: J^T J is singular
+        # but not zero, so the gradient fallback steps 4e9 m, and the objective
+        # still rises after all 52 halvings, at 1.8e-6 m.
+        g = np.array([[-20.0, 0.0], [-40.0, 0.0]])
+        u = np.array([[20.0, 0.0], [40.0, 0.0]])
+        ranges = np.add.outer([20.0, 40.0], [20.0, 40.0]) + np.array([[-1.0, 0.0], [0.0, 1.0]])
+        result = _check_solve("proposed", ranges, g, u, SolverConfig(), np.array([0.0, 1e-8]))
+        assert result.converged and result.stop_reason == "stationary"
+        assert (result.iterations, result.evaluations) == (1, 53)
 
     def test_reason_counts_agree_with_converged_flags(self, monkeypatch):
         from collections import Counter
