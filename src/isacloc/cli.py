@@ -19,6 +19,7 @@ import sys
 from .errors import ConfigurationError
 from .harness import (
     ExperimentConfig,
+    _sweep_points,
     emit_report,
     emit_sweep,
     ranging_check,
@@ -107,7 +108,8 @@ def _cmd_sweep(args) -> int:
     config, lists = _load_config(args)
     if not lists:
         raise ConfigurationError("config has no sweep list; use isacloc run")
-    _make_output_dir(config.output_dir)
+    for label, _ in _sweep_points(config, **lists):  # each point's reports go to <output>/<label>
+        _make_output_dir(os.path.join(config.output_dir, label))
     results = run_sweep(config, **lists)
     paths = emit_sweep(results, config.output_dir)
     for label, report in results:

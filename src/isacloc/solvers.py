@@ -17,25 +17,24 @@ transmitter and one receiver.  Three estimators are provided:
 Every residual, of every method, is r = data - design @ d: a datum minus a
 +-1 combination of the distances d from the position to the stacked (S+K, 2)
 nodes.  `_rows` builds each method's data, design and Gram matrix, and one
-evaluator computes r per iterate for the solves, both grid starts and both
-value/gradient functions.  Least squares and differencing take the value
-r . r and the gradient -2 units^T (design^T r); IRLS reads the LS residuals
-as an S x K view, with receiver-weighted sums.  One Andrews rule, in Python
-floats, weights each receiver's mean absolute residual in the IRLS reweight
-and serves `andrews_weight(residual, e_max)`.
+evaluator computes r per iterate.  Least squares and differencing take the
+value r . r and the gradient -2 units^T (design^T r).  IRLS reads the LS
+residuals as an S x K view, the first half of a (2, S, K) block whose second
+half is |r|: one column pass, a reduction over transmitters, gives the sums
+of r that its gradient reads and the sums of |r| that its reweight maps,
+mean by mean, through the one Andrews rule that `andrews_weight` also uses.
 
 All three run through one descent driver, whose iterates are pairs of
 Python floats: the steps and norms do the IEEE operations numpy does
-elementwise.  Evaluators and gradients write into buffers made once per
-solve; estimates and weights are arrays of their own.  Every result says
-why its descent stopped and how many evaluations it made.
-
-Least squares and differencing take damped Gauss-Newton steps, the
-Taylor-series positioning iteration (Foy, IEEE TAES 1976) with step halving
-(Nocedal & Wright, Numerical Optimization, §3.1 and §10.3), and stop at the
-minimum of their objective.  IRLS keeps its fixed gradient step: the
-Gauss-Newton fixed point of the reweighted objective is a different
-estimate, and the fused estimate would inherit the difference.
+elementwise.  Evaluators write into buffers made once per solve; estimates
+and weights are arrays of their own.  Every result says why its descent
+stopped and how many evaluations it made.  Least squares and differencing
+take damped Gauss-Newton steps, the Taylor-series positioning iteration
+(Foy, IEEE TAES 1976) with step halving (Nocedal & Wright, Numerical
+Optimization, §3.1 and §10.3), and stop at the minimum of their objective.
+IRLS keeps its fixed gradient step: the Gauss-Newton fixed point of the
+reweighted objective is a different estimate, and the fused estimate would
+inherit the difference.
 
 Every entry point that takes (measurements, gnbs, ues) raises ValueError
 unless the range matrix is S x K and every node position is finite.  A
@@ -277,18 +276,22 @@ def difference_grid_init(measurements, gnbs, ues, half_extent: float) -> np.ndar
 # Objectives and gradients
 # ---------------------------------------------------------------------------
 
-def _evaluator(data, design, nodes, shape):
+def _evaluator(data, design, nodes, shape, column_sums=False):
     """Per-solve residual evaluator: returns (evaluate, evaluation).
 
-    `evaluate(x0, x1)` writes r = data - design @ d, read as an array of
-    `shape`, and the unit vectors (S+K, 2) toward x, zero for a node within
-    _SINGULARITY_GUARD of x, into the buffers of the tuple `evaluation` =
-    (r, units) and returns it; each call overwrites the last.
+    `evaluate(x0, x1)` overwrites the buffers of the tuple `evaluation` and
+    returns it: r = data - design @ d read as an array of `shape`, the unit
+    vectors (S+K, 2) toward x (zero for a node within _SINGULARITY_GUARD of
+    x) and, with `column_sums`, the (2, K) sums over transmitters of r and
+    |r|, one reduction of a (2, S, K) block whose halves hold r and |r|.
     """
     point, delta, units = np.empty(2), np.empty(nodes.shape), np.empty(nodes.shape)
-    dist, res = np.empty(len(nodes)), np.empty(len(data))
-    dx, dy, dist_col = delta[:, 0], delta[:, 1], dist[:, None]
+    dist, block = np.empty(len(nodes)), np.empty((1 + column_sums, len(data)))
+    res, dx, dy, dist_col = block[0], delta[:, 0], delta[:, 1], dist[:, None]
     evaluation = res.reshape(shape), units
+    if column_sums:
+        abs_res, block, sums = block[1], block.reshape((2,) + shape), np.empty((2, shape[1]))
+        evaluation += (sums,)
 
     def evaluate(x0, x1):
         point[0], point[1] = x0, x1
@@ -304,6 +307,9 @@ def _evaluator(data, design, nodes, shape):
             np.divide(delta, dist_col, out=units, where=dist_col > _SINGULARITY_GUARD)
         np.dot(design, dist, out=res)
         np.subtract(data, res, out=res)
+        if column_sums:
+            np.abs(res, out=abs_res)
+            np.add.reduce(block, 1, out=sums)
         return evaluation
 
     return evaluate, evaluation
@@ -331,14 +337,12 @@ def _objective(data, design, nodes):
 def _weighted_objective(ranges, nodes):
     """Per-solve receiver-weighted least squares: (evaluate, value, grad).
 
-    The LS residuals are read as an (S, K) view; value and gradient take one
-    weight per receiver and sum by transmitter and receiver into buffers.
+    The LS residuals are read as an (S, K) view with their column sums;
+    value and gradient take one weight per receiver.
     """
-    num_gnbs, num_ues = ranges.shape
     data, design, _ = _rows("ls", ranges)
-    evaluate, (_, units) = _evaluator(data, design, nodes, ranges.shape)
-    rx_sum = np.empty(num_ues)
-    units_g, units_u = units[:num_gnbs], units[num_gnbs:]
+    evaluate, (_, units, (res_sums, _)) = _evaluator(data, design, nodes, ranges.shape, True)
+    units_g, units_u = units[:len(ranges)], units[len(ranges):]
 
     def value(evaluation, weights):
         res = evaluation[0]
@@ -346,9 +350,8 @@ def _weighted_objective(ranges, nodes):
 
     def grad(evaluation, weights):
         """-2 (transmitter part + receiver part), in floats."""
-        res = evaluation[0]
-        tx = res.dot(weights)  # a matrix-vector product costs less without out=
-        rx = np.multiply(weights, np.add.reduce(res, 0, out=rx_sum), out=rx_sum)
+        # A product into a fresh array costs less than into a buffer with out=.
+        tx, rx = evaluation[0].dot(weights), weights * res_sums
         (a0, a1), (b0, b1) = tx.dot(units_g).tolist(), rx.dot(units_u).tolist()
         return -2.0 * (a0 + b0), -2.0 * (a1 + b1)
 
@@ -433,7 +436,7 @@ def _gauss_newton_step(gram):
     """
     def step(objective, x0, x1, evaluation, value, grad):
         evaluate, value_of, grad_of = objective
-        units = evaluation[-1]
+        units = evaluation[1]
         (a, b), (_, d) = units.T.dot(gram.dot(units)).tolist()
         if value is None:  # the start, untraced; read before a trial overwrites it
             value = value_of(evaluation)
@@ -459,31 +462,29 @@ def _gauss_newton_step(gram):
 
 def _descend(method, objective, x, step, threshold, max_iterations, trace,
              weights=None, reweight=None) -> LocalizationResult:
-    """Descent with best-iterate fallback, for all solvers.
+    """Descent with best-iterate fallback, for all solvers; the iterate is two Python floats.
 
-    The iterate is a pair of Python floats; an array is made only for the
-    estimate.  `objective` is (evaluate, value, grad): `evaluate(x0, x1)`
-    may return the same buffers on every call, so an evaluation is read
-    before the next one; value and gradient take (evaluation, weights), and
-    a `reweight` hook turns it into the next weights (None: all zero).
-    `step(objective, x0, x1, evaluation, value, grad)` returns the next x0,
-    x1, evaluation, value and gradient (None for any not computed), or None
-    at a stationary point.  Converged means an update norm <= threshold or a
-    stationary point; otherwise the lowest-objective iterate is returned,
-    its value computed again where the loop did not need it, to the same
-    floats.  Every `evaluate` call counts in `evaluations`.
+    `objective` is (evaluate, value, grad): `evaluate(x0, x1)` may return the
+    same buffers on every call, so an evaluation is read before the next one;
+    value and gradient take (evaluation, weights), and a `reweight` hook turns
+    it into the next weights (None: all zero).  `step(objective, x0, x1,
+    evaluation, value, grad)` returns the next x0, x1, evaluation, value and
+    gradient (None for any not computed), or None at a stationary point.
+    Converged means an update norm <= threshold or a stationary point; else the
+    lowest-objective iterate is returned, its value recomputed where the loop
+    did not need it, to the same floats.  Every `evaluate` call counts.
     """
     evaluate, value_of, grad_of = objective
-    evaluations = 0
+    evaluations = 1  # the start's
 
-    def counted(x0, x1):
+    def counted(x0, x1):  # for step rules and the fallback; the loop counts its own inline
         nonlocal evaluations
         evaluations += 1
         return evaluate(x0, x1)
 
     objective = counted, value_of, grad_of
     x0, x1 = np.asarray(x, dtype=float).tolist()
-    evaluation = counted(x0, x1)
+    evaluation = evaluate(x0, x1)
     visited = []  # (x0, x1, weights, value or None) per iteration; never modified in place
     value = grad = None
     reason = "max_iterations"
@@ -504,7 +505,8 @@ def _descend(method, objective, x, step, threshold, max_iterations, trace,
             reason = "diverged" if math.isfinite(n0) and math.isfinite(n1) else "non_finite"
             break
         if evaluation is None:
-            evaluation = counted(n0, n1)
+            evaluations += 1
+            evaluation = evaluate(n0, n1)
         if reweight is not None:
             weights = reweight(evaluation)
             if weights is None:
@@ -527,12 +529,14 @@ def _descend(method, objective, x, step, threshold, max_iterations, trace,
                               reason, evaluations)
 
 
-def _prepare(measurements, gnbs, ues, config, init):
+def _prepare(measurements, gnbs, ues, config, init, min_links=0):
     ranges, nodes = _problem(measurements, gnbs, ues)
     config = config if config is not None else SolverConfig()
     x0 = nodes.mean(axis=0) if init is None else np.asarray(init, dtype=float)
     if init is not None and not np.isfinite(x0).all():
         raise ValueError(f"init must be finite, got {x0}")
+    if ranges.size < min_links:
+        raise UnderdeterminedError(f"need at least {min_links} measurements for a 2-D fit")
     return ranges, nodes, config, x0
 
 
@@ -557,28 +561,24 @@ def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> Loc
         init: optional (2,) starting point.
         trace: optional list collecting the objective value per iteration.
     """
-    ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
-    if ranges.size < 3:
-        raise UnderdeterminedError("need at least 3 measurements for a 2-D fit")
+    ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init, min_links=3)
     return _gauss_newton_solve("ls", ranges, nodes, x0, config.irls_threshold, config, trace)
 
 
-def _andrews_reweight(num_gnbs, num_ues, e_max):
+def _andrews_reweight(num_gnbs, e_max):
     """Per-solve IRLS reweight: evaluation -> normalized Andrews weights, or None.
 
-    Each receiver's Andrews weight is `_andrews` of its mean absolute
-    residual, in Python floats; the fresh weights array is divided by its
-    numpy sum (Python's `sum` rounds differently), or None means all are zero.
+    Each receiver's weight is `_andrews` of its mean absolute residual (its
+    column sum of |r| over S), in Python floats; the fresh weights array is
+    divided in place by its numpy sum (Python's `sum` rounds differently).
     """
     count, e_max = float(num_gnbs), float(e_max)
-    abs_res, sums = np.empty((num_gnbs, num_ues)), np.empty(num_ues)
 
     def reweight(evaluation):
-        np.abs(evaluation[0], out=abs_res)
-        sums_list = np.add.reduce(abs_res, 0, out=sums).tolist()
-        weights = np.array([_andrews(m / count, e_max) for m in sums_list])
+        _, abs_sums = evaluation[2].tolist()
+        weights = np.array([_andrews(m / count, e_max) for m in abs_sums])
         total = np.add.reduce(weights)
-        return None if total <= 0.0 else weights / total
+        return None if total <= 0.0 else np.divide(weights, total, out=weights)
 
     return reweight
 
@@ -593,16 +593,14 @@ def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> L
     norm drops below the threshold; all weights vanishing, a NaN, or
     iteration exhaustion is reported as non-convergence.
     """
-    ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
-    if ranges.size < 3:
-        raise UnderdeterminedError("need at least 3 measurements for a 2-D fit")
+    ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init, min_links=3)
     num_gnbs, num_ues = ranges.shape
     if num_ues < 2:
         raise InsufficientGeometryError("receiver reweighting needs >= 2 receivers")
     return _descend(
         "irls", _weighted_objective(ranges, nodes), x0, _fixed_step(config.irls_step),
         config.irls_threshold, config.max_iterations, trace,
-        np.full(num_ues, 1.0 / num_ues), _andrews_reweight(num_gnbs, num_ues, config.e_max),
+        np.full(num_ues, 1.0 / num_ues), _andrews_reweight(num_gnbs, config.e_max),
     )
 
 

@@ -123,6 +123,13 @@ class TestRunCommand:
             assert main([command, "--config", str(config_path), "--output", str(occupied)]) == 1
             assert "cannot create output directory" in capsys.readouterr().err
             assert occupied.read_text() == "keep"
+        # So does a regular file where a sweep point's directory goes.
+        point = tmp_path / "sweep" / "outlier_8"
+        point.parent.mkdir()
+        point.write_text("keep")
+        assert main(["sweep", "--config", str(config_path), "--output", str(point.parent)]) == 1
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert point.read_text() == "keep"
 
     def test_sweep_config_in_run_exits_one(self, tmp_path, capsys):
         config_path = _write_config(tmp_path / "config.json", outlier_max=[4.0, 8.0])

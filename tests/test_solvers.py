@@ -1167,15 +1167,21 @@ class TestStopReasons:
             assert counts["converged"] + counts["stationary"] == sum(r.converged for r in kept)
 
 
+def _reweight(res, e_max):
+    """The IRLS reweight of residuals `res` (S, K), handed their column sums of r and |r|."""
+    sums = np.stack([np.add.reduce(res, 0), np.add.reduce(np.abs(res), 0)])
+    return _andrews_reweight(res.shape[0], e_max)((res, None, sums))
+
+
 class TestAndrewsReweight:
-    """The buffered IRLS reweight gives the floats of the reference weights, normalized."""
+    """The IRLS reweight gives the floats of the reference weights, normalized."""
 
     @staticmethod
     def _assert_same_bits(res, e_max):
         res = np.asarray(res, dtype=float)
         raw = _ref_andrews_weight(np.abs(res).mean(axis=0), e_max)
         total = raw.sum()
-        weights = _andrews_reweight(*res.shape, e_max)((res, None))
+        weights = _reweight(res, e_max)
         if total <= 0.0:
             assert weights is None
         else:
@@ -1201,7 +1207,7 @@ class TestAndrewsReweight:
         rng = np.random.default_rng(31)
         for e_max in 10.0 ** rng.uniform(-6.0, 6.0, 500):
             above = float(np.nextafter(e_max, np.inf))
-            weights = _andrews_reweight(1, 2, e_max)((np.array([[e_max, above]]), None))
+            weights = _reweight(np.array([[e_max, above]]), e_max)
             assert weights[1] == 0.0 and weights[0] == 1.0
 
     def test_random_residuals_match_reference_bit_for_bit(self):
@@ -1209,6 +1215,27 @@ class TestAndrewsReweight:
         for _ in range(300):
             shape = tuple(int(n) for n in rng.integers(2, 9, size=2))
             self._assert_same_bits(rng.uniform(-12.0, 12.0, shape), 7.0)
+
+
+class TestColumnSums:
+    """The weighted objective's one reduction gives the per-receiver sums of r and |r|."""
+
+    def test_one_pass_equals_separate_sums_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        for num_gnbs in range(1, 9):
+            for num_ues in range(1, 9):
+                nodes = rng.uniform(-50.0, 50.0, (num_gnbs + num_ues, 2))
+                ranges = rng.uniform(-20.0, 120.0, (num_gnbs, num_ues))
+                # NaN and infinite entries, so some columns sum to NaN or +-inf.
+                count = min(3, ranges.size)
+                picks = rng.choice(ranges.size, count, replace=False)
+                ranges.flat[picks] = [np.nan, np.inf, -np.inf][:count]
+                evaluate = _weighted_objective(ranges, nodes)[0]
+                with np.errstate(invalid="ignore"):  # inf + -inf in a column
+                    res, _, sums = evaluate(*rng.uniform(-30.0, 30.0, 2).tolist())
+                    expected = res.sum(axis=0), np.abs(res).sum(axis=0)
+                assert sums[0].tobytes() == expected[0].tobytes()
+                assert sums[1].tobytes() == expected[1].tobytes()
 
 
 class TestResultsOwnTheirArrays:
