@@ -108,8 +108,13 @@ def _cmd_sweep(args) -> int:
     config, lists = _load_config(args)
     if not lists:
         raise ConfigurationError("config has no sweep list; use isacloc run")
-    for label, _ in _sweep_points(config, **lists):  # each point's reports go to <output>/<label>
-        _make_output_dir(os.path.join(config.output_dir, label))
+    # Each point's reports go to <output>/<label>; all are checked before any is made.
+    points = [os.path.join(config.output_dir, label) for label, _ in _sweep_points(config, **lists)]
+    for point in points:
+        if os.path.exists(point) and not os.path.isdir(point):
+            raise ConfigurationError(f"cannot create output directory: {point} is not a directory")
+    for point in points:
+        _make_output_dir(point)
     results = run_sweep(config, **lists)
     paths = emit_sweep(results, config.output_dir)
     for label, report in results:
@@ -126,9 +131,9 @@ def _cmd_ranging_check(args) -> int:
         f"{result['max_abs_error_m']:.4f} m, half bin {result['half_bin_m']:.4f} m"
     )
     if args.output:
+        text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)  # before the file opens
         with open(args.output, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
         print(f"wrote {args.output}")
     if result["all_within_half_bin"]:
         print("PASS: all estimates within half a range bin")

@@ -6,8 +6,8 @@ records the position error of each.  Per-trial seeds are derived as
 base_seed XOR trial index, so results are independent of execution order
 and the whole experiment is reproducible byte for byte.  It also means that
 base seeds 0 and 1 run the same trials in another order, and any two base
-seeds that differ only in bits below the trial count share trials; ROADMAP
-item 5 replaces the rule.  An `ExperimentConfig` is one experiment; `run_sweep`
+seeds that differ only in bits below the trial count share trials; a planned
+change replaces the rule.  An `ExperimentConfig` is one experiment; `run_sweep`
 runs one per value of `outlier_max` or per pair of node counts, given as lists.
 """
 

@@ -37,10 +37,12 @@ reweighted objective is a different estimate, and the fused estimate would
 inherit the difference.
 
 Every entry point that takes (measurements, gnbs, ues) raises ValueError
-unless the range matrix is S x K and every node position is finite.  A
-fusion rule averages the reweighted and differencing estimates with weights
-w and 1 - w, and falls back to the differencing estimate when the
-reweighted iteration fails to converge.
+unless the range matrix is S x K and every node position is finite; a solve
+also raises it unless its start `init` is a finite (2,) vector.  A fusion
+rule averages the reweighted and differencing estimates with weights w and
+1 - w when both converged, takes the one converged estimate when only one
+did, and the differencing estimate when neither did; the fused result is
+converged when either is.
 """
 
 from __future__ import annotations
@@ -128,26 +130,16 @@ def _ranges_of(measurements) -> np.ndarray:
     return np.asarray(getattr(measurements, "ranges", measurements), dtype=float)
 
 
-def _stack_nodes(gnbs, ues) -> np.ndarray:
-    """Transmitters then receivers as one (S+K, 2) array."""
-    return np.vstack([np.asarray(gnbs, float), np.asarray(ues, float)])
-
-
 def _problem(measurements, gnbs, ues):
     """The (S, K) range matrix and the stacked finite nodes, else ValueError."""
     ranges = _ranges_of(measurements)
     if ranges.shape != (len(gnbs), len(ues)):
         raise ValueError(f"ranges shape {ranges.shape} does not match "
                          f"{len(gnbs)} transmitters x {len(ues)} receivers")
-    nodes = _stack_nodes(gnbs, ues)
+    nodes = np.vstack([np.asarray(gnbs, float), np.asarray(ues, float)])
     if not np.isfinite(nodes).all():
         raise ValueError("node positions must be finite")
     return ranges, nodes
-
-
-def centroid_init(gnbs, ues) -> np.ndarray:
-    """Mean of all node positions, the default descent start."""
-    return _stack_nodes(gnbs, ues).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +521,14 @@ def _descend(method, objective, x, step, threshold, max_iterations, trace,
                               reason, evaluations)
 
 
-def _prepare(measurements, gnbs, ues, config, init, min_links=0):
+def _prepare(measurements, gnbs, ues, init, min_links=0):
     ranges, nodes = _problem(measurements, gnbs, ues)
-    config = config if config is not None else SolverConfig()
-    x0 = nodes.mean(axis=0) if init is None else np.asarray(init, dtype=float)
-    if init is not None and not np.isfinite(x0).all():
-        raise ValueError(f"init must be finite, got {x0}")
+    x0 = np.asarray(init, dtype=float)
+    if x0.shape != (2,) or not np.isfinite(x0).all():
+        raise ValueError(f"init must be finite and of shape (2,), got {x0}")
     if ranges.size < min_links:
         raise UnderdeterminedError(f"need at least {min_links} measurements for a 2-D fit")
-    return ranges, nodes, config, x0
+    return ranges, nodes, x0
 
 
 def _gauss_newton_solve(method, ranges, nodes, x0, threshold, config, trace):
@@ -546,22 +537,22 @@ def _gauss_newton_solve(method, ranges, nodes, x0, threshold, config, trace):
                     threshold, config.max_iterations, trace)
 
 
-def solve_ls(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
+def solve_ls(measurements, gnbs, ues, config, init, trace=None) -> LocalizationResult:
     """Plain least-squares position fit by damped Gauss-Newton steps.
 
-    Starts from `init` (default: node centroid) and steps until the
-    update norm drops below `irls_threshold`.  Converges to a local
-    minimum only.
+    Starts from `init` and steps until the update norm drops below
+    `irls_threshold`.  Converges to a local minimum only.
 
     Args:
         measurements: MeasurementSet or (S, K) range matrix.
         gnbs: (S, 2) transmitter positions.
         ues: (K, 2) receiver positions.
-        config: SolverConfig; defaults apply when omitted.
-        init: optional (2,) starting point.
+        config: SolverConfig.
+        init: finite (2,) starting point, else ValueError; `ls_grid_init`
+            gives the grid start every trial uses.
         trace: optional list collecting the objective value per iteration.
     """
-    ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init, min_links=3)
+    ranges, nodes, x0 = _prepare(measurements, gnbs, ues, init, min_links=3)
     return _gauss_newton_solve("ls", ranges, nodes, x0, config.irls_threshold, config, trace)
 
 
@@ -583,7 +574,7 @@ def _andrews_reweight(num_gnbs, e_max):
     return reweight
 
 
-def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
+def solve_irls(measurements, gnbs, ues, config, init, trace=None) -> LocalizationResult:
     """Iteratively reweighted least-squares fit with Andrews sine weights.
 
     Receiver weights start uniform.  Each iteration takes one gradient step
@@ -593,7 +584,7 @@ def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> L
     norm drops below the threshold; all weights vanishing, a NaN, or
     iteration exhaustion is reported as non-convergence.
     """
-    ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init, min_links=3)
+    ranges, nodes, x0 = _prepare(measurements, gnbs, ues, init, min_links=3)
     num_gnbs, num_ues = ranges.shape
     if num_ues < 2:
         raise InsufficientGeometryError("receiver reweighting needs >= 2 receivers")
@@ -604,7 +595,7 @@ def solve_irls(measurements, gnbs, ues, config=None, init=None, trace=None) -> L
     )
 
 
-def solve_proposed(measurements, gnbs, ues, config=None, init=None, trace=None) -> LocalizationResult:
+def solve_proposed(measurements, gnbs, ues, config, init, trace=None) -> LocalizationResult:
     """Pair-differencing position fit by damped Gauss-Newton steps.
 
     Minimizes the squared mismatch between measured and geometric
@@ -613,24 +604,25 @@ def solve_proposed(measurements, gnbs, ues, config=None, init=None, trace=None) 
     the update norm drops below `proposed_threshold`.  Converges to a
     local minimum only.
     """
-    ranges, nodes, config, x0 = _prepare(measurements, gnbs, ues, config, init)
+    ranges, nodes, x0 = _prepare(measurements, gnbs, ues, init)
     return _gauss_newton_solve("proposed", ranges, nodes, x0, config.proposed_threshold, config,
                                trace)
 
 
 def fuse(irls_result: LocalizationResult, proposed_result: LocalizationResult,
          config: SolverConfig | None = None) -> LocalizationResult:
-    """Convex combination of the two estimates, gated on IRLS convergence.
+    """Convex combination of the converged estimates; no failed solve enters it.
 
-    When the reweighted fit converged, the fused estimate is
-    w * irls + (1 - w) * proposed with w = fusion_weight_irls;
-    otherwise the differencing estimate is returned unchanged.
+    When both fits converged, the fused estimate is w * irls + (1 - w) *
+    proposed with w = fusion_weight_irls.  When one converged, it is that
+    fit's estimate; when neither did, the differencing estimate.  The fused
+    result is converged when either fit is.
     """
     w = (config if config is not None else SolverConfig()).fusion_weight_irls
-    if irls_result.converged:
+    if irls_result.converged and proposed_result.converged:
         estimate = w * irls_result.estimate + (1.0 - w) * proposed_result.estimate
     else:
-        estimate = proposed_result.estimate.copy()
+        estimate = (irls_result if irls_result.converged else proposed_result).estimate.copy()
     return LocalizationResult(
         estimate, irls_result.converged or proposed_result.converged,
         irls_result.iterations + proposed_result.iterations, "fused", irls_result.ue_weights,

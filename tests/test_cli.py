@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from isacloc import OfdmConfig, harness
+from isacloc import OfdmConfig, cli, harness
 from isacloc.cli import experiment_config_from_dict, main
 from isacloc.errors import ConfigurationError
 
@@ -130,6 +131,8 @@ class TestRunCommand:
         assert main(["sweep", "--config", str(config_path), "--output", str(point.parent)]) == 1
         assert "cannot create output directory" in capsys.readouterr().err
         assert point.read_text() == "keep"
+        # Every point is checked before any directory is made: the refused sweep leaves none.
+        assert not (point.parent / "outlier_4").exists()
 
     def test_sweep_config_in_run_exits_one(self, tmp_path, capsys):
         config_path = _write_config(tmp_path / "config.json", outlier_max=[4.0, 8.0])
@@ -279,6 +282,18 @@ class TestRangingCheckCommand:
         assert "PASS" in capsys.readouterr().out
         payload = json.load(open(out))
         assert payload["all_within_half_bin"] is True
+
+    def test_non_finite_result_exits_two_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # The result file is strict JSON, like the reports: NaN is refused before it opens.
+        def ranging_check(**kwargs):
+            return {"trials": 1, "half_bin_m": 0.6, "max_abs_error_m": math.nan,
+                    "all_within_half_bin": False}
+
+        monkeypatch.setattr(cli, "ranging_check", ranging_check)
+        out = tmp_path / "check.json"
+        assert main(["ranging-check", "--trials", "1", "--output", str(out)]) == 2
+        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fails_below_the_noise_threshold(self, capsys):
         # At -40 dB the noise swamps the peak: few estimates stay within half a bin.

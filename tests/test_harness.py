@@ -96,6 +96,24 @@ class TestRunTrial:
             assert result.errors["proposed"] == float(np.linalg.norm(own.estimate - target))
             assert result.converged["proposed"] == own.converged
 
+    def test_diverged_differencing_solve_stays_out_of_the_fused_estimate(self, monkeypatch):
+        # In these trials the differencing solve runs away while IRLS converges;
+        # averaging the two put the fused estimate 18.7 to 399 km from the target.
+        real_proposed, proposed = harness.solve_proposed, []
+
+        def recording_proposed(*args):
+            proposed.append(real_proposed(*args))
+            return proposed[-1]
+
+        monkeypatch.setattr(harness, "solve_proposed", recording_proposed)
+        config = ExperimentConfig(gnb_region=60.0, ue_region=60.0, target_region=30.0,
+                                  outlier_max=30.0)
+        for seed in (314, 485, 948):
+            result = run_trial(config, seed)
+            assert proposed[-1].stop_reason == "diverged"
+            assert result.errors["proposed"] == result.errors["irls"] < 30.0
+            assert result.converged["proposed"] and result.converged["irls"]
+
 
 @pytest.fixture(scope="module")
 def report():

@@ -263,6 +263,7 @@ class TestScenarioValidation:
          "at least one gNB and one UE"),
         ({"link_excess_gnb": np.zeros(2)}, "one gNB-side excess per gNB"),
         ({"link_excess_ue": np.array([-1.0])}, "link excesses must be >= 0"),
+        ({"link_excess_ue": np.zeros(2)}, "one UE-side excess per UE"),
     ])
     def test_rejects_inconsistent_fields(self, overrides, message):
         fields = {"gnb_positions": np.array([[3.0, 4.0]]), "ue_positions": np.array([[0.0, 5.0]]),

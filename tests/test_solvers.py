@@ -28,10 +28,15 @@ from isacloc.solvers import (
     _layout,
     _weighted_objective,
     andrews_weight,
-    centroid_init,
 )
 
 TIGHT = SolverConfig(irls_threshold=1e-6, proposed_threshold=1e-6)
+ORIGIN = [0.0, 0.0]  # a start for solves that raise before they descend
+
+
+def _node_mean(gnbs, ues):
+    """Mean of all node positions, a start that is not a grid point."""
+    return np.vstack([gnbs, ues]).mean(axis=0)
 
 
 def _problem(seed=0, num_gnbs=6, num_ues=6, outlier_max=0.0):
@@ -280,19 +285,20 @@ class TestSolveLs:
 
     def test_recovers_truth_from_centroid(self):
         sc, ranges = _problem(seed=12)
-        init = centroid_init(sc.gnb_positions, sc.ue_positions)
+        init = _node_mean(sc.gnb_positions, sc.ue_positions)
         result = solve_ls(ranges, sc.gnb_positions, sc.ue_positions, TIGHT, init=init)
         assert result.converged
         assert np.linalg.norm(result.estimate - sc.target) < 1e-3
 
     def test_underdetermined_rejected(self):
         with pytest.raises(UnderdeterminedError):
-            solve_ls(np.ones((1, 2)), np.zeros((1, 2)), np.ones((2, 2)))
+            solve_ls(np.ones((1, 2)), np.zeros((1, 2)), np.ones((2, 2)), SolverConfig(), ORIGIN)
 
     def test_accepts_measurement_set(self):
         sc, _ = _problem(seed=13)
         ms = true_bistatic_ranges(sc)
-        result = solve_ls(ms, sc.gnb_positions, sc.ue_positions, TIGHT)
+        g, u = sc.gnb_positions, sc.ue_positions
+        result = solve_ls(ms, g, u, TIGHT, _node_mean(g, u))
         assert np.linalg.norm(result.estimate - sc.target) < 1e-3
 
 
@@ -319,7 +325,7 @@ class TestSolveIrls:
             noisy = ranges + rng.uniform(-1.5, 1.5, ranges.shape)
             noisy = np.maximum(noisy, 0.0)
             g, u = sc.gnb_positions, sc.ue_positions
-            result = solve_irls(noisy, g, u, init=ls_grid_init(noisy, g, u, 75.0))
+            result = solve_irls(noisy, g, u, SolverConfig(), ls_grid_init(noisy, g, u, 75.0))
             assert result.ue_weights.shape == (6,)
             assert np.isclose(result.ue_weights.sum(), 1.0, atol=1e-12)
             assert ((result.ue_weights >= 0) & (result.ue_weights <= 1)).all()
@@ -328,17 +334,17 @@ class TestSolveIrls:
         sc, ranges = _problem(seed=15)
         # All measurements wildly inflated: every residual exceeds e_max at
         # any sensible iterate, so every weight goes to zero.
-        result = solve_irls(ranges + 1000.0, sc.gnb_positions, sc.ue_positions,
-                            init=sc.target)
+        result = solve_irls(ranges + 1000.0, sc.gnb_positions, sc.ue_positions, SolverConfig(),
+                            sc.target)
         assert not result.converged
 
     def test_requires_two_receivers(self):
         with pytest.raises(InsufficientGeometryError):
-            solve_irls(np.ones((4, 1)), np.zeros((4, 2)), np.ones((1, 2)))
+            solve_irls(np.ones((4, 1)), np.zeros((4, 2)), np.ones((1, 2)), SolverConfig(), ORIGIN)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(UnderdeterminedError):
-            solve_irls(np.ones((1, 2)), np.zeros((1, 2)), np.ones((2, 2)))
+            solve_irls(np.ones((1, 2)), np.zeros((1, 2)), np.ones((2, 2)), SolverConfig(), ORIGIN)
 
 
 class TestSolveProposed:
@@ -366,18 +372,20 @@ class TestSolveProposed:
 
     def test_requires_pairs_on_both_sides(self):
         with pytest.raises(InsufficientGeometryError):
-            solve_proposed(np.ones((1, 4)), np.zeros((1, 2)), np.ones((4, 2)))
+            solve_proposed(np.ones((1, 4)), np.zeros((1, 2)), np.ones((4, 2)), SolverConfig(),
+                           ORIGIN)
         with pytest.raises(InsufficientGeometryError):
-            solve_proposed(np.ones((4, 1)), np.zeros((4, 2)), np.ones((1, 2)))
+            solve_proposed(np.ones((4, 1)), np.zeros((4, 2)), np.ones((1, 2)), SolverConfig(),
+                           ORIGIN)
 
 
 class TestFusion:
-    def _results(self, converged_irls):
+    def _results(self, converged_irls, converged_proposed=True):
         from isacloc.solvers import LocalizationResult
 
         irls = LocalizationResult(np.array([0.0, 0.0]), converged_irls, 10, "irls",
                                   np.full(4, 0.25))
-        prop = LocalizationResult(np.array([2.0, 2.0]), True, 20, "proposed",
+        prop = LocalizationResult(np.array([2.0, 2.0]), converged_proposed, 20, "proposed",
                                   stop_reason="stationary", evaluations=23)
         irls.stop_reason, irls.evaluations = "converged", 11
         return irls, prop
@@ -397,6 +405,16 @@ class TestFusion:
         irls, prop = self._results(False)
         fused = fuse(irls, prop, SolverConfig())
         assert np.allclose(fused.estimate, [2.0, 2.0])
+
+    def test_differencing_failure_stays_out(self):
+        # Only the converged fit enters; with neither converged, the differencing
+        # estimate is returned, not converged.
+        for converged_irls, expected in ((True, [0.0, 0.0]), (False, [2.0, 2.0])):
+            irls, prop = self._results(converged_irls, converged_proposed=False)
+            fused = fuse(irls, prop, SolverConfig())
+            assert np.array_equal(fused.estimate, expected)
+            assert fused.converged == converged_irls
+            assert fused.estimate is not irls.estimate and fused.estimate is not prop.estimate
 
     def test_degenerate_weight_returns_irls(self):
         irls, prop = self._results(True)
@@ -437,8 +455,8 @@ class TestSolverProperties:
             ms = synthesize_measurements_model(sc, config, np.random.default_rng(seed))
             g, u = sc.gnb_positions, sc.ue_positions
             trace_ls, trace_pr = [], []
-            solve_ls(ms, g, u, init=ls_grid_init(ms, g, u, 75.0), trace=trace_ls)
-            solve_proposed(ms, g, u, init=difference_grid_init(ms, g, u, 75.0),
+            solve_ls(ms, g, u, SolverConfig(), ls_grid_init(ms, g, u, 75.0), trace=trace_ls)
+            solve_proposed(ms, g, u, SolverConfig(), difference_grid_init(ms, g, u, 75.0),
                            trace=trace_pr)
             for method, trace in (("ls", trace_ls), ("proposed", trace_pr)):
                 values = np.asarray(trace)
@@ -458,13 +476,18 @@ class TestSolverProperties:
         assert np.array_equal(fast_df, slow_df)
 
 
+# Non-finite starts, then starts that are not one (2,) point.
 @pytest.mark.parametrize("solver, init", [(solve_ls, [math.nan, 0.0]),
                                           (solve_irls, [math.inf, 0.0]),
-                                          (solve_proposed, [math.inf, 0.0])])
+                                          (solve_proposed, [math.inf, 0.0]),
+                                          (solve_ls, [0.0, 0.0, 0.0]),
+                                          (solve_irls, np.zeros(3)),
+                                          (solve_proposed, np.zeros((1, 2))),
+                                          (solve_ls, None)])
 def test_non_finite_init_rejected(solver, init):
     sc, ranges = _problem(seed=21)
     with pytest.raises(ValueError, match="init must be finite"):
-        solver(ranges, sc.gnb_positions, sc.ue_positions, init=init)
+        solver(ranges, sc.gnb_positions, sc.ue_positions, SolverConfig(), init)
 
 
 @pytest.mark.parametrize("grid_init", [ls_grid_init, difference_grid_init])
@@ -579,7 +602,9 @@ _ENTRY_POINTS = pytest.mark.parametrize("entry", [
     lambda r, g, u: difference_grid_init(r, g, u, 75.0),
     lambda r, g, u: ls_value_grad([0.0, 0.0], r, g, u),
     lambda r, g, u: difference_value_grad([0.0, 0.0], r, g, u),
-    solve_ls, solve_irls, solve_proposed,
+    lambda r, g, u: solve_ls(r, g, u, SolverConfig(), ORIGIN),
+    lambda r, g, u: solve_irls(r, g, u, SolverConfig(), ORIGIN),
+    lambda r, g, u: solve_proposed(r, g, u, SolverConfig(), ORIGIN),
 ], ids=["ls_grid_init", "difference_grid_init", "ls_value_grad", "difference_value_grad",
         "solve_ls", "solve_irls", "solve_proposed"])
 
@@ -940,7 +965,7 @@ class TestDriverMatchesReferenceLoops:
                 "ls": ls_grid_init(ranges, g, u, 75.0),
                 "proposed": difference_grid_init(ranges, g, u, 75.0),
             }
-            inits["irls"] = inits["ls"] if seed % 3 else centroid_init(g, u)
+            inits["irls"] = inits["ls"] if seed % 3 else _node_mean(g, u)
             for method in _SOLVES:
                 result = _check_solve(method, ranges, g, u, self.CONFIG, inits[method])
                 outcomes.add((method, result.converged))
@@ -969,7 +994,7 @@ class TestDriverMatchesReferenceLoops:
         capped = 0
         for seed in range(20):
             _, ranges, g, u = _random_problem(seed)
-            for x0 in (centroid_init(g, u), grid_init(ranges, g, u, 75.0)):
+            for x0 in (_node_mean(g, u), grid_init(ranges, g, u, 75.0)):
                 result = _check_solve(method, ranges, g, u, config, x0)
                 assert result.iterations <= cap
                 capped += result.iterations == cap and not result.converged
@@ -988,7 +1013,7 @@ class TestDriverMatchesReferenceLoops:
         config = SolverConfig(irls_step=1e4, max_iterations=200)
         for seed in range(20):
             _, ranges, g, u = _random_problem(seed)
-            result = _assert_matches_reference(method, ranges, g, u, config, centroid_init(g, u))
+            result = _assert_matches_reference(method, ranges, g, u, config, _node_mean(g, u))
             assert not result.converged
 
     @pytest.mark.parametrize("method", sorted(_SOLVES))
@@ -997,7 +1022,7 @@ class TestDriverMatchesReferenceLoops:
             _, ranges, g, u = _random_problem(seed)
             ranges = ranges.copy()
             ranges[0, 1] = np.nan
-            x0 = centroid_init(g, u)
+            x0 = _node_mean(g, u)
             result = _assert_matches_reference(method, ranges, g, u, self.CONFIG, x0)
             if method not in _FIXED_STEP:
                 trace = []
@@ -1035,7 +1060,7 @@ class TestDriverMatchesReferenceLoops:
         config = SolverConfig(e_max=1e-9)
         for seed in range(20):
             _, ranges, g, u = _random_problem(seed)
-            result = _assert_matches_reference("irls", ranges, g, u, config, centroid_init(g, u))
+            result = _assert_matches_reference("irls", ranges, g, u, config, _node_mean(g, u))
             assert not result.converged and result.iterations == 1
             assert np.array_equal(result.ue_weights, np.full(len(u), 1.0 / len(u)))
 
@@ -1130,7 +1155,7 @@ class TestStopReasons:
     def test_stationary(self):
         g = np.array([[-60.0, 0.0], [40.0, 0.0]])
         u = np.array([[-30.0, 0.0], [70.0, 0.0]])
-        result = solve_proposed(np.full((2, 2), 100.0), g, u, init=[100.0, 0.0])
+        result = solve_proposed(np.full((2, 2), 100.0), g, u, SolverConfig(), [100.0, 0.0])
         assert result.converged and result.stop_reason == "stationary"
         assert (result.iterations, result.evaluations) == (1, 1)
         # Collinear nodes and a start 1e-8 m off their axis: J^T J is singular
@@ -1248,7 +1273,7 @@ class TestResultsOwnTheirArrays:
             for method, solver in _SOLVES.items():
                 # A cap of 5 leaves many IRLS solves unconverged, on the fallback path.
                 config = SolverConfig(max_iterations=5 if method == "irls" else 100)
-                result = solver(ranges, g, u, config, init=centroid_init(g, u))
+                result = solver(ranges, g, u, config, init=_node_mean(g, u))
                 weights = None if result.ue_weights is None else result.ue_weights.copy()
                 kept.append((result, result.estimate.copy(), weights))
         for result, estimate, weights in kept:
@@ -1261,7 +1286,7 @@ class TestResultsOwnTheirArrays:
         unconverged = 0
         for seed in range(20):
             _, ranges, g, u = _random_problem(seed)
-            x0 = centroid_init(g, u)
+            x0 = _node_mean(g, u)
             result = solve_irls(ranges, g, u, config, init=x0)
             if result.converged:
                 continue
