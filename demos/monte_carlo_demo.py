@@ -3,7 +3,7 @@
 Every trial draws a fresh geometry and blocked-link pattern, synthesizes
 measurements, and records each solver's position error.  The report
 lands in demos/output/: a JSON summary, one CSV row per trial and
-method, and the empirical error CDFs on a 0.05 m grid.
+method, and the empirical error CDFs.
 """
 
 import pathlib
@@ -34,7 +34,7 @@ for method in ("ls", "irls", "proposed"):
 median_idx = next(
     i for i, v in enumerate(report.cdf["proposed"]) if v >= 0.5
 )
-print(f"\nmedian proposed-method error is below {report.cdf_grid[median_idx]:.2f} m")
+print(f"\nmedian proposed-method error is {report.cdf_grid[median_idx]:.2f} m")
 
 paths = emit_report(report, config.output_dir)
 print("wrote:")

@@ -44,7 +44,6 @@ from .solvers import (
 METHODS = ("ls", "irls", "proposed")
 
 _GAMMA_STREAM = 1  # substream tag for the model-mode range error draw
-_CDF_STEP = 0.05   # meters per CDF grid point
 
 # Region sides (m) of the ranging check's single-pair geometries: their
 # worst-case bistatic range, 170 m, stays inside the default 208 m window.
@@ -137,8 +136,8 @@ class ExperimentReport:
     converged: dict       # method -> list of bools
     mean_error: dict      # method -> mean (m)
     p90_error: dict       # method -> nearest-rank 90th percentile (m)
-    cdf_grid: list        # error grid (m), step 0.05
-    cdf: dict             # method -> empirical CDF values on the grid
+    cdf_grid: list        # distinct errors of all methods (m), ascending
+    cdf: dict             # method -> share of its errors at or below each grid value
     divergence_count: dict
     trials: int
     base_seed: int
@@ -223,20 +222,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     p90_error = {m: float(np.percentile(errors[m], 90, method="inverted_cdf")) for m in METHODS}
     divergence_count = {m: int(sum(not c for c in converged[m])) for m in METHODS}
 
-    top = max(max(errors[m]) for m in METHODS)
-    n_bins = max(1, math.ceil(top / _CDF_STEP))
-    cdf_grid = [round(i * _CDF_STEP, 10) for i in range(n_bins + 1)]
-    cdf = {}
-    for m in METHODS:
-        ordered = np.sort(errors[m])
-        cdf[m] = (np.searchsorted(ordered, cdf_grid, side="right") / len(ordered)).tolist()
+    # The exact empirical CDFs: one step per distinct error, so the grid
+    # holds at most 3 x trials values whatever the largest error.
+    grid = np.unique(np.concatenate([errors[m] for m in METHODS]))
+    cdf = {m: (np.searchsorted(np.sort(errors[m]), grid, side="right") / config.trials).tolist()
+           for m in METHODS}
 
     return ExperimentReport(
         errors=errors,
         converged=converged,
         mean_error=mean_error,
         p90_error=p90_error,
-        cdf_grid=cdf_grid,
+        cdf_grid=grid.tolist(),
         cdf=cdf,
         divergence_count=divergence_count,
         trials=config.trials,
@@ -250,13 +247,8 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
 
     Output is byte-stable: identical reports produce identical files.  The
     JSON is strict: a statistic that is not finite raises ValueError
-    instead of being written.  Returns the written paths.
+    before any file is written.  Returns the written paths.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    summary_path = os.path.join(out_dir, "summary.json")
-    trials_path = os.path.join(out_dir, "trials.csv")
-    cdf_path = os.path.join(out_dir, "cdf.csv")
-
     summary = {
         "trials": report.trials,
         "base_seed": report.base_seed,
@@ -265,9 +257,13 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
         "divergence_count": report.divergence_count,
         "config": report.config,
     }
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    os.makedirs(out_dir, exist_ok=True)
+    summary_path = os.path.join(out_dir, "summary.json")
+    trials_path = os.path.join(out_dir, "trials.csv")
+    cdf_path = os.path.join(out_dir, "cdf.csv")
     with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
     with open(trials_path, "w") as fh:
         fh.write("trial,method,error_m,converged\n")
@@ -282,7 +278,7 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
         fh.write("error_m," + ",".join(f"F_{m}" for m in METHODS) + "\n")
         for i, x in enumerate(report.cdf_grid):
             row = ",".join(repr(report.cdf[m][i]) for m in METHODS)
-            fh.write(f"{x:.2f},{row}\n")
+            fh.write(f"{x!r},{row}\n")
 
     return [summary_path, trials_path, cdf_path]
 
@@ -335,7 +331,13 @@ def run_sweep(config: ExperimentConfig, *, num_gnbs=None, num_ues=None,
 
 
 def emit_sweep(results, out_dir) -> list:
-    """Write per-point reports plus a sweep summary CSV and JSON."""
+    """Write per-point reports plus a sweep summary CSV and JSON.
+
+    A statistic that is not finite raises ValueError before any file is written.
+    """
+    payload = [{"point": label, "mean_error_m": report.mean_error,
+                "p90_error_m": report.p90_error} for label, report in results]
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for label, report in results:
@@ -352,17 +354,8 @@ def emit_sweep(results, out_dir) -> list:
     paths.append(summary_csv)
 
     summary_json = os.path.join(out_dir, "sweep_summary.json")
-    payload = [
-        {
-            "point": label,
-            "mean_error_m": report.mean_error,
-            "p90_error_m": report.p90_error,
-        }
-        for label, report in results
-    ]
     with open(summary_json, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
     paths.append(summary_json)
     return paths
 

@@ -610,7 +610,7 @@ def solve_proposed(measurements, gnbs, ues, config, init, trace=None) -> Localiz
 
 
 def fuse(irls_result: LocalizationResult, proposed_result: LocalizationResult,
-         config: SolverConfig | None = None) -> LocalizationResult:
+         config: SolverConfig) -> LocalizationResult:
     """Convex combination of the converged estimates; no failed solve enters it.
 
     When both fits converged, the fused estimate is w * irls + (1 - w) *
@@ -618,7 +618,7 @@ def fuse(irls_result: LocalizationResult, proposed_result: LocalizationResult,
     fit's estimate; when neither did, the differencing estimate.  The fused
     result is converged when either fit is.
     """
-    w = (config if config is not None else SolverConfig()).fusion_weight_irls
+    w = config.fusion_weight_irls
     if irls_result.converged and proposed_result.converged:
         estimate = w * irls_result.estimate + (1.0 - w) * proposed_result.estimate
     else:

@@ -38,6 +38,13 @@ def _quick_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def _tied_trial(config, seed):
+    """A stand-in for run_trial: synthetic errors with ties within and across methods."""
+    e = float(np.random.default_rng(seed).exponential(3.0))
+    errors = {"ls": e, "irls": round(e, 1), "proposed": float(int(e))}
+    return harness.TrialResult(errors=errors, converged=dict.fromkeys(METHODS, True))
+
+
 class TestRunTrial:
     def test_deterministic(self):
         config = _quick_config()
@@ -132,25 +139,32 @@ class TestRunExperiment:
             ordered = sorted(report.errors[method])
             assert report.p90_error[method] == ordered[math.ceil(0.9 * 40) - 1]
 
-    def test_cdf_shape(self, report):
+    def test_cdf_shape(self, monkeypatch):
+        # The exact empirical CDF: one step per distinct error of any method.
+        monkeypatch.setattr(harness, "run_trial", _tied_trial)
+        n = 200
+        report = run_experiment(_quick_config(trials=n))
+        every = [e for m in METHODS for e in report.errors[m]]
+        assert report.cdf_grid == sorted(set(every))
+        assert len(report.cdf_grid) < len(every)  # the ties share a step
         for method in METHODS:
-            cdf = report.cdf[method]
-            assert len(cdf) == len(report.cdf_grid)
-            assert all(b >= a for a, b in zip(cdf, cdf[1:]))
-            assert cdf[0] >= 0.0
-            assert cdf[-1] == 1.0
-        assert report.cdf_grid[0] == 0.0
-        steps = np.diff(report.cdf_grid)
-        assert np.allclose(steps, 0.05)
+            errors = report.errors[method]
+            assert report.cdf[method] == [sum(e <= x for e in errors) / n
+                                          for x in report.cdf_grid]
+            assert report.cdf[method][-1] == 1.0
+
+    def test_heavy_tail_cdf_size_follows_the_trial_count(self):
+        # Blocked-link excesses up to 50 m on the indoor geometry: some solves
+        # end kilometres away, and the CDF still takes at most one step per error.
+        config = ExperimentConfig(trials=100, gnb_region=60.0, ue_region=60.0,
+                                  target_region=30.0, outlier_max=50.0)
+        report = run_experiment(config)
+        assert max(max(report.errors[m]) for m in METHODS) > 1000.0
+        assert len(report.cdf_grid) <= 3 * config.trials
 
     def test_p90_is_the_nearest_rank(self, monkeypatch):
         # Synthetic errors, some with ties, for every sample size up to 200.
-        def trial(config, seed):
-            e = float(np.random.default_rng(seed).exponential(3.0))
-            errors = {"ls": e, "irls": round(e, 1), "proposed": float(int(e))}
-            return harness.TrialResult(errors=errors, converged=dict.fromkeys(METHODS, True))
-
-        monkeypatch.setattr(harness, "run_trial", trial)
+        monkeypatch.setattr(harness, "run_trial", _tied_trial)
         for n in range(1, 201):
             report = run_experiment(_quick_config(trials=n))
             for method in METHODS:
@@ -214,6 +228,13 @@ class TestEmitReport:
         for p1, p2 in zip(typed_paths, plain_paths):
             assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_non_finite_mean_raises_and_writes_nothing(self, tmp_path):
+        report = run_experiment(_quick_config(trials=2))
+        report.mean_error["proposed"] = float("nan")
+        with pytest.raises(ValueError):
+            emit_report(report, tmp_path / "out")
+        assert not (tmp_path / "out").exists()  # not even a truncated summary.json
+
 
 
 class TestSweep:
@@ -246,6 +267,13 @@ class TestSweep:
         assert (tmp_path / "sweep" / "sweep_summary.csv").exists()
         lines = open(paths[-2]).read().splitlines()
         assert len(lines) == 3  # header + 2 points
+
+    def test_non_finite_mean_raises_and_writes_nothing(self, tmp_path):
+        results = run_sweep(_quick_config(trials=2), outlier_max=(4.0, 8.0))
+        results[1][1].mean_error["proposed"] = float("nan")
+        with pytest.raises(ValueError):
+            emit_sweep(results, tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()  # no point's reports, no sweep summary
 
     @pytest.mark.parametrize("sweep", [
         dict(outlier_max=(4.0, 4.0000001)),
