@@ -141,7 +141,7 @@ class ExperimentReport:
     divergence_count: dict
     trials: int
     base_seed: int
-    config: dict          # config echo
+    config: dict          # config echo: the experiment, without workers and output_dir
 
 
 def _trial_seed(base_seed: int, trial: int) -> int:
@@ -238,7 +238,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         divergence_count=divergence_count,
         trials=config.trials,
         base_seed=config.base_seed,
-        config=asdict(config),
+        config={k: v for k, v in asdict(config).items() if k not in ("workers", "output_dir")},
     )
 
 
@@ -287,6 +287,8 @@ def _sweep_points(config: ExperimentConfig, num_gnbs=None, num_ues=None, outlier
     """Expand sweep lists into (label, config) points, all built before any trial runs."""
     for name, values in (("num_gnbs", num_gnbs), ("num_ues", num_ues),
                          ("outlier_max", outlier_max)):
+        if np.isscalar(values) or getattr(values, "ndim", 1) != 1:
+            raise ConfigurationError(f"{name} sweep must be a list of values, got {values!r}")
         if values is not None and len(values) == 0:
             raise ConfigurationError(f"{name} sweep list must be nonempty")
     nodes = num_gnbs is not None or num_ues is not None

@@ -23,6 +23,7 @@ residuals as an S x K view, the first half of a (2, S, K) block whose second
 half is |r|: one column pass, a reduction over transmitters, gives the sums
 of r that its gradient reads and the sums of |r| that its reweight maps,
 mean by mean, through the one Andrews rule that `andrews_weight` also uses.
+`linearized_covariance` propagates link range errors through the same rows.
 
 All three run through one descent driver, whose iterates are pairs of
 Python floats: the steps and norms do the IEEE operations numpy does
@@ -607,6 +608,28 @@ def solve_proposed(measurements, gnbs, ues, config, init, trace=None) -> Localiz
     ranges, nodes, x0 = _prepare(measurements, gnbs, ues, init)
     return _gauss_newton_solve("proposed", ranges, nodes, x0, config.proposed_threshold, config,
                                trace)
+
+
+def linearized_covariance(method, gnbs, ues, target, variance) -> np.ndarray:
+    """The 2 x 2 small-error covariance of the "ls" or "proposed" solve at `target`.
+
+    Independent link range errors n of `variance` move the estimate by A n to first
+    order, A = (J^T J)^-1 J^T M, J = design @ units at `target`, M the identity for
+    least squares and eye[plus] - eye[minus] for differencing (Foy, IEEE TAES 1976;
+    Kay, Fundamentals of Statistical Signal Processing vol. 1, ch. 3 and 8).
+    Returns variance * A A^T; raises what the method's solve raises for the start `target`.
+    """
+    if method not in ("ls", "proposed"):
+        raise ValueError(f"method must be 'ls' or 'proposed', got {method!r}")
+    ranges, nodes, x = _prepare(np.zeros((len(gnbs), len(ues))), gnbs, ues, target,
+                                min_links=3 if method == "ls" else 0)
+    data, design, _ = _rows(method, ranges)
+    plus, minus = _layout(method, *ranges.shape)[:2]
+    eye = np.eye(ranges.size)
+    link_map = eye if plus is None else eye[plus] - eye[minus]
+    jac = design @ _evaluator(data, design, nodes, data.shape)[0](*x.tolist())[1]  # units at x
+    gain = np.linalg.solve(jac.T @ jac, jac.T @ link_map)
+    return variance * gain @ gain.T
 
 
 def fuse(irls_result: LocalizationResult, proposed_result: LocalizationResult,

@@ -5,7 +5,6 @@ lines on success as well as failure.  The Monte Carlo criteria use fixed
 seeds, so results are reproducible.
 """
 
-import json
 import math
 import time
 
@@ -242,8 +241,9 @@ def test_criterion_8_andrews_weighting():
 
 def test_criterion_9_determinism(tmp_path):
     def emit(workers, tag):
-        config = ExperimentConfig(trials=100, base_seed=42, workers=workers)
-        return emit_report(run_experiment(config), tmp_path / tag)
+        config = ExperimentConfig(trials=100, base_seed=42, workers=workers,
+                                  output_dir=str(tmp_path / tag))
+        return emit_report(run_experiment(config), config.output_dir)
 
     def same_bytes(paths_a, paths_b):
         return all(
@@ -254,20 +254,15 @@ def test_criterion_9_determinism(tmp_path):
     parallel_1, parallel_2 = emit(WORKERS, "p1"), emit(WORKERS, "p2")
     serial_identical = same_bytes(serial_1, serial_2)
     parallel_identical = same_bytes(parallel_1, parallel_2)
-    # Across worker counts the config echo differs in the workers field only;
-    # every statistic and per-trial record must still agree.
-    data_identical = same_bytes(serial_1[1:], parallel_1[1:])
-    summary_serial = json.load(open(serial_1[0]))
-    summary_parallel = json.load(open(parallel_1[0]))
-    summary_serial["config"].pop("workers")
-    summary_parallel["config"].pop("workers")
-    stats_identical = summary_serial == summary_parallel
+    # The config echo holds the experiment, not the worker count: all three
+    # files agree byte for byte across worker counts.
+    cross_identical = same_bytes(serial_1, parallel_1)
 
-    ok = serial_identical and parallel_identical and data_identical and stats_identical
+    ok = serial_identical and parallel_identical and cross_identical
     assert _line(
         "criterion 9 (determinism)",
         ok,
         f"serial re-run byte-identical={serial_identical}, "
         f"parallel re-run byte-identical={parallel_identical}, "
-        f"serial vs parallel data identical={data_identical and stats_identical}",
+        f"serial vs parallel byte-identical={cross_identical}",
     )

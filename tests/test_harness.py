@@ -302,6 +302,8 @@ class TestSweep:
         (dict(outlier_max=[4.0, True]), "outlier_max must be a finite number"),
         (dict(outlier_max=[4.0, "8"]), "outlier_max must be a finite number"),
         (dict(num_gnbs=[4, 5], num_ues=[4, 5, 6]), "must have equal length"),
+        (dict(outlier_max=4.0), "outlier_max sweep must be a list of values, got 4.0"),
+        (dict(num_gnbs=5), "num_gnbs sweep must be a list of values, got 5"),
     ], ids=str)
     def test_bad_sweep_fails_before_any_trial(self, monkeypatch, sweep, message):
         def run_trial(*args):
@@ -314,7 +316,8 @@ class TestSweep:
     @pytest.mark.parametrize("sweep, replaced", [
         (dict(outlier_max=[4, 8.0]), dict(outlier_max=4.0)),
         (dict(num_gnbs=[np.int64(4), 5]), dict(num_gnbs=4)),
-    ], ids=["outlier", "broadcast-nodes"])
+        (dict(outlier_max=np.array([4.0, 8.0])), dict(outlier_max=4.0)),
+    ], ids=["outlier", "broadcast-nodes", "outlier-array"])
     def test_sweep_point_is_the_scalar_experiment(self, sweep, replaced):
         config = _quick_config(trials=6, num_ues=6)
         (_, point), _ = run_sweep(config, **sweep)

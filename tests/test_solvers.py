@@ -28,6 +28,7 @@ from isacloc.solvers import (
     _layout,
     _weighted_objective,
     andrews_weight,
+    linearized_covariance,
 )
 
 TIGHT = SolverConfig(irls_threshold=1e-6, proposed_threshold=1e-6)
@@ -518,83 +519,46 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
 
 
-def _link_jacobian(sc):
-    """(S*K, 2) gradients of the bistatic ranges at the true target, s-major."""
-    to_g, to_u = sc.target - sc.gnb_positions, sc.target - sc.ue_positions
-    return ((to_g / np.linalg.norm(to_g, axis=1)[:, None])[:, None, :]
-            + (to_u / np.linalg.norm(to_u, axis=1)[:, None])[None, :, :]).reshape(-1, 2)
+@pytest.mark.parametrize("method", ["ls", "proposed"])
+def test_error_matches_linearized_bound(method):
+    """Without outliers each Gauss-Newton solve's error follows its linearized covariance.
 
-
-def test_ls_error_matches_linearized_bound():
-    """Without outliers the LS error follows the linearized covariance.
-
-    To first order the LS estimate is x + (J^T J)^-1 J^T n, the small-error
-    covariance of Taylor-series positioning (Foy, IEEE TAES 1976; Kay,
-    Fundamentals of Statistical Signal Processing vol. 1, ch. 3 and 8), with
-    J at the true target and n the model-mode range error, independent and
-    uniform over one bin, so of variance bin^2 / 12.  Each trial's squared
-    error over sigma^2 tr((J^T J)^-1) then has mean 1 and, for a Gaussian
-    error, a variance between 1 and 2.  The mean over 2000 geometries must
-    lie within 4 standard errors of 1, taking the larger variance 2.
+    `linearized_covariance` gives sigma^2 A A^T, the first-order covariance of the
+    estimate x + A n for link range errors n (Foy, IEEE TAES 1976; Kay, Fundamentals
+    of Statistical Signal Processing vol. 1, ch. 3 and 8).  The model-mode range
+    error is independent and uniform over one bin, so sigma^2 = bin^2 / 12.  Each
+    trial's squared error over sigma^2 tr(A A^T) then has mean 1 and, for a Gaussian
+    error, a variance between 1 and 2.  The mean over 2000 geometries must lie
+    within 4 standard errors of 1, taking the larger variance 2.  A pair map of only
+    the `plus` links, or M dropped from A, takes differencing out of the band; a J
+    without its receiver legs takes both methods out.
     """
     from isacloc import OfdmConfig, synthesize_measurements_model
 
     ofdm = OfdmConfig(120e3, 792)
     variance = ofdm.range_resolution ** 2 / 12.0
-    config = SolverConfig(irls_threshold=1e-6)
+    solve, grid_init = {"ls": (solve_ls, ls_grid_init),
+                        "proposed": (solve_proposed, difference_grid_init)}[method]
     ratios = []
     for seed in range(2000):
         sc = sample_scenario(6, 6, outlier_max=0.0, rng_seed=seed)
         ms = synthesize_measurements_model(sc, ofdm, np.random.default_rng([seed, 1]))
         g, u = sc.gnb_positions, sc.ue_positions
-        result = solve_ls(ms, g, u, config, ls_grid_init(ms, g, u, 75.0))
-        jac = _link_jacobian(sc)
+        result = solve(ms, g, u, TIGHT, grid_init(ms, g, u, 75.0))
+        covariance = linearized_covariance(method, g, u, sc.target, variance)
         error = result.estimate - sc.target
-        ratios.append(error @ error / (variance * np.trace(np.linalg.inv(jac.T @ jac))))
+        ratios.append(error @ error / np.trace(covariance))
     assert abs(np.mean(ratios) - 1.0) <= 4.0 * math.sqrt(2.0 / len(ratios))
 
 
-def _difference_map(num_gnbs, num_ues):
-    """D: the S*K range errors (s-major) onto every transmitter and receiver pair difference."""
-    link = np.arange(num_gnbs * num_ues).reshape(num_gnbs, num_ues)
-    rows = ([(link[b, k], link[a, k]) for a in range(num_gnbs) for b in range(a + 1, num_gnbs)
-             for k in range(num_ues)]
-            + [(link[s, a], link[s, b]) for s in range(num_gnbs) for a in range(num_ues)
-               for b in range(a + 1, num_ues)])
-    out = np.zeros((len(rows), link.size))
-    for row, (plus, minus) in enumerate(rows):
-        out[row, plus], out[row, minus] = 1.0, -1.0
-    return out
-
-
-def test_differencing_error_matches_linearized_bound():
-    """Without outliers the differencing error follows its linearized covariance.
-
-    The differencing solve fits D r, the pair differences of the ranges r,
-    with J = D J_r, J_r the per-link Jacobian at the true target.  To first
-    order its estimate is x + A n with A = (J^T J)^-1 J^T D, so each trial's
-    squared error over sigma^2 tr(A A^T) has mean 1, sigma^2 = bin^2 / 12
-    as in the LS test above.  The band is that test's: within 4 standard
-    errors of 1, taking the variance 2.  Dropping either pair family from
-    the solve leaves the band.
-    """
-    from isacloc import OfdmConfig, synthesize_measurements_model
-
-    ofdm = OfdmConfig(120e3, 792)
-    variance = ofdm.range_resolution ** 2 / 12.0
-    config = SolverConfig(proposed_threshold=1e-6)
-    diff = _difference_map(6, 6)
-    ratios = []
-    for seed in range(2000):
-        sc = sample_scenario(6, 6, outlier_max=0.0, rng_seed=seed)
-        ms = synthesize_measurements_model(sc, ofdm, np.random.default_rng([seed, 1]))
-        g, u = sc.gnb_positions, sc.ue_positions
-        result = solve_proposed(ms, g, u, config, difference_grid_init(ms, g, u, 75.0))
-        jac = diff @ _link_jacobian(sc)
-        gain = np.linalg.solve(jac.T @ jac, jac.T @ diff)
-        error = result.estimate - sc.target
-        ratios.append(error @ error / (variance * np.trace(gain @ gain.T)))
-    assert abs(np.mean(ratios) - 1.0) <= 4.0 * math.sqrt(2.0 / len(ratios))
+@pytest.mark.parametrize("method, ues, message", [
+    ("ls", [[10.0, 40.0], [-30.0, math.nan]], "node positions must be finite"),
+    ("irls", [[10.0, 40.0], [-30.0, 5.0]], "method must be 'ls' or 'proposed'"),
+    ("proposed", [[10.0, 40.0]], "pair differencing needs"),
+], ids=["non-finite-node", "unknown-method", "one-receiver"])
+def test_linearized_covariance_refusals(method, ues, message):
+    with pytest.raises(ValueError, match=message):
+        linearized_covariance(method, [[0.0, 0.0], [50.0, 0.0]], ues, [5.0, 5.0], 1.0)
 
 
 _ENTRY_POINTS = pytest.mark.parametrize("entry", [
@@ -832,6 +796,10 @@ def test_ls_design_product_equals_broadcast_residual(num_gnbs):
     for num_ues in range(1, 9):
         design = _layout("ls", num_gnbs, num_ues)[2]
         assert np.array_equal(design, _ref_design("ls", num_gnbs, num_ues))
+        # The differencing rows that `linearized_covariance` maps onto, against the reference.
+        if num_gnbs >= 2 and num_ues >= 2:
+            pairs = _layout("proposed", num_gnbs, num_ues)[2]
+            assert np.array_equal(pairs, _ref_design("proposed", num_gnbs, num_ues))
         for _ in range(250):
             dist = rng.uniform(0.0, 300.0, num_gnbs + num_ues) * 10.0 ** rng.uniform(-3, 3)
             link_sums = dist[:num_gnbs, None] + dist[num_gnbs:]
