@@ -125,6 +125,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ranging_check(args) -> int:
+    if args.output:  # a path that cannot take the result file exits 1 before any trial
+        if os.path.isdir(args.output):
+            raise ConfigurationError(f"cannot write result file: {args.output} is a directory")
+        _make_output_dir(os.path.dirname(os.path.abspath(args.output)))
     result = ranging_check(trials=args.trials, base_seed=args.seed, snr_db=args.snr_db)
     print(
         f"{result['trials']} geometries: max |error| "

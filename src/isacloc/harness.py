@@ -13,7 +13,6 @@ runs one per value of `outlier_max` or per pair of node counts, given as lists.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -185,34 +184,32 @@ def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialResult:
     init_ls = ls_grid_init(measurements, gnbs, ues, half)
     init_diff = difference_grid_init(measurements, gnbs, ues, half)
 
-    results = {
-        "ls": solve_ls(measurements, gnbs, ues, config.solver, init_ls),
-        "irls": solve_irls(measurements, gnbs, ues, config.solver, init_ls),
-        "proposed": solve_proposed(measurements, gnbs, ues, config.solver, init_diff),
-    }
-    results["proposed"] = fuse(results["irls"], results["proposed"], config.solver)
-    errors = {m: float(np.linalg.norm(r.estimate - scenario.target)) for m, r in results.items()}
-    converged = {m: bool(r.converged) for m, r in results.items()}
-    return TrialResult(errors=errors, converged=converged)
+    ls = solve_ls(measurements, gnbs, ues, config.solver, init_ls)
+    irls = solve_irls(measurements, gnbs, ues, config.solver, init_ls)
+    proposed = solve_proposed(measurements, gnbs, ues, config.solver, init_diff)
+    outcomes = {"ls": (ls.estimate, ls.converged), "irls": (irls.estimate, irls.converged),
+                "proposed": fuse(irls, proposed, config.solver)}
+    errors = {m: float(np.linalg.norm(x - scenario.target)) for m, (x, _) in outcomes.items()}
+    return TrialResult(errors=errors, converged={m: c for m, (_, c) in outcomes.items()})
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute all trials and aggregate error statistics.
 
-    Trials are independent; with workers > 1 they run in a process pool,
-    and because every trial derives its own seed the aggregated report is
-    identical to a serial run.
+    Trials are independent; with workers > 1 they run in a process pool of
+    min(workers, trials, usable CPUs) processes, and because every trial
+    derives its own seed the aggregated report is identical to a serial run.
     """
     seeds = [_trial_seed(config.base_seed, t) for t in range(config.trials)]
     if config.workers > 1:
         # Imported here: a serial run does not load concurrent.futures or multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunk = max(1, config.trials // (config.workers * 8))
-            results = list(
-                pool.map(run_trial, itertools.repeat(config), seeds, chunksize=chunk)
-            )
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(config.workers, config.trials, cpus or 1)  # a fork pool starts all at once
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_trial, [config] * config.trials, seeds,
+                                    chunksize=max(1, config.trials // (workers * 8))))
     else:
         results = [run_trial(config, s) for s in seeds]
 

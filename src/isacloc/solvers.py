@@ -42,7 +42,7 @@ unless the range matrix is S x K and every node position is finite; a solve
 also raises it unless its start `init` is a finite (2,) vector.  A fusion
 rule averages the reweighted and differencing estimates with weights w and
 1 - w when both converged, takes the one converged estimate when only one
-did, and the differencing estimate when neither did; the fused result is
+did, and the differencing estimate when neither did; the fused estimate is
 converged when either is.
 """
 
@@ -101,9 +101,14 @@ class SolverConfig:
             raise ConfigurationError("fusion_weight_irls must lie in [0, 1]")
 
 
-@dataclass
+_CONVERGED_STOPS = ("converged", "stationary")
+STOP_REASONS = _CONVERGED_STOPS + ("max_iterations", "diverged", "non_finite",
+                                   "weights_collapsed")
+
+
+@dataclass(kw_only=True)
 class LocalizationResult:
-    """Solver output: estimate, convergence flag, and diagnostics.
+    """One solve's estimate and how its descent ended; fields by keyword only.
 
     A non-converged result carries the lowest-objective iterate seen
     during the descent as a best-effort estimate.  `stop_reason` is one of
@@ -111,20 +116,19 @@ class LocalizationResult:
     step) are converged; "max_iterations", "diverged" (an iterate beyond 1e6
     m), "non_finite" and "weights_collapsed" (all IRLS weights zero) are
     not.  `evaluations` counts objective evaluations, step-halving trials
-    and fallback ones included.  A fused result has no stop reason.
+    and fallback ones included.
     """
 
     estimate: np.ndarray
-    converged: bool
     iterations: int
     method: str
+    stop_reason: str
+    evaluations: int
     ue_weights: np.ndarray | None = None
-    stop_reason: str | None = None
-    evaluations: int = 0
 
-
-STOP_REASONS = ("converged", "stationary", "max_iterations", "diverged", "non_finite",
-                "weights_collapsed")
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in _CONVERGED_STOPS
 
 
 def _ranges_of(measurements) -> np.ndarray:
@@ -510,16 +514,15 @@ def _descend(method, objective, x, step, threshold, max_iterations, trace,
         if move <= threshold:
             reason = "converged"
             break
-    converged = reason in ("converged", "stationary")
-    if not converged:
+    if reason not in _CONVERGED_STOPS:
         best_val, (x0, x1, weights, _) = math.inf, visited[0]
         for v0, v1, w, value in visited:
             if value is None:
                 value = value_of(counted(v0, v1), w)
             if value < best_val:
                 best_val, x0, x1, weights = value, v0, v1, w
-    return LocalizationResult(np.array([x0, x1]), converged, iteration, method, weights,
-                              reason, evaluations)
+    return LocalizationResult(estimate=np.array([x0, x1]), iterations=iteration, method=method,
+                              stop_reason=reason, evaluations=evaluations, ue_weights=weights)
 
 
 def _prepare(measurements, gnbs, ues, init, min_links=0):
@@ -633,21 +636,16 @@ def linearized_covariance(method, gnbs, ues, target, variance) -> np.ndarray:
 
 
 def fuse(irls_result: LocalizationResult, proposed_result: LocalizationResult,
-         config: SolverConfig) -> LocalizationResult:
-    """Convex combination of the converged estimates; no failed solve enters it.
+         config: SolverConfig) -> tuple[np.ndarray, bool]:
+    """The fused estimate and whether it converged; no failed solve enters it.
 
-    When both fits converged, the fused estimate is w * irls + (1 - w) *
-    proposed with w = fusion_weight_irls.  When one converged, it is that
-    fit's estimate; when neither did, the differencing estimate.  The fused
-    result is converged when either fit is.
+    When both fits converged, the estimate is w * irls + (1 - w) * proposed
+    with w = fusion_weight_irls.  When one converged, it is a copy of that
+    fit's estimate; when neither did, of the differencing estimate.  It is
+    converged when either fit is.
     """
-    w = config.fusion_weight_irls
     if irls_result.converged and proposed_result.converged:
-        estimate = w * irls_result.estimate + (1.0 - w) * proposed_result.estimate
-    else:
-        estimate = (irls_result if irls_result.converged else proposed_result).estimate.copy()
-    return LocalizationResult(
-        estimate, irls_result.converged or proposed_result.converged,
-        irls_result.iterations + proposed_result.iterations, "fused", irls_result.ue_weights,
-        evaluations=irls_result.evaluations + proposed_result.evaluations)
-
+        w = config.fusion_weight_irls
+        return w * irls_result.estimate + (1.0 - w) * proposed_result.estimate, True
+    chosen = irls_result if irls_result.converged else proposed_result
+    return chosen.estimate.copy(), chosen.converged

@@ -295,6 +295,31 @@ class TestRangingCheckCommand:
         assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def _no_trial(**kwargs):
+        raise AssertionError("ranging_check ran before --output was checked")
+
+    def test_output_that_is_a_directory_exits_one_before_any_trial(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        monkeypatch.setattr(cli, "ranging_check", self._no_trial)
+        assert main(["ranging-check", "--trials", "2", "--output", str(tmp_path)]) == 1
+        assert "is a directory" in capsys.readouterr().err
+        assert tmp_path.is_dir()
+
+    def test_output_directory_that_cannot_be_made_exits_one_before_any_trial(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "ranging_check", self._no_trial)
+        (tmp_path / "occupied").write_text("keep")
+        out = tmp_path / "occupied" / "check.json"
+        assert main(["ranging-check", "--trials", "2", "--output", str(out)]) == 1
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert (tmp_path / "occupied").read_text() == "keep"
+
+    def test_missing_output_directory_is_made(self, tmp_path):
+        out = tmp_path / "new" / "nested" / "check.json"
+        assert main(["ranging-check", "--trials", "2", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["trials"] == 2
+
     def test_fails_below_the_noise_threshold(self, capsys):
         # At -40 dB the noise swamps the peak: few estimates stay within half a bin.
         assert main(["ranging-check", "--trials", "20", "--snr-db", "-40"]) == 2

@@ -87,7 +87,7 @@ class TestRunTrial:
         proposed = []
 
         def irls(*args):
-            return dataclasses.replace(real_irls(*args), converged=False)
+            return dataclasses.replace(real_irls(*args), stop_reason="max_iterations")
 
         def recording_proposed(*args):
             proposed.append(real_proposed(*args))
@@ -186,6 +186,36 @@ class TestRunExperiment:
         parallel = run_experiment(_quick_config(trials=24, workers=2))
         assert serial.errors == parallel.errors
         assert serial.converged == parallel.converged
+
+    def test_pool_starts_no_more_processes_than_it_can_use(self, monkeypatch):
+        # A fork-started pool starts max_workers processes on its first submit.  This
+        # stand-in records the size asked for and maps in this process.
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "run_trial", _tied_trial)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for workers, trials in ((100_000, 3), (100_000, 50), (2, 50)):
+            run_experiment(_quick_config(trials=trials, workers=workers))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        run_experiment(_quick_config(trials=50, workers=100_000))
+        assert sizes == [3, 4, 2, 5]
 
 
 class TestEmitReport:

@@ -23,6 +23,7 @@ from isacloc import (
 from isacloc.scenario import MeasurementSet, true_bistatic_ranges
 from isacloc.solvers import (
     STOP_REASONS,
+    LocalizationResult,
     _andrews_reweight,
     _grid_distances,
     _layout,
@@ -382,54 +383,46 @@ class TestSolveProposed:
 
 class TestFusion:
     def _results(self, converged_irls, converged_proposed=True):
-        from isacloc.solvers import LocalizationResult
+        def result(estimate, converged, method):
+            return LocalizationResult(estimate=np.array(estimate), iterations=10, method=method,
+                                      stop_reason="converged" if converged else "max_iterations",
+                                      evaluations=11)
 
-        irls = LocalizationResult(np.array([0.0, 0.0]), converged_irls, 10, "irls",
-                                  np.full(4, 0.25))
-        prop = LocalizationResult(np.array([2.0, 2.0]), converged_proposed, 20, "proposed",
-                                  stop_reason="stationary", evaluations=23)
-        irls.stop_reason, irls.evaluations = "converged", 11
-        return irls, prop
+        return (result([0.0, 0.0], converged_irls, "irls"),
+                result([2.0, 2.0], converged_proposed, "proposed"))
 
-    def test_sums_iterations_and_evaluations(self):
-        for converged in (True, False):
-            fused = fuse(*self._results(converged), SolverConfig())
-            assert (fused.iterations, fused.evaluations, fused.stop_reason) == (30, 34, None)
+    def _fuse(self, converged_irls, converged_proposed):
+        """fuse's (estimate, flag), after checking the estimate is an array of its own."""
+        irls, prop = self._results(converged_irls, converged_proposed)
+        estimate, converged = fuse(irls, prop, SolverConfig())
+        assert not np.shares_memory(estimate, irls.estimate)
+        assert not np.shares_memory(estimate, prop.estimate)
+        return estimate.tolist(), converged
 
     def test_even_weights_average(self):
-        irls, prop = self._results(True)
-        fused = fuse(irls, prop, SolverConfig())
-        assert np.allclose(fused.estimate, [1.0, 1.0])
-        assert fused.converged
+        assert self._fuse(True, True) == ([1.0, 1.0], True)
 
     def test_irls_divergence_falls_back(self):
-        irls, prop = self._results(False)
-        fused = fuse(irls, prop, SolverConfig())
-        assert np.allclose(fused.estimate, [2.0, 2.0])
+        assert self._fuse(False, True) == ([2.0, 2.0], True)
 
     def test_differencing_failure_stays_out(self):
         # Only the converged fit enters; with neither converged, the differencing
         # estimate is returned, not converged.
-        for converged_irls, expected in ((True, [0.0, 0.0]), (False, [2.0, 2.0])):
-            irls, prop = self._results(converged_irls, converged_proposed=False)
-            fused = fuse(irls, prop, SolverConfig())
-            assert np.array_equal(fused.estimate, expected)
-            assert fused.converged == converged_irls
-            assert fused.estimate is not irls.estimate and fused.estimate is not prop.estimate
+        assert self._fuse(True, False) == ([0.0, 0.0], True)
+        assert self._fuse(False, False) == ([2.0, 2.0], False)
 
     def test_degenerate_weight_returns_irls(self):
         irls, prop = self._results(True)
-        cfg = SolverConfig(fusion_weight_irls=1.0)
-        fused = fuse(irls, prop, cfg)
-        assert np.allclose(fused.estimate, [0.0, 0.0])
+        estimate, converged = fuse(irls, prop, SolverConfig(fusion_weight_irls=1.0))
+        assert np.array_equal(estimate, [0.0, 0.0]) and converged
 
     def test_solve_fused_end_to_end(self):
         sc, ranges = _problem(seed=18)
         g, u, init = sc.gnb_positions, sc.ue_positions, sc.target + np.array([1.0, 1.0])
         irls = solve_irls(ranges, g, u, TIGHT, init)
-        result = fuse(irls, solve_proposed(ranges, g, u, TIGHT, init), TIGHT)
-        assert result.method == "fused"
-        assert np.linalg.norm(result.estimate - sc.target) < 1e-2
+        estimate, converged = fuse(irls, solve_proposed(ranges, g, u, TIGHT, init), TIGHT)
+        assert converged
+        assert np.linalg.norm(estimate - sc.target) < 1e-2
 
 
 class TestSolverProperties:
@@ -1157,7 +1150,21 @@ class TestStopReasons:
         for method, kept in results.items():
             counts = Counter(r.stop_reason for r in kept)
             assert set(counts) <= set(STOP_REASONS) and sum(counts.values()) == 64
-            assert counts["converged"] + counts["stationary"] == sum(r.converged for r in kept)
+
+    @pytest.mark.parametrize("reason", STOP_REASONS)
+    def test_converged_is_read_from_the_stop_reason(self, reason):
+        result = LocalizationResult(estimate=np.zeros(2), iterations=1, method="ls",
+                                    stop_reason=reason, evaluations=1)
+        assert result.converged is (reason in ("converged", "stationary"))
+
+    def test_result_fields_are_keyword_only(self):
+        # The old positional order (estimate, converged, iterations, method, ...) must not
+        # bind to the new fields.
+        with pytest.raises(TypeError):
+            LocalizationResult(np.zeros(2), True, 1, "ls", None, "converged", 1)
+        with pytest.raises(TypeError):
+            LocalizationResult(estimate=np.zeros(2), converged=True, iterations=1, method="ls",
+                               stop_reason="converged", evaluations=1)
 
 
 def _reweight(res, e_max):
